@@ -1,7 +1,6 @@
 // campaign drives the parallel experiment-campaign engine from the
 // command line: list the registered scenarios, run a selection of them
-// across every core, sweep chosen parameter axes, or serve as a shard
-// worker for other campaign processes.
+// across every core, or sweep chosen parameter axes.
 //
 // Usage:
 //
@@ -12,10 +11,6 @@
 //	campaign sweep -s udp -axis scheme=FIFO,Airtime -axis rate-mbps=10,50,100
 //	campaign run  -journal c.journal ...      # checkpoint as cells finish
 //	campaign run  -journal c.journal -resume  # replay it, run the rest
-//	campaign serve -listen :8080              # HTTP shard worker
-//	campaign run  -remote http://hostA:8080 -remote http://hostB:8080 ...
-//	campaign run  -chaos "seed=7,cache,journal" ...  # fault-injected run
-//	campaign serve -chaos "seed=7,serve" ...         # fault-injected worker
 //
 // describe prints a scenario's declarative composition — its stations,
 // workloads, probes, parameter axes and emitted metric names — from
@@ -23,9 +18,9 @@
 // run plus axis overrides. Aggregated output (JSON/CSV artifacts and
 // the printed table) is byte-identical for any -workers value: per-run
 // seeds derive from job coordinates and aggregation folds in matrix
-// order. The same contract extends across the result cache, the resume
-// journal and the shard wire protocol: cold, warm-cache, resumed and
-// remote executions of one campaign produce byte-identical artifacts.
+// order. The same contract extends across the result cache and the
+// resume journal: cold, warm-cache and resumed executions of one
+// campaign produce byte-identical artifacts.
 //
 // Results are cached by default under os.UserCacheDir()/hj17, keyed by
 // (scenario, canonicalized params, rep, seed, code fingerprint); rerun
@@ -36,14 +31,8 @@
 //
 // SIGINT interrupts a run gracefully: in-flight cells drain into the
 // -journal checkpoint stream and the process exits with status 130 and
-// a resume hint — rerun with -resume to pick up where it stopped.
-//
-// -chaos enables deterministic fault injection (package chaos) for
-// hardening runs: a seeded plan tears cache entries, drops journal
-// appends, resets or stalls shard requests, and crashes workers, while
-// the resilience layers above must still converge on artifacts
-// byte-identical to a fault-free run. CI's chaos gate enforces exactly
-// that.
+// a resume hint — rerun with -resume to pick up where it stopped. A
+// journal whose tail was torn by a crash resumes from its valid prefix.
 package main
 
 import (
@@ -53,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -62,8 +50,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/campaign/cache"
 	"repro/internal/campaign/journal"
-	"repro/internal/campaign/wire"
-	"repro/internal/chaos"
 	"repro/internal/exp"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -105,8 +91,6 @@ func main() {
 		schemes(args)
 	case "run", "sweep":
 		execute(reg, cmd, args)
-	case "serve":
-		serve(reg, args)
 	default:
 		fmt.Fprintf(os.Stderr, "campaign: unknown command %q\n\n", cmd)
 		usage()
@@ -125,8 +109,6 @@ commands:
   schemes [-csv]       print registered scheme names (for scripting sweeps)
   run   [flags]        run scenarios over their default parameter grids
   sweep [flags]        run with -axis overrides sweeping chosen parameters
-  serve [flags]        run as an HTTP shard worker (-listen addr) that
-                       executes cell batches for -remote campaign clients
 
 flags of run and sweep:
 `)
@@ -236,12 +218,7 @@ type options struct {
 	fingerprint string
 	journalPath string
 	resume      bool
-	remotes     stringList
-	shardSize   int
 	statsOut    string
-	reqTimeout  time.Duration
-	stallTO     time.Duration
-	chaosSpec   string
 }
 
 func executeFlags(o *options) *flag.FlagSet {
@@ -262,12 +239,7 @@ func executeFlags(o *options) *flag.FlagSet {
 	fs.StringVar(&o.fingerprint, "fingerprint", "", "override the code fingerprint cache keys use")
 	fs.StringVar(&o.journalPath, "journal", "", "checkpoint completed cells to this file")
 	fs.BoolVar(&o.resume, "resume", false, "replay the -journal file and run only the remainder")
-	fs.Var(&o.remotes, "remote", "shard-worker base URL, e.g. http://host:8080 (repeatable)")
-	fs.IntVar(&o.shardSize, "shard-size", 0, "cells per remote shard request (0 = default)")
 	fs.StringVar(&o.statsOut, "stats-out", "", "write execution stats JSON (cache hits, wall time) to this path")
-	fs.DurationVar(&o.reqTimeout, "request-timeout", 0, "cap on one remote shard attempt end to end (0 = 15m default)")
-	fs.DurationVar(&o.stallTO, "stall-timeout", 0, "cap on remote-worker silence between result lines (0 = 2m default)")
-	fs.StringVar(&o.chaosSpec, "chaos", "", `fault-injection spec, e.g. "seed=7,rate=300,limit=8,cache,journal,http"`)
 	return fs
 }
 
@@ -280,16 +252,6 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		os.Exit(2)
 	}
 	checkScenarios(reg, o.scenarios)
-
-	var chaosPlan *chaos.Plan
-	if o.chaosSpec != "" {
-		p, err := chaos.Parse(o.chaosSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-			os.Exit(2)
-		}
-		chaosPlan = p
-	}
 
 	// SIGINT interrupts the campaign gracefully: in-flight cells drain
 	// into the journal and the process exits resumable.
@@ -323,7 +285,7 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 			fmt.Fprintf(os.Stderr, "campaign: opening cache %s: %v\n", dir, err)
 			os.Exit(1)
 		}
-		plan.Cache = chaosPlan.WrapStore(store)
+		plan.Cache = store
 	}
 
 	if o.resume {
@@ -350,20 +312,7 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		}
 		jw = w
 		defer w.Close()
-		plan.Journal = chaosPlan.WrapJournal(w, w.Path())
-	}
-	if len(o.remotes) > 0 {
-		client := &wire.Client{
-			Workers:      o.remotes,
-			Fingerprint:  plan.Fingerprint, // Execute fills "" the same way
-			ShardSize:    o.shardSize,
-			Timeout:      o.reqTimeout,
-			StallTimeout: o.stallTO,
-		}
-		if chaosPlan != nil {
-			client.HTTP = &http.Client{Transport: chaosPlan.Transport(nil)}
-		}
-		plan.Dispatch = client
+		plan.Journal = w
 	}
 
 	start := time.Now()
@@ -389,9 +338,6 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		os.Exit(1)
 	}
 	wall := time.Since(start)
-	if chaosPlan != nil && !o.quiet {
-		fmt.Fprintf(os.Stderr, "chaos: faults injected per site: %s\n", chaosPlan)
-	}
 	if !o.quiet {
 		fmt.Fprintf(os.Stderr, "%d runs (%d cells × %d reps; %d cached, %d simulated) in %.1fs\n",
 			res.Runs, len(res.Cells), res.Reps,
@@ -458,40 +404,6 @@ func progressLine(start time.Time) func(campaign.ProgressInfo) {
 		if p.Done == p.Total {
 			fmt.Fprintln(os.Stderr)
 		}
-	}
-}
-
-// serve runs the process as an HTTP shard worker for remote campaign
-// clients: POST /shard executes a cell batch, GET /healthz reports
-// liveness and the worker's code fingerprint.
-func serve(reg *campaign.Registry, args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	listen := fs.String("listen", ":8080", "address to listen on")
-	fingerprint := fs.String("fingerprint", "", "override the code fingerprint offered to clients")
-	workers := fs.Int("workers", 0, "worker goroutines per shard (0 = GOMAXPROCS)")
-	chaosSpec := fs.String("chaos", "", `worker-side fault-injection spec, e.g. "seed=7,serve"`)
-	fs.Parse(args)
-
-	var chaosPlan *chaos.Plan
-	if *chaosSpec != "" {
-		p, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign serve: %v\n", err)
-			os.Exit(2)
-		}
-		chaosPlan = p
-	}
-
-	fp := *fingerprint
-	if fp == "" {
-		fp = campaign.BuildFingerprint()
-	}
-	srv := &wire.Server{Registry: reg, Fingerprint: fp, Workers: *workers}
-	handler := chaosPlan.Middleware(srv.Handler())
-	fmt.Fprintf(os.Stderr, "campaign serve: listening on %s (fingerprint %s)\n", *listen, fp)
-	if err := http.ListenAndServe(*listen, handler); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign serve: %v\n", err)
-		os.Exit(1)
 	}
 }
 

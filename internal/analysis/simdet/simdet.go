@@ -1,10 +1,10 @@
 // Package simdet implements the determinism analyzer of the hj17vet
 // suite. The repository's core contract is that simulation artifacts
-// are byte-identical across worker counts, cache hits, resumes and
-// remote shards; that contract dies the moment simulation or artifact
-// code consults an ambient nondeterminism source. simdet machine-checks
-// three rules inside the simulation scope (internal/..., minus the
-// wall-clock wire infrastructure and the analyzer suite itself):
+// are byte-identical across worker counts, cache hits and resumes; that
+// contract dies the moment simulation or artifact code consults an
+// ambient nondeterminism source. simdet machine-checks three rules
+// inside the simulation scope (internal/..., minus the analyzer suite
+// itself):
 //
 //  1. No ambient clocks or environment: time.Now/Since/Until/Sleep,
 //     os.Getenv/LookupEnv/Environ/Hostname are forbidden — virtual time
@@ -44,14 +44,6 @@ var Analyzer = &analysis.Analyzer{
 var (
 	Include = []string{"repro/internal/"}
 	Exclude = []string{
-		// Wall-clock wire infrastructure: HTTP retry backoff legitimately
-		// sleeps; artifact determinism there is carried by whole-shard
-		// delivery, not ordering.
-		"repro/internal/campaign/wire",
-		// The fault-injection harness deliberately lives on wall time
-		// (injected delays, stalls, crash timing); it is test
-		// infrastructure around the simulator, not simulation code.
-		"repro/internal/chaos",
 		// The analyzer suite itself is not simulation code.
 		"repro/internal/analysis",
 	}

@@ -6,9 +6,15 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"repro/internal/campaign"
@@ -331,5 +337,135 @@ func TestProgressReportsCacheSplit(t *testing.T) {
 	}
 	if last.Done != res.Runs || last.FromCache != 6 || last.Simulated != 3 {
 		t.Fatalf("final progress = %+v", last)
+	}
+}
+
+// lossyStore is a BlobStore that never keeps a write: Put either fails
+// (err set, e.g. ENOSPC) or silently drops the blob.
+type lossyStore struct{ err error }
+
+func (lossyStore) Get(string) ([]byte, bool)  { return nil, false }
+func (s lossyStore) Put(string, []byte) error { return s.err }
+
+// failingJournal is a JournalWriter whose every Append fails.
+type failingJournal struct{}
+
+func (failingJournal) Append(string, []byte) error {
+	return fmt.Errorf("write c.journal: %w", syscall.ENOSPC)
+}
+
+// TestStorageFaults: the local storage faults of the failure model. A
+// cache that loses writes — by error or silently — costs only
+// recomputation: every cell simulates, on every run, and the artifact
+// is byte-identical to a cache-free run. A journal that cannot append
+// aborts the campaign with an error naming the journal and no Result:
+// a journal that silently drops cells would make resume lie.
+func TestStorageFaults(t *testing.T) {
+	ref, err := synthetic(nil).Execute(basePlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := artifact(t, ref)
+	cases := []struct {
+		name    string
+		cache   campaign.BlobStore
+		journal campaign.JournalWriter
+		wantErr string // "" means the run must succeed
+	}{
+		{name: "cache put ENOSPC", cache: lossyStore{err: syscall.ENOSPC}},
+		{name: "cache write dropped", cache: lossyStore{}},
+		{name: "journal append fails", journal: failingJournal{}, wantErr: "journal"},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			p := basePlan()
+			p.Workers = workers
+			p.Cache, p.Journal = c.cache, c.journal
+			for run := 0; run < 2; run++ {
+				res, err := synthetic(nil).Execute(p)
+				if c.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), c.wantErr) || res != nil {
+						t.Fatalf("%s, workers=%d: got result %v, err %v; want no result and an error mentioning %q",
+							c.name, workers, res != nil, err, c.wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s, workers=%d, run %d: %v", c.name, workers, run, err)
+				}
+				if res.Stats.Simulated != res.Runs {
+					t.Fatalf("%s, workers=%d, run %d: stats = %+v, want every cell simulated",
+						c.name, workers, run, res.Stats)
+				}
+				if !bytes.Equal(artifact(t, res), want) {
+					t.Fatalf("%s, workers=%d, run %d: artifact differs from cache-free run",
+						c.name, workers, run)
+				}
+			}
+		}
+	}
+}
+
+// TestInterruptDrainsAndResumes: cancelling Plan.Context mid-campaign
+// stops scheduling, drains the runs in flight into the journal and
+// reports ErrInterrupted; resuming from that journal yields the
+// artifact of an uninterrupted run.
+func TestInterruptDrainsAndResumes(t *testing.T) {
+	ref, err := synthetic(nil).Execute(basePlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := artifact(t, ref)
+	const k = 5
+	for _, workers := range []int{1, 4} {
+		jpath := filepath.Join(t.TempDir(), "c.journal")
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int32
+		inner := synthetic(nil).Get("alpha")
+		r := campaign.NewRegistry()
+		r.Register(&campaign.Scenario{
+			Name: "alpha", Desc: inner.Desc, Axes: inner.Axes,
+			Run: func(c campaign.Ctx) (*campaign.Metrics, error) {
+				if started.Add(1) == k {
+					cancel() // SIGINT arrives during the k-th run
+				}
+				return inner.Run(c)
+			},
+		})
+		w, err := journal.Create(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := basePlan()
+		p.Workers = workers
+		p.Journal = w
+		p.Context = ctx
+		res, err := r.Execute(p)
+		w.Close()
+		cancel()
+		if !errors.Is(err, campaign.ErrInterrupted) || res != nil {
+			t.Fatalf("workers=%d: got result %v, err %v; want ErrInterrupted", workers, res != nil, err)
+		}
+
+		replayed, n, err := journal.Replay(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < k {
+			t.Fatalf("workers=%d: journal holds %d records, want at least %d", workers, n, k)
+		}
+		p2 := basePlan()
+		p2.Workers = workers
+		p2.Resume = replayed
+		resumed, err := synthetic(nil).Execute(p2)
+		if err != nil {
+			t.Fatalf("workers=%d: resume failed: %v", workers, err)
+		}
+		if resumed.Stats.FromCache != len(replayed) || resumed.Stats.Simulated != resumed.Runs-len(replayed) {
+			t.Fatalf("workers=%d: resume stats = %+v with %d replayed cells", workers, resumed.Stats, len(replayed))
+		}
+		if !bytes.Equal(artifact(t, resumed), want) {
+			t.Fatalf("workers=%d: resumed artifact differs from uninterrupted run", workers)
+		}
 	}
 }

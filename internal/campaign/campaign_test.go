@@ -238,7 +238,7 @@ func TestArtifactFormats(t *testing.T) {
 	}
 }
 
-// TestMetricsCodecRoundTrip: the cache/wire blob encoding reproduces a
+// TestMetricsCodecRoundTrip: the cache/journal blob encoding reproduces a
 // Metrics exactly — names, insertion order, float bits, samples.
 func TestMetricsCodecRoundTrip(t *testing.T) {
 	m := NewMetrics()

@@ -9,11 +9,11 @@ import (
 )
 
 // Stable binary encoding for the Metrics of one repetition — the value
-// type of the result cache and the journal, and the payload of the
-// shard wire protocol. The encoding is exact (float64 bit patterns,
-// insertion order preserved), so a decoded Metrics aggregates
-// byte-identically to the in-memory original: cold, warm-cache, resumed
-// and remote executions of the same cell produce the same artifact.
+// type of the result cache and the journal. The encoding is exact
+// (float64 bit patterns, insertion order preserved), so a decoded
+// Metrics aggregates byte-identically to the in-memory original: cold,
+// warm-cache and resumed executions of the same cell produce the same
+// artifact.
 
 // metricsMagic tags (and versions) the Metrics blob layout.
 var metricsMagic = []byte("HJM1")

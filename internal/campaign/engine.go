@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -50,7 +49,7 @@ type Plan struct {
 	OnProgress func(ProgressInfo)
 
 	// Cache, if set, is the content-addressed result store: Execute
-	// consults it (under Fingerprint) before dispatching each job and
+	// consults it (under Fingerprint) before scheduling each job and
 	// writes completed results back, so repeated runs and sweep
 	// supersets only simulate cells never seen before.
 	Cache BlobStore
@@ -68,13 +67,6 @@ type Plan struct {
 	// BuildFingerprint() when the cache, journal or resume map is in
 	// use.
 	Fingerprint string
-
-	// Dispatch, if set, executes the simulated jobs remotely instead of
-	// on the local worker pool (cache and resume hits are still
-	// resolved locally). A Dispatch error matching ErrDegraded does not
-	// fail the campaign: the jobs it never delivered run on the local
-	// pool instead.
-	Dispatch Dispatcher
 
 	// Context, if set, bounds the campaign: when it is cancelled the
 	// engine stops scheduling new jobs, drains the ones in flight
@@ -129,11 +121,8 @@ type Result struct {
 
 // job is one schedulable run: a repetition of a scenario at a grid point.
 type job struct {
-	sc   *Scenario
-	ctx  Ctx
 	spec JobSpec
 	cell int // index into the cell table
-	rep  int
 }
 
 // Execute expands the plan into a (scenario, point, repetition) matrix,
@@ -190,10 +179,8 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 		}
 		for pi, point := range points {
 			params := make([]Param, len(sc.Axes))
-			pm := make(map[string]string, len(sc.Axes))
 			for ai, a := range sc.Axes {
 				params[ai] = Param{Name: a.Name, Value: point[ai]}
-				pm[a.Name] = point[ai]
 			}
 			ck := cellKey{sc: sc, params: params, seeds: make([]uint64, p.Reps)}
 			cellIdx := len(cells)
@@ -201,19 +188,12 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 				seed := DeriveSeed(p.BaseSeed, sc.Name, pi, rep)
 				ck.seeds[rep] = seed
 				jobs = append(jobs, job{
-					sc: sc,
-					ctx: Ctx{
-						Seed: seed, Rep: rep,
-						Duration: p.Duration, Warmup: p.Warmup,
-						params: pm,
-					},
 					spec: JobSpec{
 						Scenario: sc.Name, Params: params, Point: pi,
 						Rep: rep, Seed: seed,
 						Duration: p.Duration, Warmup: p.Warmup,
 					},
 					cell: cellIdx,
-					rep:  rep,
 				})
 			}
 			cells = append(cells, ck)
@@ -232,8 +212,8 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	st := ExecStats{Total: len(jobs)}
 	var miss []int
 
-	// mu guards the completion state (stats, journal) that both the
-	// local pool and a remote dispatcher's delivery goroutines touch.
+	// mu guards the completion state (stats, journal) the pool's
+	// workers share.
 	var mu sync.Mutex
 	var journalErr error
 	appendJournal := func(i int, blob []byte) {
@@ -309,92 +289,42 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 		progress()
 	}
 
-	// runLocal shards a job-index list across the local pool. Results
-	// land in a slice indexed by job position, so completion order is
-	// irrelevant. A failed job stops further dispatch (in-flight runs
-	// drain) — a long campaign should not burn every core before
-	// reporting a broken cell. Context cancellation likewise stops
-	// scheduling and drains, so every finished cell reaches the journal.
+	// Shard the misses across the worker pool. Results land in a slice
+	// indexed by job position, so completion order is irrelevant. A
+	// failed job stops further scheduling (in-flight runs drain) — a
+	// long campaign should not burn every core before reporting a broken
+	// cell. Context cancellation likewise stops scheduling and drains,
+	// so every finished cell reaches the journal.
 	ctx := p.Context
-	runLocal := func(indices []int) {
-		if len(indices) == 0 {
-			return
-		}
-		var failed atomic.Bool
-		next := make(chan int)
-		var wg sync.WaitGroup
-		workers := p.Workers
-		if workers > len(indices) {
-			workers = len(indices)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					m, err := runJob(jobs[i])
-					if err != nil {
-						failed.Store(true)
-					}
-					complete(i, m, err)
+	var failed atomic.Bool
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(p.Workers, len(miss)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				m, err := runJob(cells[jobs[i].cell].sc, jobs[i].spec)
+				if err != nil {
+					failed.Store(true)
 				}
-			}()
-		}
-	feed:
-		for _, i := range indices {
-			if failed.Load() {
-				break
+				complete(i, m, err)
 			}
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
+		}()
 	}
-
-	switch {
-	case len(miss) == 0:
-		// Everything came from the cache or the journal.
-	case p.Dispatch != nil:
-		// Fan the remaining jobs out to remote shard workers.
-		specs := make([]JobSpec, len(miss))
-		for k, i := range miss {
-			specs[k] = jobs[i].spec
+feed:
+	for _, i := range miss {
+		if failed.Load() {
+			break
 		}
-		err := p.Dispatch.Dispatch(ctx, specs, func(k int, blob []byte) error {
-			m, derr := DecodeMetrics(blob)
-			if derr != nil {
-				return fmt.Errorf("job %s: %w", specs[k].Label(), derr)
-			}
-			complete(miss[k], m, nil)
-			return nil
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrDegraded) && ctx.Err() == nil:
-			// Every remote worker is unhealthy but the abandoned jobs
-			// were never delivered — run them locally rather than
-			// failing a campaign the machine at hand can finish.
-			mu.Lock()
-			var left []int
-			for _, i := range miss {
-				if outs[i] == nil && errs[i] == nil {
-					left = append(left, i)
-				}
-			}
-			mu.Unlock()
-			runLocal(left)
-		case ctx.Err() != nil:
-			return nil, fmt.Errorf("campaign: %w (completed cells are journaled; rerun with -resume)", ErrInterrupted)
-		default:
-			return nil, fmt.Errorf("campaign: remote dispatch: %w", err)
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break feed
 		}
-	default:
-		runLocal(miss)
 	}
+	close(next)
+	wg.Wait()
 
 	if journalErr != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", journalErr)
@@ -404,9 +334,9 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	}
 	for i, err := range errs {
 		if err != nil {
-			j := jobs[i]
+			s := jobs[i].spec
 			return nil, fmt.Errorf("campaign: scenario %q rep %d (seed %d): %w",
-				j.sc.Name, j.rep, j.ctx.Seed, err)
+				s.Scenario, s.Rep, s.Seed, err)
 		}
 	}
 
@@ -429,19 +359,24 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	return res, nil
 }
 
-// runJob executes one run of the expanded matrix.
-func runJob(j job) (*Metrics, error) { return runScenario(j.sc, j.ctx) }
-
-// runScenario executes one scenario repetition, converting a panic in
+// runJob executes one run of the expanded matrix, converting a panic in
 // scenario code into an error so a bad cell cannot take down the whole
 // campaign process.
-func runScenario(sc *Scenario, ctx Ctx) (m *Metrics, err error) {
+func runJob(sc *Scenario, spec JobSpec) (m *Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	m, err = sc.Run(ctx)
+	params := make(map[string]string, len(spec.Params))
+	for _, p := range spec.Params {
+		params[p.Name] = p.Value
+	}
+	m, err = sc.Run(Ctx{
+		Seed: spec.Seed, Rep: spec.Rep,
+		Duration: spec.Duration, Warmup: spec.Warmup,
+		params: params,
+	})
 	if err == nil && m == nil {
 		err = fmt.Errorf("scenario returned no metrics")
 	}

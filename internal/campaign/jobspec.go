@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -15,16 +13,16 @@ import (
 // JobSpec is the portable identity of one run: the scenario name, the
 // resolved grid point (ordered parameter assignment plus the point
 // index the seed derivation uses), the repetition, the derived seed and
-// the measurement timing. It is everything a remote worker needs to
-// execute the run, and everything the cache needs to key its result.
+// the measurement timing. It is everything a scenario run receives, and
+// everything the cache needs to key its result.
 type JobSpec struct {
-	Scenario string   `json:"scenario"`
-	Params   []Param  `json:"params,omitempty"`
-	Point    int      `json:"point"`
-	Rep      int      `json:"rep"`
-	Seed     uint64   `json:"seed"`
-	Duration sim.Time `json:"duration_ns"`
-	Warmup   sim.Time `json:"warmup_ns"`
+	Scenario string
+	Params   []Param
+	Point    int
+	Rep      int
+	Seed     uint64
+	Duration sim.Time
+	Warmup   sim.Time
 }
 
 // CacheKey derives the content address of this job's result under the
@@ -56,40 +54,8 @@ func (j JobSpec) CacheKey(fingerprint string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Label renders the job's coordinates for diagnostics.
-func (j JobSpec) Label() string {
-	s := j.Scenario
-	for _, p := range j.Params {
-		s += " " + p.Name + "=" + p.Value
-	}
-	return fmt.Sprintf("%s rep=%d", s, j.Rep)
-}
-
-// ctx builds the scenario-facing run context for this spec.
-func (j JobSpec) ctx() Ctx {
-	pm := make(map[string]string, len(j.Params))
-	for _, p := range j.Params {
-		pm[p.Name] = p.Value
-	}
-	return Ctx{
-		Seed: j.Seed, Rep: j.Rep,
-		Duration: j.Duration, Warmup: j.Warmup,
-		params: pm,
-	}
-}
-
-// RunJob executes one job spec against the registry — the entry point
-// remote shard workers use. Panics in scenario code become errors.
-func (r *Registry) RunJob(spec JobSpec) (*Metrics, error) {
-	sc := r.Get(spec.Scenario)
-	if sc == nil {
-		return nil, fmt.Errorf("campaign: unknown scenario %q (have %v)", spec.Scenario, r.Names())
-	}
-	return runScenario(sc, spec.ctx())
-}
-
 // BlobStore is the content-addressed result cache Execute consults
-// before dispatching a job and writes back on completion. Get reports a
+// before scheduling a job and writes back on completion. Get reports a
 // miss for unknown or unreadable keys; Put failures are best-effort
 // (the engine proceeds without caching).
 type BlobStore interface {
@@ -103,25 +69,6 @@ type BlobStore interface {
 type JournalWriter interface {
 	Append(key string, blob []byte) error
 }
-
-// Dispatcher executes jobs somewhere other than the local worker pool —
-// e.g. fanned out over remote shard workers. Deliver is called at most
-// once per job with the job's index into the jobs slice and its encoded
-// Metrics blob; calls are serialized by the dispatcher. Dispatch
-// returns after every job has been delivered, when a job has failed
-// permanently, when ctx is cancelled, or — with an error matching
-// ErrDegraded — when some jobs could not be delivered because every
-// worker is unhealthy; the engine then falls back to executing the
-// undelivered jobs locally instead of failing the campaign.
-type Dispatcher interface {
-	Dispatch(ctx context.Context, jobs []JobSpec, deliver func(i int, blob []byte) error) error
-}
-
-// ErrDegraded marks a Dispatch error that abandoned jobs recoverably:
-// the jobs were never delivered (so no result is lost or duplicated)
-// and the engine may execute them on the local worker pool. Dispatchers
-// wrap it with fmt.Errorf("...: %w", ErrDegraded).
-var ErrDegraded = errors.New("remote execution degraded")
 
 // ErrInterrupted marks a campaign stopped by Plan.Context cancellation
 // (e.g. SIGINT). Every cell completed before the interrupt has been

@@ -6,8 +6,9 @@
 // The format is crash-tolerant by construction: each record is CRC
 // framed, and replay stops at the first damaged or truncated record —
 // a process killed mid-append loses at most the record being written,
-// never the valid prefix. Resuming appends to the same file, so a
-// campaign can be interrupted and resumed any number of times.
+// never the valid prefix. Resuming cuts any damaged tail and appends
+// after the valid prefix of the same file, so a campaign can be
+// interrupted and resumed any number of times.
 package journal
 
 import (
@@ -29,25 +30,64 @@ const recMagic = 0xA7
 // concurrent use — the campaign engine calls it from worker
 // completions.
 type Writer struct {
-	mu   sync.Mutex
-	f    *os.File
-	bw   *bufio.Writer
-	path string
+	mu sync.Mutex
+	f  *os.File
+	bw *bufio.Writer
 }
 
-// Create opens path for appending, creating it if missing.
+// Create opens path for appending, creating it if missing. A tail torn
+// by a crash mid-append is cut off first: records appended behind
+// damaged bytes would be invisible to Replay, which stops at the damage.
 func Create(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Writer{f: f, bw: bufio.NewWriter(f), path: path}, nil
+	n, err := validPrefix(f)
+	if err == nil {
+		err = f.Truncate(n)
+	}
+	if err == nil {
+		_, err = f.Seek(n, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	return &Writer{f: f, bw: bufio.NewWriter(f)}, nil
 }
 
-// Path reports the file the writer appends to. Fault-injection
-// harnesses use it to tear the tail at the file level, below the CRC
-// framing.
-func (w *Writer) Path() string { return w.path }
+// validPrefix returns the byte length of r's leading run of intact
+// records. Damage ends the run; only a failing read is an error, so a
+// read fault never passes for a torn tail and truncates good records.
+func validPrefix(r io.Reader) (int64, error) {
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
+	var n int64
+	for {
+		if _, _, err := readRecord(br); err != nil {
+			return n, cr.err
+		}
+		n = cr.n - int64(br.Buffered())
+	}
+}
+
+// countingReader counts the bytes read through it and keeps the first
+// read error other than EOF.
+type countingReader struct {
+	r   io.Reader
+	n   int64
+	err error
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
+	return n, err
+}
 
 // Append writes one completed-cell record and flushes it to the OS, so
 // a crash of this process cannot lose an acknowledged cell.

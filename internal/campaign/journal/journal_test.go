@@ -108,6 +108,46 @@ func TestTruncatedTailKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestResumeAfterTornTail: a journal reopened after a crash tore its
+// last record keeps the valid prefix, and the records appended by the
+// resumed run replay too — they must not land behind the damaged bytes.
+func TestResumeAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.journal")
+	w1, _ := Create(path)
+	w1.Append("a", []byte("a1"))
+	w1.Append("b", []byte("b1"))
+	w1.Close()
+	raw, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(fmt.Sprintf("c%d", round), []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(fmt.Sprintf("d%d", round), []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	}
+	got, n, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "c0", "d0", "c1", "d1"} {
+		if _, ok := got[k]; !ok {
+			t.Errorf("record %q lost (replayed %d records: %v)", k, n, got)
+		}
+	}
+	if n != 5 || len(got) != 5 {
+		t.Fatalf("replayed %d records, %d keys; want 5, 5", n, len(got))
+	}
+}
+
 func TestReplayMissingFileErrors(t *testing.T) {
 	if _, _, err := Replay(filepath.Join(t.TempDir(), "nope.journal")); err == nil {
 		t.Fatal("missing journal accepted")
