@@ -8,6 +8,10 @@
 //
 //   - function literals (closure environments are heap-allocated; hoist
 //     the closure to a struct field built at setup time)
+//   - bound method values not in call position (`sim.After(d, x.onRTO)`
+//     allocates a closure binding x on every evaluation; pass a
+//     package-level func(any) trampoline to AtCall/AfterCall, or a
+//     func-typed field built at setup time)
 //   - fmt.* calls (every argument is boxed into an interface) — except
 //     inside the arguments of a panic, which is a dead-model trap, not
 //     a hot path
@@ -35,8 +39,8 @@ import (
 // Analyzer is the hotalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid heap-allocation patterns (closures, fmt boxing, map/slice literals,\n" +
-		"un-preallocated append, string building) in //hj17:hotpath functions",
+	Doc: "forbid heap-allocation patterns (closures, method values, fmt boxing,\n" +
+		"map/slice literals, un-preallocated append, string building) in //hj17:hotpath functions",
 	Run: run,
 }
 
@@ -80,6 +84,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return false
 	}
 	unprealloc := unpreallocLocals(pass, fd.Body)
+	// Selectors in call position: x.m() calls the method directly.
+	// Inspect visits a call before its callee, so the set is filled in
+	// time.
+	called := make(map[ast.Expr]bool)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -89,7 +97,17 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return false // inner body is the closure's problem once hoisted
 
 		case *ast.CallExpr:
+			called[ast.Unparen(n.Fun)] = true
 			checkCall(pass, fd, n, inPanic)
+
+		case *ast.SelectorExpr:
+			if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() == types.MethodVal &&
+				!called[n] && !inPanic(n.Pos()) {
+				pass.Reportf(n.Pos(), "method value %s in //hj17:hotpath function %s allocates a "+
+					"bound closure per evaluation; pass a package-level func(any) trampoline "+
+					"to AtCall/AfterCall or hoist it to a field built at setup time",
+					n.Sel.Name, fd.Name.Name)
+			}
 
 		case *ast.CompositeLit:
 			if inPanic(n.Pos()) {

@@ -53,6 +53,26 @@ func Scratch(w *world, vals []int) []int {
 	return out
 }
 
+// A bound method value allocates its receiver binding; calling the
+// method, or passing a func-typed field built at setup time, does not.
+//
+//hj17:hotpath
+func Timers(m *medium) {
+	m.after(m.grant)     // want `method value grant`
+	m.after((m).grant)   // want `method value grant`
+	m.grant()            // a call, not a value
+	(m.grant)()          // still a call
+	m.after(m.grantCall) // func-typed field: built once
+	m.after(fire)        // package-level func: static
+}
+
+type medium struct{ grantCall func() }
+
+func (m *medium) grant()          {}
+func (m *medium) after(fn func()) { fn() }
+
+func fire() {}
+
 type item struct{ v int }
 
 type world struct{ scratch []int }

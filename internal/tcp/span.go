@@ -3,47 +3,53 @@ package tcp
 // span is a half-open byte range [start, end).
 type span struct{ start, end int64 }
 
-// spanSet is a sorted list of disjoint spans.
+// spanSet is a sorted list of disjoint, non-adjacent spans. Every
+// operation works in place in s, so once its capacity has grown to the
+// connection's peak hole count the set never allocates again.
 type spanSet struct {
 	s []span
 }
 
-// insert adds [start, end), merging with neighbours.
+// insert adds [start, end), merging with overlapping or adjacent
+// neighbours.
+//
+//hj17:hotpath
 func (ss *spanSet) insert(start, end int64) {
 	if start >= end {
 		return
 	}
-	// A fresh output slice: the two-append case below would otherwise
-	// clobber elements of ss.s before they are read.
-	out := make([]span, 0, len(ss.s)+1)
-	placed := false
-	for _, sp := range ss.s {
-		switch {
-		case sp.end < start:
-			out = append(out, sp)
-		case end < sp.start:
-			if !placed {
-				out = append(out, span{start, end})
-				placed = true
-			}
-			out = append(out, sp)
-		default:
-			// Overlapping or adjacent: absorb into the candidate.
-			if sp.start < start {
-				start = sp.start
-			}
-			if sp.end > end {
-				end = sp.end
-			}
-		}
+	s := ss.s
+	// s[i:j] are the spans that touch [start, end): the first whose end
+	// reaches start, up to the first that begins beyond end.
+	i := 0
+	for i < len(s) && s[i].end < start {
+		i++
 	}
-	if !placed {
-		out = append(out, span{start, end})
+	j := i
+	for j < len(s) && s[j].start <= end {
+		j++
 	}
-	ss.s = out
+	if i == j {
+		// Touches nothing: open a slot at i.
+		s = append(s, span{})
+		copy(s[i+1:], s[i:])
+		s[i] = span{start, end}
+		ss.s = s
+		return
+	}
+	if s[i].start < start {
+		start = s[i].start
+	}
+	if s[j-1].end > end {
+		end = s[j-1].end
+	}
+	s[i] = span{start, end}
+	ss.s = append(s[:i+1], s[j:]...)
 }
 
 // pruneBelow removes coverage below seq.
+//
+//hj17:hotpath
 func (ss *spanSet) pruneBelow(seq int64) {
 	out := ss.s[:0]
 	for _, sp := range ss.s {
@@ -56,16 +62,6 @@ func (ss *spanSet) pruneBelow(seq int64) {
 		out = append(out, sp)
 	}
 	ss.s = out
-}
-
-// contains reports whether [seq, seq+n) is fully covered.
-func (ss *spanSet) contains(seq, n int64) bool {
-	for _, sp := range ss.s {
-		if seq >= sp.start && seq+n <= sp.end {
-			return true
-		}
-	}
-	return false
 }
 
 // bytes reports total covered bytes.
@@ -88,12 +84,11 @@ func (ss *spanSet) max() int64 {
 // empty reports whether the set covers nothing.
 func (ss *spanSet) empty() bool { return len(ss.s) == 0 }
 
-// clear removes all spans.
-func (ss *spanSet) clear() { ss.s = ss.s[:0] }
-
 // nextGap finds the first uncovered range at or after seq and below limit,
 // clamped to at most n bytes. It returns (start, length); length 0 means
 // no gap.
+//
+//hj17:hotpath
 func (ss *spanSet) nextGap(seq, limit, n int64) (int64, int64) {
 	for _, sp := range ss.s {
 		if sp.end <= seq {
@@ -122,21 +117,4 @@ func (ss *spanSet) nextGap(seq, limit, n int64) (int64, int64) {
 		length = limit - seq
 	}
 	return seq, length
-}
-
-// blocks copies up to k spans, highest first (fresh SACK info first, as
-// receivers report).
-func (ss *spanSet) blocks(k int) []span {
-	n := len(ss.s)
-	if n == 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]span, 0, k)
-	for i := n - 1; i >= 0 && len(out) < k; i-- {
-		out = append(out, ss.s[i])
-	}
-	return out
 }

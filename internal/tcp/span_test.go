@@ -1,9 +1,66 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// contains reports whether [seq, seq+n) is fully covered.
+func (ss *spanSet) contains(seq, n int64) bool {
+	for _, sp := range ss.s {
+		if seq >= sp.start && seq+n <= sp.end {
+			return true
+		}
+	}
+	return false
+}
+
+// refInsert is the reference insert: it builds a fresh slice on every
+// call, which makes it obviously correct and the oracle the in-place
+// spanSet.insert is checked against.
+func refInsert(s []span, start, end int64) []span {
+	if start >= end {
+		return s
+	}
+	out := make([]span, 0, len(s)+1)
+	placed := false
+	for _, sp := range s {
+		switch {
+		case sp.end < start:
+			out = append(out, sp)
+		case end < sp.start:
+			if !placed {
+				out = append(out, span{start, end})
+				placed = true
+			}
+			out = append(out, sp)
+		default:
+			// Overlapping or adjacent: absorb into the candidate.
+			if sp.start < start {
+				start = sp.start
+			}
+			if sp.end > end {
+				end = sp.end
+			}
+		}
+	}
+	if !placed {
+		out = append(out, span{start, end})
+	}
+	return out
+}
+
+// refPruneBelow is pruneBelow on a fresh slice.
+func refPruneBelow(s []span, seq int64) []span {
+	var out []span
+	for _, sp := range s {
+		if sp.end > seq {
+			out = append(out, span{max(sp.start, seq), sp.end})
+		}
+	}
+	return out
+}
 
 func TestSpanInsertMerge(t *testing.T) {
 	var ss spanSet
@@ -96,26 +153,9 @@ func TestSpanNextGap(t *testing.T) {
 	}
 }
 
-func TestSpanBlocks(t *testing.T) {
-	var ss spanSet
-	ss.insert(10, 20)
-	ss.insert(30, 40)
-	ss.insert(50, 60)
-	b := ss.blocks(2)
-	if len(b) != 2 || b[0] != (span{50, 60}) || b[1] != (span{30, 40}) {
-		t.Fatalf("blocks = %+v", b)
-	}
-	if ss.blocks(10)[2] != (span{10, 20}) {
-		t.Fatal("blocks clamp broken")
-	}
-	var empty spanSet
-	if empty.blocks(3) != nil {
-		t.Fatal("blocks of empty set")
-	}
-}
-
 // TestSpanSetModel compares the spanSet against a boolean-array model
-// under random insert/prune sequences.
+// and, span for span, against the reference insert/prune under random
+// operation sequences.
 func TestSpanSetModel(t *testing.T) {
 	const world = 256
 	type op struct {
@@ -124,6 +164,7 @@ func TestSpanSetModel(t *testing.T) {
 	}
 	check := func(ops []op) bool {
 		var ss spanSet
+		var ref []span
 		var m [world]bool
 		for _, o := range ops {
 			if o.Insert {
@@ -132,14 +173,19 @@ func TestSpanSetModel(t *testing.T) {
 					lo, hi = hi, lo
 				}
 				ss.insert(lo, hi)
+				ref = refInsert(ref, lo, hi)
 				for i := lo; i < hi; i++ {
 					m[i] = true
 				}
 			} else {
 				ss.pruneBelow(int64(o.At))
+				ref = refPruneBelow(ref, int64(o.At))
 				for i := 0; i < int(o.At); i++ {
 					m[i] = false
 				}
+			}
+			if !slices.Equal(ss.s, ref) {
+				return false
 			}
 			// Compare coverage, invariants.
 			var bytes int64
@@ -169,5 +215,42 @@ func TestSpanSetModel(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpanSetNoAllocs: once the backing array has grown to the set's
+// peak size, insert (in order, out of order, merging) and pruneBelow
+// reuse it.
+func TestSpanSetNoAllocs(t *testing.T) {
+	var ss spanSet
+	ss.s = make([]span, 0, 64)
+	round := func() {
+		for i := int64(0); i < 16; i++ {
+			ss.insert(100+20*i, 110+20*i) // disjoint holes, appended
+		}
+		ss.insert(0, 10)    // ahead of everything: shifts the set
+		ss.insert(105, 125) // bridges two spans
+		ss.insert(10, 100)  // merges the head
+		ss.pruneBelow(200)
+		ss.pruneBelow(1 << 20)
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("insert/pruneBelow allocate %.1f times per round with warm capacity", n)
+	}
+}
+
+// BenchmarkSpanSetInsert measures the receiver's per-segment span work:
+// an in-order insert absorbed by pruneBelow, plus an out-of-order insert
+// into a set holding a few holes.
+func BenchmarkSpanSetInsert(b *testing.B) {
+	var ss spanSet
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		base := int64(i%1024) * 16 * MSS
+		ss.insert(base, base+MSS)
+		ss.insert(base+4*MSS, base+5*MSS)
+		ss.insert(base+8*MSS, base+9*MSS)
+		ss.insert(base+MSS, base+4*MSS)
+		ss.pruneBelow(base + 9*MSS)
 	}
 }

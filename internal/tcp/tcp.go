@@ -239,7 +239,11 @@ func (e *Endpoint) SendForever() {
 
 func (e *Endpoint) now() sim.Time { return e.host.Sim.Now() }
 
-func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack []span) *pkt.Packet {
+// newPacket builds an outgoing segment. When sack is non-nil its spans
+// ride along as SACK blocks, highest (freshest) first, at most maxSackBlk.
+//
+//hj17:hotpath
+func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack *spanSet) *pkt.Packet {
 	srcPort, dstPort := 50000, 5001
 	if !e.client {
 		srcPort, dstPort = 5001, 50000
@@ -249,8 +253,10 @@ func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack [
 	h.Flags, h.Seq, h.Ack = flags, seq, ack
 	h.Window = e.conn.opts.RcvWnd
 	h.SrcPort, h.DstPort = srcPort, dstPort
-	for _, sp := range sack {
-		h.Sack = append(h.Sack, pkt.SackBlock{Start: sp.start, End: sp.end})
+	if sack != nil {
+		for i := len(sack.s) - 1; i >= 0 && len(h.Sack) < maxSackBlk; i-- {
+			h.Sack = append(h.Sack, pkt.SackBlock{Start: sack.s[i].start, End: sack.s[i].end})
+		}
 	}
 	p := pool.Get()
 	p.Size = size
@@ -277,6 +283,8 @@ func (e *Endpoint) sendSYN() {
 }
 
 // Input processes a packet arriving at this endpoint.
+//
+//hj17:hotpath
 func (e *Endpoint) Input(p *pkt.Packet) {
 	h := p.TCP
 	if h == nil {
@@ -316,6 +324,8 @@ func (e *Endpoint) Input(p *pkt.Packet) {
 }
 
 // receiveData handles an incoming data segment.
+//
+//hj17:hotpath
 func (e *Endpoint) receiveData(seq, n int64) {
 	end := seq + n
 	switch {
@@ -348,25 +358,34 @@ func (e *Endpoint) receiveData(seq, n int64) {
 		return
 	}
 	if !e.delackEv.Valid() {
-		e.delackEv = e.host.Sim.After(DelAckTime, func() {
-			e.delackEv = sim.EventRef{}
-			if e.unacked > 0 {
-				e.sendAck()
-			}
-		})
+		e.delackEv = e.host.Sim.AfterCall(DelAckTime, delackFire, e)
 	}
 }
 
+// delackFire is the delayed-ACK timer's trampoline.
+//
+//hj17:hotpath
+func delackFire(v any) {
+	e := v.(*Endpoint)
+	e.delackEv = sim.EventRef{}
+	if e.unacked > 0 {
+		e.sendAck()
+	}
+}
+
+//hj17:hotpath
 func (e *Endpoint) sendAck() {
 	e.unacked = 0
 	if e.delackEv.Valid() {
 		e.host.Sim.Cancel(e.delackEv)
 		e.delackEv = sim.EventRef{}
 	}
-	e.host.Out(e.newPacket(HeaderLen, pkt.ACK, e.nextSeq, e.rcvNxt, e.ooo.blocks(maxSackBlk)))
+	e.host.Out(e.newPacket(HeaderLen, pkt.ACK, e.nextSeq, e.rcvNxt, &e.ooo))
 }
 
 // processAck handles the acknowledgement fields of an incoming segment.
+//
+//hj17:hotpath
 func (e *Endpoint) processAck(h *pkt.TCPHeader, withData bool) {
 	ack := h.Ack
 	e.peerWnd = h.Window
@@ -422,6 +441,8 @@ func (e *Endpoint) processAck(h *pkt.TCPHeader, withData bool) {
 }
 
 // growCwnd applies the congestion-avoidance/slow-start increase.
+//
+//hj17:hotpath
 func (e *Endpoint) growCwnd(acked int64) {
 	if e.cwnd < e.ssthresh {
 		// Slow start with appropriate byte counting.
@@ -505,6 +526,7 @@ func (e *Endpoint) exitRecovery() {
 	e.dupacks = 0
 }
 
+//hj17:hotpath
 func (e *Endpoint) sampleRTT(ack int64) {
 	if e.rttSeq == 0 || ack < e.rttSeq {
 		return
@@ -548,6 +570,8 @@ func (e *Endpoint) inflight() int64 { return e.nextSeq - e.una }
 // pipe estimates bytes in flight for SACK recovery (RFC 6675 simplified):
 // outstanding bytes minus SACKed minus holes considered lost and not yet
 // retransmitted this epoch.
+//
+//hj17:hotpath
 func (e *Endpoint) pipe() int64 {
 	p := e.inflight() - e.sacked.bytes()
 	if e.inRec {
@@ -577,6 +601,8 @@ func (e *Endpoint) available() int64 {
 
 // trySend emits segments while the congestion and receive windows allow.
 // In recovery, holes below the highest SACK are retransmitted first.
+//
+//hj17:hotpath
 func (e *Endpoint) trySend() {
 	if !e.established {
 		return
@@ -612,8 +638,9 @@ func (e *Endpoint) trySend() {
 	}
 }
 
+//hj17:hotpath
 func (e *Endpoint) emitSeg(seq, n int64, retrans bool) {
-	p := e.newPacket(int(n)+HeaderLen, pkt.ACK, seq, e.rcvNxt, e.ooo.blocks(maxSackBlk))
+	p := e.newPacket(int(n)+HeaderLen, pkt.ACK, seq, e.rcvNxt, &e.ooo)
 	e.unacked = 0
 	e.SentSegs++
 	e.SentBytes += n
@@ -623,6 +650,10 @@ func (e *Endpoint) emitSeg(seq, n int64, retrans bool) {
 	e.host.Out(p)
 }
 
+// resetRTO restarts the retransmission timer at now+rto, or disarms it
+// when nothing is outstanding.
+//
+//hj17:hotpath
 func (e *Endpoint) resetRTO() {
 	if e.rtoEv.Valid() {
 		e.host.Sim.Cancel(e.rtoEv)
@@ -631,11 +662,20 @@ func (e *Endpoint) resetRTO() {
 	if e.inflight() == 0 {
 		return
 	}
-	e.rtoEv = e.host.Sim.After(e.rto, e.onRTO)
+	e.rtoEv = e.host.Sim.AfterCall(e.rto, rtoFire, e)
 }
 
-func (e *Endpoint) onRTO() {
+// rtoFire is the RTO event's trampoline.
+//
+//hj17:hotpath
+func rtoFire(v any) {
+	e := v.(*Endpoint)
 	e.rtoEv = sim.EventRef{}
+	e.onRTO()
+}
+
+// onRTO handles a retransmission timeout.
+func (e *Endpoint) onRTO() {
 	if e.inflight() == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 
+	"repro/internal/ether"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -159,5 +160,105 @@ func TestTailLossRTO(t *testing.T) {
 	}
 	if c.Client().Timeouts == 0 {
 		t.Error("expected an RTO for tail loss")
+	}
+}
+
+// TestRTOFiresAtDeadline cuts the ACK path mid-transfer. The RTO must not
+// fire while ACKs advance, and once they stop it must fire exactly RTO()
+// after the last advancing ACK.
+func TestRTOFiresAtDeadline(t *testing.T) {
+	p := newPipe(1, 5*sim.Millisecond)
+	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1, RcvWnd: 64 << 10})
+	cli, srv := c.Client(), c.Server()
+	const cut = 2 * sim.Second
+	var lastAdv, deadline, firedAt sim.Time
+	p.a.Out = func(q *pkt.Packet) {
+		if firedAt == 0 && cli.Timeouts > 0 {
+			firedAt = p.s.Now() // the timeout's retransmission
+		}
+		p.s.After(p.delay, func() { srv.Input(q) })
+	}
+	p.b.Out = func(q *pkt.Packet) {
+		if p.s.Now() >= cut {
+			return // every ACK sent from the cut on is lost
+		}
+		p.s.After(p.delay, func() {
+			una := cli.DebugUna()
+			cli.Input(q)
+			if cli.DebugUna() > una {
+				lastAdv, deadline = p.s.Now(), p.s.Now()+cli.RTO()
+			}
+		})
+	}
+	c.OpenInstant()
+	cli.SendForever()
+	p.s.RunUntil(cut + 5*sim.Second)
+	switch {
+	case lastAdv < cut:
+		t.Fatalf("last advancing ACK at %v, before the cut at %v", lastAdv, cut)
+	case firedAt == 0:
+		t.Fatal("no RTO after the ACK path was cut")
+	case firedAt != deadline:
+		t.Fatalf("RTO fired at %v, want %v (last advancing ACK at %v + RTO %v)",
+			firedAt, deadline, lastAdv, deadline-lastAdv)
+	}
+}
+
+// TestAckSackBlocksHighestFirst: an ACK carries the receiver's
+// out-of-order spans, highest (freshest) first, capped at maxSackBlk.
+func TestAckSackBlocksHighestFirst(t *testing.T) {
+	p := newPipe(1, 5*sim.Millisecond)
+	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1})
+	cli, srv := c.Client(), c.Server()
+	var acks []*pkt.Packet
+	p.b.Out = func(q *pkt.Packet) { acks = append(acks, q) }
+	c.OpenInstant()
+	// Every other segment arrives: holes at MSS, 3*MSS, 5*MSS, ...
+	const holes = maxSackBlk + 4
+	for k := int64(1); k <= holes; k++ {
+		srv.Input(cli.newPacket(SegSize, pkt.ACK, 2*k*MSS, 0, nil))
+	}
+	if len(acks) != holes {
+		t.Fatalf("%d ACKs for %d out-of-order segments, want one each", len(acks), holes)
+	}
+	for i, a := range acks {
+		n := int64(i + 1) // spans held when this ACK left
+		want := min(n, maxSackBlk)
+		if int64(len(a.TCP.Sack)) != want {
+			t.Fatalf("ACK %d carries %d SACK blocks, want %d", i, len(a.TCP.Sack), want)
+		}
+		for j, b := range a.TCP.Sack {
+			k := n - int64(j) // highest first
+			if b != (pkt.SackBlock{Start: 2 * k * MSS, End: (2*k + 1) * MSS}) {
+				t.Fatalf("ACK %d block %d = %+v, want span of segment %d", i, j, b, k)
+			}
+		}
+		if a.TCP.Ack != 0 {
+			t.Fatalf("ACK %d acks %d with the first segment missing", i, a.TCP.Ack)
+		}
+	}
+}
+
+// BenchmarkTCPBulk measures one bulk connection's per-segment cost: two
+// endpoints over a fixed-delay gigabit link, receive-window limited, with
+// every packet released to the pool at its sink. One op is one data
+// segment sent; with -benchmem the steady state must show 0 allocs/op.
+func BenchmarkTCPBulk(b *testing.B) {
+	s := sim.New(1)
+	pool := pkt.PoolOf(s)
+	link := ether.NewLink(s, ether.GigabitRate, 5*sim.Millisecond)
+	a := &Host{Sim: s, ID: 1, Out: link.SendAToB}
+	z := &Host{Sim: s, ID: 2, Out: link.SendBToA}
+	c := NewConn(Options{Client: a, Server: z, Flow: 1})
+	cli, srv := c.Client(), c.Server()
+	link.DeliverB = func(q *pkt.Packet) { srv.Input(q); pool.Put(q) }
+	link.DeliverA = func(q *pkt.Packet) { cli.Input(q); pool.Put(q) }
+	c.OpenInstant()
+	cli.SendForever()
+	s.RunUntil(2 * sim.Second) // past slow start, pool and span sets warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for stop := cli.SentSegs + int64(b.N); cli.SentSegs < stop; {
+		s.Step()
 	}
 }
