@@ -139,7 +139,9 @@ type Fq struct {
 	// changes on it are folded into a single sift at the next heap read
 	// (or when a different queue changes). Aggregation drains one queue
 	// many packets at a time, so deferring exactly one queue batches the
-	// whole drain while every flush remains a plain op on a valid heap.
+	// whole drain. A queue must be made pending (occDefer) before its
+	// bytes change, never after: the flush of the previous pending queue
+	// then sifts through a heap in which every other key is current.
 	pending *queue
 	// flowMask replaces the hash modulo when Flows is a power of two
 	// (the default): k % n == k & (n-1) then. Zero for other counts.
@@ -261,7 +263,8 @@ func (fq *Fq) occSiftDown(i int) {
 }
 
 // occUpdate keeps q's membership and position in the occupied heap in
-// step with its byte count. Call after any push or pop on q.q.
+// step with its byte count. It assumes every other queue's key is
+// current; occDefer and occFlush are its only callers.
 //
 //hj17:hotpath
 func (fq *Fq) occUpdate(q *queue) {
@@ -292,9 +295,10 @@ func (fq *Fq) occUpdate(q *queue) {
 	}
 }
 
-// occDefer records that q's byte count changed, deferring the heap
-// maintenance until the next read. Only one queue may be pending, so a
-// change to a different queue flushes the previous one first.
+// occDefer records that q's byte count is about to change, deferring
+// the heap maintenance until the next read. Only one queue may be
+// pending, so marking a different queue flushes the previous one first;
+// call it before touching q.q, while q's heap key is still current.
 //
 //hj17:hotpath
 func (fq *Fq) occDefer(q *queue) {
@@ -337,11 +341,11 @@ func (fq *Fq) longestQueue() *queue {
 //hj17:hotpath
 func (fq *Fq) dropFromLongest() *pkt.Packet {
 	victim := fq.longestQueue()
+	fq.occDefer(victim)
 	p := victim.q.Pop()
 	if p == nil {
 		return nil
 	}
-	fq.occDefer(victim)
 	fq.len--
 	if victim.tid != nil {
 		victim.tid.len--
@@ -390,8 +394,8 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	}
 	q.tid = t
 	p.Enqueued = now
-	q.q.Push(p)
 	fq.occDefer(q)
+	q.q.Push(p)
 	fq.len++
 	t.len++
 	if q.inList == listNone {
@@ -437,8 +441,8 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 			t.oldQ.pushTail(q, listOld)
 			continue
 		}
-		p := q.cv.Dequeue(&q.q, pa, now, t.codelDrop)
 		fq.occDefer(q)
+		p := q.cv.Dequeue(&q.q, pa, now, t.codelDrop)
 		if p == nil {
 			if fromNew {
 				t.newQ.popHead()

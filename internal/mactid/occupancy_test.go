@@ -1,6 +1,7 @@
 package mactid
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/codel"
@@ -26,28 +27,118 @@ func refLongestQueue(fq *Fq) *queue {
 	return longest
 }
 
-// TestLongestQueueMatchesReferenceScan: randomized enqueue/dequeue across
-// two TIDs (so overflow queues participate) with byte-count ties; the
-// occupancy-tracked victim must equal the reference scan at every step.
+// checkHeap verifies the occupied heap against every queue whose byte
+// count has settled, i.e. every queue but fq.pending: each heap edge is
+// ordered by occAbove, each occPos names its own slot, and the heap
+// holds exactly the queues with bytes.
+func checkHeap(fq *Fq) error {
+	h := fq.occupied
+	for i, q := range h {
+		if q.occPos != i {
+			return fmt.Errorf("queue %d sits at slot %d but records occPos %d", q.idx, i, q.occPos)
+		}
+		if i == 0 {
+			continue
+		}
+		par := h[(i-1)/2]
+		if q != fq.pending && par != fq.pending && occAbove(q, par) {
+			return fmt.Errorf("heap edge out of order: child queue %d (%d B) above parent queue %d (%d B)",
+				q.idx, q.q.Bytes(), par.idx, par.q.Bytes())
+		}
+	}
+	check := func(q *queue) error {
+		if q.occPos >= 0 && (q.occPos >= len(h) || h[q.occPos] != q) {
+			return fmt.Errorf("queue %d records occPos %d but is not in that slot", q.idx, q.occPos)
+		}
+		if q != fq.pending && (q.q.Bytes() > 0) != (q.occPos >= 0) {
+			return fmt.Errorf("queue %d: %d B but occPos %d", q.idx, q.q.Bytes(), q.occPos)
+		}
+		return nil
+	}
+	for i := range fq.flows {
+		if err := check(&fq.flows[i]); err != nil {
+			return err
+		}
+	}
+	for _, q := range fq.overflow {
+		if err := check(q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// peekLongestQueue returns longestQueue's pick, then restores the heap
+// and the pending queue, so a check between ops leaves the next op the
+// same deferred state it would have had unchecked.
+func peekLongestQueue(fq *Fq) *queue {
+	pending, heap := fq.pending, append([]*queue(nil), fq.occupied...)
+	pendingPos := 0
+	if pending != nil {
+		pendingPos = pending.occPos
+	}
+	got := fq.longestQueue()
+	fq.pending = pending
+	fq.occupied = append(fq.occupied[:0], heap...)
+	for i, q := range heap {
+		q.occPos = i
+	}
+	if pending != nil {
+		pending.occPos = pendingPos
+	}
+	return got
+}
+
+// TestLongestQueueMatchesReferenceScan drives randomized enqueues and
+// dequeues and checks the occupied heap after every op: its invariants
+// hold on every settled queue, and the victim it yields equals the
+// reference scan's, ties included. The one-TID rows run with small
+// limits and an advancing clock, so over-limit and CoDel drops both
+// change byte counts while a different queue is pending; the two-TID
+// row routes hash collisions through the overflow queues.
 func TestLongestQueueMatchesReferenceScan(t *testing.T) {
-	fq := New(Config{Flows: 16, Limit: 1 << 30})
-	t1, t2 := fq.NewTID(), fq.NewTID()
-	tids := []*TID{t1, t2}
-	r := sim.NewRand(11)
-	now := sim.Time(0)
-	for step := 0; step < 5000; step++ {
-		tid := tids[r.Intn(2)]
-		if r.Intn(3) != 0 {
-			// Few flows over few sizes: hash collisions exercise the
-			// overflow queues, equal sizes force ties.
-			tid.Enqueue(mkp(uint64(r.Intn(8)), 100*(1+r.Intn(3))), now)
-		} else {
-			tid.Dequeue(now, codel.Default())
-		}
-		got, want := fq.longestQueue(), refLongestQueue(fq)
-		if got != want {
-			t.Fatalf("step %d: longestQueue picked idx %d (%d B), reference idx %d (%d B)",
-				step, got.idx, got.q.Bytes(), want.idx, want.q.Bytes())
-		}
+	for _, tc := range []struct {
+		name               string
+		tids               int
+		minLimit, maxLimit int
+		tick               int // the clock advances Intn(tick) µs per op
+		seeds              uint64
+	}{
+		{name: "one TID, drops", tids: 1, minLimit: 5, maxLimit: 64, tick: 3000, seeds: 100},
+		{name: "two TIDs, no limit", tids: 2, minLimit: 1 << 30, maxLimit: 1 << 30, seeds: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= tc.seeds; seed++ {
+				r := sim.NewRand(seed)
+				fq := New(Config{Flows: 16, Limit: tc.minLimit + r.Intn(tc.maxLimit-tc.minLimit+1)})
+				tids := make([]*TID, tc.tids)
+				for i := range tids {
+					tids[i] = fq.NewTID()
+				}
+				now := sim.Time(0)
+				for step := 0; step < 5000; step++ {
+					tid := tids[r.Intn(len(tids))]
+					if r.Intn(3) != 0 {
+						// Few flows over few sizes: hash collisions
+						// exercise the overflow queues, equal sizes
+						// force ties.
+						tid.Enqueue(mkp(uint64(r.Intn(12)), 100*(1+r.Intn(3))), now)
+					} else {
+						tid.Dequeue(now, codel.Default())
+					}
+					if tc.tick > 0 {
+						now += sim.Time(r.Intn(tc.tick)) * sim.Microsecond
+					}
+					if err := checkHeap(fq); err != nil {
+						t.Fatalf("seed %d limit %d step %d: %v", seed, fq.cfg.Limit, step, err)
+					}
+					got, want := peekLongestQueue(fq), refLongestQueue(fq)
+					if got != want {
+						t.Fatalf("seed %d limit %d step %d: longestQueue picked idx %d (%d B), reference idx %d (%d B)",
+							seed, fq.cfg.Limit, step, got.idx, got.q.Bytes(), want.idx, want.q.Bytes())
+					}
+				}
+			}
+		})
 	}
 }
