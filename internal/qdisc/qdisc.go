@@ -1,7 +1,7 @@
 // Package qdisc models the Linux queueing-discipline layer that sits above
-// the WiFi driver (the top box of the paper's Figure 2). Two disciplines
-// are provided: PFIFO (the kernel default) and, via package fqcodel, the
-// FQ-CoDel qdisc used as the paper's second baseline.
+// the WiFi driver (the top box of the paper's Figure 2): the Qdisc
+// interface and PFIFO, the kernel default. The FQ-CoDel qdisc used as the
+// paper's second baseline lives in package fqcodel.
 //
 // In the paper's FQ-MAC and Airtime-FQ configurations this layer is
 // bypassed entirely; the MAC model then feeds packets straight into the
@@ -66,20 +66,3 @@ func (f *PFIFO) Len() int { return f.q.Len() }
 
 // Drops implements Qdisc.
 func (f *PFIFO) Drops() int { return f.drops }
-
-// None is a pass-through discipline with no queueing at all, used when the
-// MAC-internal queueing structure replaces the qdisc layer. Enqueue always
-// fails, signalling the caller to deliver the packet directly to the MAC.
-type None struct{}
-
-// Enqueue implements Qdisc; it never accepts packets.
-func (None) Enqueue(*pkt.Packet) bool { return false }
-
-// Dequeue implements Qdisc.
-func (None) Dequeue() *pkt.Packet { return nil }
-
-// Len implements Qdisc.
-func (None) Len() int { return 0 }
-
-// Drops implements Qdisc.
-func (None) Drops() int { return 0 }

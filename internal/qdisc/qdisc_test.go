@@ -51,13 +51,3 @@ func TestPFIFODefaultLimit(t *testing.T) {
 		t.Fatal("default limit not enforced")
 	}
 }
-
-func TestNone(t *testing.T) {
-	var n None
-	if n.Enqueue(&pkt.Packet{}) {
-		t.Fatal("None accepted a packet")
-	}
-	if n.Dequeue() != nil || n.Len() != 0 || n.Drops() != 0 {
-		t.Fatal("None not empty")
-	}
-}

@@ -11,7 +11,6 @@ import (
 // the new event, because recycling bumped the generation.
 func TestCancelThenRescheduleStaleRef(t *testing.T) {
 	s := New(1)
-	s.SetEventPooling(true)
 
 	stale := s.At(5, func() { t.Fatal("cancelled event fired") })
 	s.Cancel(stale)

@@ -137,7 +137,6 @@ type Sim struct {
 
 	free      []*Event // recycled events
 	allocated uint64   // events ever heap-allocated
-	pooling   bool
 
 	// alloc is an opaque per-world allocator slot. Packages that cannot
 	// be imported from here (notably pkt, whose packet pool every layer
@@ -148,7 +147,7 @@ type Sim struct {
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed uint64) *Sim {
-	return &Sim{rng: NewRand(seed), pooling: true, wheelOn: true}
+	return &Sim{rng: NewRand(seed), wheelOn: true}
 }
 
 // Now returns the current virtual time.
@@ -167,12 +166,6 @@ func (s *Sim) EventsAllocated() uint64 { return s.allocated }
 // Pending reports the number of events currently scheduled to fire
 // (cancelled events awaiting lazy recycling are not counted).
 func (s *Sim) Pending() int { return s.live }
-
-// SetEventPooling enables or disables event recycling (enabled by
-// default). Disabling trades allocations for an exact-lifecycle mode in
-// which no Event object is ever reused — useful for verifying that
-// pooling does not change behaviour.
-func (s *Sim) SetEventPooling(on bool) { s.pooling = on }
 
 // SetTimerWheel enables or disables the timing-wheel front-end (enabled
 // by default). With the wheel off, every event is heaped at schedule
@@ -213,9 +206,7 @@ func (s *Sim) recycle(e *Event) {
 	e.arg = nil
 	e.wnext = nil
 	e.dead = false
-	if s.pooling {
-		s.free = append(s.free, e)
-	}
+	s.free = append(s.free, e)
 }
 
 // push inserts e into the 4-ary heap (sift-up).

@@ -103,22 +103,6 @@ func TestEventRecycling(t *testing.T) {
 	if got := s.EventsAllocated(); got > 4 {
 		t.Fatalf("allocated %d events for a serial chain, want <= 4", got)
 	}
-	// With pooling off, every schedule allocates.
-	s2 := New(1)
-	s2.SetEventPooling(false)
-	m := 0
-	var tick2 func()
-	tick2 = func() {
-		m++
-		if m < 100 {
-			s2.After(10, tick2)
-		}
-	}
-	s2.After(10, tick2)
-	s2.Run(0)
-	if got := s2.EventsAllocated(); got != 100 {
-		t.Fatalf("allocated %d events with pooling off, want 100", got)
-	}
 }
 
 // TestAtCall: the closure-free scheduling form passes its argument
