@@ -81,6 +81,9 @@ func refFill(c *Config) {
 	if c.Codel == (codel.Params{}) {
 		c.Codel = codel.Default()
 	}
+	if c.Clock == nil {
+		panic("fqcodel: Config.Clock is required")
+	}
 	if c.DropHook == nil {
 		// A no-op hook keeps the drop path unconditional, so packet
 		// ownership is discharged on every branch (and pktown can prove

@@ -92,7 +92,7 @@ func peekLongestQueue(fq *Fq) *queue {
 // TestLongestQueueMatchesReferenceScan drives randomized enqueues and
 // dequeues and checks the occupied heap after every op: its invariants
 // hold on every settled queue, and the victim it yields equals the
-// reference scan's, ties included. The one-TID rows run with small
+// reference scan's, ties included. The one-TID row runs with small
 // limits and an advancing clock, so over-limit and CoDel drops both
 // change byte counts while a different queue is pending; the two-TID
 // row routes hash collisions through the overflow queues.
