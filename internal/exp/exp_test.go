@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/pkt"
 	"repro/internal/sim"
@@ -183,39 +184,55 @@ func TestScale30(t *testing.T) {
 	}
 }
 
-// TestTable1Assembly checks the combined model+measurement table.
+// TestTable1Assembly checks the combined model+measurement table: the
+// table1 scenario's FIFO and Airtime cells carry the paper's rows.
 func TestTable1Assembly(t *testing.T) {
-	tb := RunTable1(quick())
-	if len(tb.Baseline) != 3 || len(tb.Fair) != 3 {
-		t.Fatal("table rows missing")
+	names := []string{"fast1", "fast2", "slow"}
+	cell := func(scheme string) *campaign.Metrics {
+		inst, err := SpecTable1().Build(Params{"scheme": scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := inst.Execute(quick())
+		for _, name := range names {
+			for _, col := range []string{"aggr-", "model-share-", "base-mbps-", "model-mbps-", "measured-mbps-"} {
+				if _, ok := m.Scalar(col + name); !ok {
+					t.Fatalf("%s: no %s%s column", scheme, col, name)
+				}
+			}
+		}
+		return m
 	}
+	col := func(m *campaign.Metrics, name string) float64 {
+		v, _ := m.Scalar(name)
+		return v
+	}
+	baseline, fair := cell("FIFO"), cell("Airtime")
 	// Fair block: model says exactly 1/3 shares.
-	for _, r := range tb.Fair {
-		if r.AirtimeShare < 0.33 || r.AirtimeShare > 0.34 {
-			t.Errorf("fair share %.3f, want 1/3", r.AirtimeShare)
+	for _, name := range names {
+		if s := col(fair, "model-share-"+name); s < 0.33 || s > 0.34 {
+			t.Errorf("fair share %.3f, want 1/3", s)
 		}
 	}
 	// Baseline: slow station's share dominates in the model given its
 	// measured aggregation.
-	if tb.Baseline[2].AirtimeShare < 0.6 {
-		t.Errorf("baseline model slow share %.2f, want > 0.6", tb.Baseline[2].AirtimeShare)
+	if s := col(baseline, "model-share-slow"); s < 0.6 {
+		t.Errorf("baseline model slow share %.2f, want > 0.6", s)
 	}
 	// Model and measurement agree within a factor of 1.6 per station.
-	for _, rows := range [][]Table1Row{tb.Baseline, tb.Fair} {
-		for _, r := range rows {
-			if r.ExpMbps <= 0 {
-				t.Errorf("%s: no measured throughput", r.Name)
+	for _, m := range []*campaign.Metrics{baseline, fair} {
+		for _, name := range names {
+			model, meas := col(m, "model-mbps-"+name), col(m, "measured-mbps-"+name)
+			if meas <= 0 {
+				t.Errorf("%s: no measured throughput", name)
 				continue
 			}
-			ratio := r.RateMbps / r.ExpMbps
+			ratio := model / meas
 			if ratio < 0.55 || ratio > 1.8 {
 				t.Errorf("%s: model %.1f vs measured %.1f Mbps (ratio %.2f)",
-					r.Name, r.RateMbps, r.ExpMbps, ratio)
+					name, model, meas, ratio)
 			}
 		}
-	}
-	if !strings.Contains(tb.String(), "Baseline") {
-		t.Error("table rendering broken")
 	}
 }
 

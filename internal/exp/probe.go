@@ -433,9 +433,11 @@ func (p pltProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 }
 
 // Table1 feeds the measured per-station aggregation levels into the
-// §2.2.1 analytical model and emits, per station, the model-predicted
-// and measured throughput plus their totals — the paper's Table 1, one
-// block per scheme.
+// §2.2.1 analytical model and emits, per station, the paper's Table 1
+// row — the aggregation level fed to the model, the model's airtime
+// share T(i), base rate R(n,l,r) and predicted rate R(i), and the
+// measured throughput — plus the model and measured totals, one block
+// per scheme.
 func Table1(fair bool) Probe { return table1Probe{fair} }
 
 type table1Probe struct{ fair bool }
@@ -443,7 +445,8 @@ type table1Probe struct{ fair bool }
 func (p table1Probe) Meta(stations []string) campaign.ProbeMeta {
 	meta := campaign.ProbeMeta{Name: "table1-model"}
 	for _, st := range stations {
-		meta.Metrics = append(meta.Metrics, "model-mbps-"+st, "measured-mbps-"+st)
+		meta.Metrics = append(meta.Metrics, "aggr-"+st, "model-share-"+st,
+			"base-mbps-"+st, "model-mbps-"+st, "measured-mbps-"+st)
 	}
 	meta.Metrics = append(meta.Metrics, "model-total-mbps", "measured-total-mbps")
 	return meta
@@ -463,6 +466,9 @@ func (p table1Probe) Collect(m *campaign.Metrics, rt *Runtime) {
 	for i, pred := range model.Predict(params, p.fair) {
 		rate := pred.Rate / 1e6
 		meas := gps[i] / 1e6
+		m.Add("aggr-"+pred.Name, params[i].AggSize)
+		m.Add("model-share-"+pred.Name, pred.AirtimeShare)
+		m.Add("base-mbps-"+pred.Name, pred.BaseRate/1e6)
 		m.Add("model-mbps-"+pred.Name, rate)
 		m.Add("measured-mbps-"+pred.Name, meas)
 		modelTot += rate

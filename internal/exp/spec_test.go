@@ -21,6 +21,11 @@ import (
 // non-default variants too (bidirectional traffic, the slow-station
 // browser, weighted stations). If a deliberate behaviour change ever
 // invalidates them, regenerate with the plans below and document why.
+//
+// Regenerated: "table1", when the Table 1 probe began emitting the full
+// row (aggr-, model-share- and base-mbps- per station, each inserted
+// before model-mbps-). Every metric the old artifact held keeps its
+// value and order.
 var specGoldenArtifacts = map[string]string{
 	"latency":      "8b8ab31c356efa050489d2130dcc5ba91fdc49f1bcc6481b46198218e8abe791",
 	"udp":          "776fd03c147a994fb5c022bde53f8fb78ef55e64d50aa8090edf2f5136070f84",
@@ -31,7 +36,7 @@ var specGoldenArtifacts = map[string]string{
 	"voip":         "3ca6122aa6016f06679d3fea3292ee234c5b8f8c005fd3f78d3e6f9c5e909202",
 	"web":          "9d60c76828e76039beba0a9cb2175e859790b1d5f679134cb2c09437a962b3a3",
 	"weighted-udp": "5db0c926054d1d811a6afb770d7143565bdef13cae96cebaa1c47904529e2445",
-	"table1":       "5d99d16f7215c91beab1593b3b3abf36df612678cebfcaccc31a726a878a9512",
+	"table1":       "8836e0077b6a16b8d73db506c72b9eaf3ffd10a27ac2a8d99fa12817a36812b6",
 }
 
 // specGoldenOverrides widens each scenario's plan beyond its default
