@@ -8,6 +8,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/mac"
 	"repro/internal/pkt"
@@ -43,25 +44,27 @@ func BenchmarkAblationQuantum(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRxAccounting compares bidirectional-TCP airtime
-// fairness with and without charging received frames to the sender's
-// deficit (§3.2 advantage 2). Disabling it is emulated by zeroing the
-// quantum effect via a huge... — instead we compare Airtime (which
-// charges RX) against FQ-MAC (which has no airtime control at all) and
-// report both indices; the gap quantifies what the scheduler buys for
-// traffic it only indirectly controls.
+// fairnessCtx is the seed and timing of the fairness-scenario ablations.
+func fairnessCtx(i int) campaign.Ctx {
+	return campaign.Ctx{Seed: uint64(i) + 1, Duration: 10 * sim.Second, Warmup: 3 * sim.Second}
+}
+
+// BenchmarkAblationRxAccounting measures what charging received frames
+// to the sender's deficit (§3.2 advantage 2) buys under bidirectional
+// TCP. The scheduler has no switch for RX accounting alone, so it
+// compares Airtime (which charges RX) against FQ-MAC (which has no
+// airtime control at all) and reports both Jain indices; the gap
+// quantifies what the scheduler buys for traffic it only indirectly
+// controls.
 func BenchmarkAblationRxAccounting(b *testing.B) {
 	for _, scheme := range []mac.Scheme{mac.SchemeFQMAC, mac.SchemeAirtimeFQ} {
 		scheme := scheme
 		b.Run(scheme.String(), func(b *testing.B) {
 			var jain float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunFairness(exp.FairnessConfig{
-					Run: exp.RunConfig{Seed: uint64(i) + 1, Duration: 10 * sim.Second,
-						Warmup: 3 * sim.Second, Reps: 1},
-					Scheme: scheme, Traffic: exp.TrafficTCPBidir,
-				})
-				jain += r.Jain
+				m := runSpec(b, exp.SpecFairness(), fairnessCtx(i),
+					exp.Params{"scheme": scheme.String(), "traffic": "tcp-bidir"})
+				jain += scalar(b, m, "jain")
 			}
 			b.ReportMetric(jain/float64(b.N), "bidir-jain")
 		})
@@ -203,17 +206,14 @@ func fmtPct(f float64) string {
 // it also lacks RX accounting, hurting the bidirectional case further.
 func BenchmarkComparisonDTT(b *testing.B) {
 	for _, scheme := range []mac.Scheme{mac.SchemeDTT, mac.SchemeAirtimeFQ} {
-		for _, tr := range []exp.TrafficKind{exp.TrafficUDP, exp.TrafficTCPBidir} {
+		for _, tr := range []string{"udp", "tcp-bidir"} {
 			scheme, tr := scheme, tr
-			b.Run(scheme.String()+"/"+tr.String(), func(b *testing.B) {
+			b.Run(scheme.String()+"/"+tr, func(b *testing.B) {
 				var jain float64
 				for i := 0; i < b.N; i++ {
-					r := exp.RunFairness(exp.FairnessConfig{
-						Run: exp.RunConfig{Seed: uint64(i) + 1, Duration: 10 * sim.Second,
-							Warmup: 3 * sim.Second, Reps: 1},
-						Scheme: scheme, Traffic: tr,
-					})
-					jain += r.Jain
+					m := runSpec(b, exp.SpecFairness(), fairnessCtx(i),
+						exp.Params{"scheme": scheme.String(), "traffic": tr})
+					jain += scalar(b, m, "jain")
 				}
 				b.ReportMetric(jain/float64(b.N), "jain")
 			})

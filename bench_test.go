@@ -13,21 +13,43 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/mac"
 	"repro/internal/sim"
-	"repro/internal/traffic"
 )
 
-// benchRun keeps per-iteration cost moderate; cmd/paper-figures runs the
+// benchCtx keeps per-iteration cost moderate; `campaign run` runs the
 // paper-scale versions.
-func benchRun(i int) exp.RunConfig {
-	return exp.RunConfig{
-		Seed:     uint64(i) + 1,
-		Duration: 8 * sim.Second,
-		Warmup:   3 * sim.Second,
-		Reps:     1,
+func benchCtx(i int) campaign.Ctx {
+	return campaign.Ctx{Seed: uint64(i) + 1, Duration: 8 * sim.Second, Warmup: 3 * sim.Second}
+}
+
+// runSpec builds spec at its default grid point with the given axis
+// values replaced and executes one repetition at ctx's seed and timing.
+func runSpec(b *testing.B, spec *exp.Spec, ctx campaign.Ctx, over exp.Params) *campaign.Metrics {
+	b.Helper()
+	p := spec.Defaults()
+	for k, v := range over {
+		p[k] = v
 	}
+	inst, err := spec.Build(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, _ := inst.Execute(ctx)
+	return m
+}
+
+// scalar returns the named scalar metric, failing the benchmark if the
+// run did not emit it.
+func scalar(b *testing.B, m *campaign.Metrics, name string) float64 {
+	b.Helper()
+	v, ok := m.Scalar(name)
+	if !ok {
+		b.Fatalf("no %s metric", name)
+	}
+	return v
 }
 
 // BenchmarkFig01LatencyTeaser reproduces Figure 1: ping latency under TCP
@@ -35,10 +57,10 @@ func benchRun(i int) exp.RunConfig {
 func BenchmarkFig01LatencyTeaser(b *testing.B) {
 	var fifoMed, airMed float64
 	for i := 0; i < b.N; i++ {
-		fifo := exp.RunLatency(exp.LatencyConfig{Run: benchRun(i), Scheme: mac.SchemeFIFO})
-		air := exp.RunLatency(exp.LatencyConfig{Run: benchRun(i), Scheme: mac.SchemeAirtimeFQ})
-		fifoMed += fifo.Slow.Median()
-		airMed += air.Slow.Median()
+		fifo := runSpec(b, exp.SpecLatency(), benchCtx(i), exp.Params{"scheme": "FIFO"})
+		air := runSpec(b, exp.SpecLatency(), benchCtx(i), exp.Params{"scheme": "Airtime"})
+		fifoMed += fifo.Sample("slow-rtt-ms").Median()
+		airMed += air.Sample("slow-rtt-ms").Median()
 	}
 	b.ReportMetric(fifoMed/float64(b.N), "fifo-slow-med-ms")
 	b.ReportMetric(airMed/float64(b.N), "airtime-slow-med-ms")
@@ -49,13 +71,10 @@ func BenchmarkFig01LatencyTeaser(b *testing.B) {
 func BenchmarkTable1ModelVsMeasured(b *testing.B) {
 	var fairTotal, baseTotal float64
 	for i := 0; i < b.N; i++ {
-		t := exp.RunTable1(benchRun(i))
-		for _, r := range t.Baseline {
-			baseTotal += r.ExpMbps
-		}
-		for _, r := range t.Fair {
-			fairTotal += r.ExpMbps
-		}
+		base := runSpec(b, exp.SpecTable1(), benchCtx(i), exp.Params{"scheme": "FIFO"})
+		fair := runSpec(b, exp.SpecTable1(), benchCtx(i), exp.Params{"scheme": "Airtime"})
+		baseTotal += scalar(b, base, "measured-total-mbps")
+		fairTotal += scalar(b, fair, "measured-total-mbps")
 	}
 	b.ReportMetric(baseTotal/float64(b.N), "baseline-total-Mbps")
 	b.ReportMetric(fairTotal/float64(b.N), "fair-total-Mbps")
@@ -69,9 +88,9 @@ func BenchmarkFig04LatencyCDF(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var fast, slow float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunLatency(exp.LatencyConfig{Run: benchRun(i), Scheme: scheme})
-				fast += r.Fast.Median()
-				slow += r.Slow.Median()
+				m := runSpec(b, exp.SpecLatency(), benchCtx(i), exp.Params{"scheme": scheme.String()})
+				fast += m.Sample("fast-rtt-ms").Median()
+				slow += m.Sample("slow-rtt-ms").Median()
 			}
 			b.ReportMetric(fast/float64(b.N), "fast-med-ms")
 			b.ReportMetric(slow/float64(b.N), "slow-med-ms")
@@ -87,9 +106,9 @@ func BenchmarkFig05AirtimeUDP(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var slowShare, total float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunUDP(exp.UDPConfig{Run: benchRun(i), Scheme: scheme})
-				slowShare += r.Shares[2]
-				total += r.TotalBps / 1e6
+				m := runSpec(b, exp.SpecUDP(), benchCtx(i), exp.Params{"scheme": scheme.String()})
+				slowShare += scalar(b, m, "share-slow")
+				total += scalar(b, m, "total-mbps")
 			}
 			b.ReportMetric(slowShare/float64(b.N), "slow-airtime-share")
 			b.ReportMetric(total/float64(b.N), "total-Mbps")
@@ -101,13 +120,14 @@ func BenchmarkFig05AirtimeUDP(b *testing.B) {
 // UDP, TCP download and bidirectional TCP.
 func BenchmarkFig06JainIndex(b *testing.B) {
 	for _, scheme := range mac.Schemes {
-		for _, tr := range exp.TrafficKinds {
+		for _, tr := range []string{"udp", "tcp-down", "tcp-bidir"} {
 			scheme, tr := scheme, tr
-			b.Run(scheme.String()+"/"+tr.String(), func(b *testing.B) {
+			b.Run(scheme.String()+"/"+tr, func(b *testing.B) {
 				var jain float64
 				for i := 0; i < b.N; i++ {
-					r := exp.RunFairness(exp.FairnessConfig{Run: benchRun(i), Scheme: scheme, Traffic: tr})
-					jain += r.Jain
+					m := runSpec(b, exp.SpecFairness(), benchCtx(i),
+						exp.Params{"scheme": scheme.String(), "traffic": tr})
+					jain += scalar(b, m, "jain")
 				}
 				b.ReportMetric(jain/float64(b.N), "jain")
 			})
@@ -123,9 +143,9 @@ func BenchmarkFig07TCPThroughput(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var avg, slow float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunThroughput(exp.ThroughputConfig{Run: benchRun(i), Scheme: scheme})
-				avg += r.Average
-				slow += r.Mbps[2]
+				m := runSpec(b, exp.SpecThroughput(), benchCtx(i), exp.Params{"scheme": scheme.String()})
+				avg += scalar(b, m, "avg-mbps")
+				slow += scalar(b, m, "mbps-slow")
 			}
 			b.ReportMetric(avg/float64(b.N), "avg-Mbps")
 			b.ReportMetric(slow/float64(b.N), "slow-Mbps")
@@ -136,18 +156,19 @@ func BenchmarkFig07TCPThroughput(b *testing.B) {
 // BenchmarkFig08SparseStations reproduces Figure 8: latency to a
 // ping-only station with the sparse-station optimisation on and off.
 func BenchmarkFig08SparseStations(b *testing.B) {
-	for _, tcp := range []bool{false, true} {
-		tcp := tcp
+	for _, bulk := range []string{"udp", "tcp"} {
+		bulk := bulk
 		name := "UDP"
-		if tcp {
+		if bulk == "tcp" {
 			name = "TCP"
 		}
 		b.Run(name, func(b *testing.B) {
 			var on, off float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunSparse(exp.SparseConfig{Run: benchRun(i), TCP: tcp})
-				on += r.Enabled.Median()
-				off += r.Disabled.Median()
+				m := runSpec(b, exp.SpecSparse(), benchCtx(i), exp.Params{"bulk": bulk, "opt": "on"})
+				on += m.Sample("sparse-rtt-ms").Median()
+				m = runSpec(b, exp.SpecSparse(), benchCtx(i), exp.Params{"bulk": bulk, "opt": "off"})
+				off += m.Sample("sparse-rtt-ms").Median()
 			}
 			b.ReportMetric(on/float64(b.N), "enabled-med-ms")
 			b.ReportMetric(off/float64(b.N), "disabled-med-ms")
@@ -155,10 +176,10 @@ func BenchmarkFig08SparseStations(b *testing.B) {
 	}
 }
 
-// scaleRun uses a smaller population than the paper's 30 stations to keep
-// bench iterations tractable; cmd/paper-figures -fig 9 runs full scale.
-func scaleRun(i int) exp.RunConfig {
-	c := benchRun(i)
+// scaleCtx uses a smaller population than the paper's 30 stations to keep
+// bench iterations tractable; `campaign run -s scale` runs full scale.
+func scaleCtx(i int) campaign.Ctx {
+	c := benchCtx(i)
 	c.Duration = 10 * sim.Second
 	return c
 }
@@ -172,9 +193,10 @@ func BenchmarkFig09Scale30Airtime(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var slowShare, total float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunScale(exp.ScaleConfig{Run: scaleRun(i), Scheme: scheme, Stations: 16})
-				slowShare += r.SlowShare
-				total += r.TotalMbps
+				m := runSpec(b, exp.SpecScale(), scaleCtx(i),
+					exp.Params{"scheme": scheme.String(), "stations": "16"})
+				slowShare += scalar(b, m, "slow-share")
+				total += scalar(b, m, "total-mbps")
 			}
 			b.ReportMetric(slowShare/float64(b.N), "slow-airtime-share")
 			b.ReportMetric(total/float64(b.N), "total-Mbps")
@@ -190,9 +212,10 @@ func BenchmarkFig10Scale30Latency(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var fast, slow float64
 			for i := 0; i < b.N; i++ {
-				r := exp.RunScale(exp.ScaleConfig{Run: scaleRun(i), Scheme: scheme, Stations: 16})
-				fast += r.FastRTT.Median()
-				slow += r.SlowRTT.Median()
+				m := runSpec(b, exp.SpecScale(), scaleCtx(i),
+					exp.Params{"scheme": scheme.String(), "stations": "16"})
+				fast += m.Sample("fast-rtt-ms").Median()
+				slow += m.Sample("slow-rtt-ms").Median()
 			}
 			b.ReportMetric(fast/float64(b.N), "fast-med-ms")
 			b.ReportMetric(slow/float64(b.N), "slow-med-ms")
@@ -204,21 +227,15 @@ func BenchmarkFig10Scale30Latency(b *testing.B) {
 // BE- and VO-marked voice at 5 ms baseline delay.
 func BenchmarkTable2VoIPMOS(b *testing.B) {
 	for _, scheme := range mac.Schemes {
-		for _, vo := range []bool{true, false} {
-			scheme, vo := scheme, vo
-			name := scheme.String() + "/BE"
-			if vo {
-				name = scheme.String() + "/VO"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, qos := range []string{"VO", "BE"} {
+			scheme, qos := scheme, qos
+			b.Run(scheme.String()+"/"+qos, func(b *testing.B) {
 				var mos, thr float64
 				for i := 0; i < b.N; i++ {
-					r := exp.RunVoIP(exp.VoIPConfig{
-						Run: benchRun(i), Scheme: scheme, UseVO: vo,
-						WiredDelay: 5 * sim.Millisecond,
-					})
-					mos += r.MOS
-					thr += r.TotalMbps
+					m := runSpec(b, exp.SpecVoIP(), benchCtx(i),
+						exp.Params{"scheme": scheme.String(), "qos": qos, "delay-ms": "5"})
+					mos += scalar(b, m, "mos")
+					thr += scalar(b, m, "thrp-mbps")
 				}
 				b.ReportMetric(mos/float64(b.N), "MOS")
 				b.ReportMetric(thr/float64(b.N), "thrp-Mbps")
@@ -231,15 +248,15 @@ func BenchmarkTable2VoIPMOS(b *testing.B) {
 // small and large pages while the slow station bulk-transfers.
 func BenchmarkFig11WebPLT(b *testing.B) {
 	for _, scheme := range mac.Schemes {
-		for _, page := range []traffic.WebPage{traffic.SmallPage, traffic.LargePage} {
+		for _, page := range []string{"small", "large"} {
 			scheme, page := scheme, page
-			b.Run(scheme.String()+"/"+page.Name, func(b *testing.B) {
+			b.Run(scheme.String()+"/"+page, func(b *testing.B) {
 				var plt float64
 				for i := 0; i < b.N; i++ {
-					run := benchRun(i)
-					run.Duration = 15 * sim.Second
-					r := exp.RunWeb(exp.WebConfig{Run: run, Scheme: scheme, Page: page})
-					plt += r.PLT.Mean()
+					ctx := benchCtx(i)
+					ctx.Duration = 15 * sim.Second
+					m := runSpec(b, exp.SpecWeb(), ctx, exp.Params{"scheme": scheme.String(), "page": page})
+					plt += m.Sample("plt-ms").Mean()
 				}
 				b.ReportMetric(plt/float64(b.N), "mean-plt-ms")
 			})
@@ -251,7 +268,7 @@ func BenchmarkFig11WebPLT(b *testing.B) {
 // processed per wall-clock second for a saturated 3-station UDP scenario.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp.RunUDP(exp.UDPConfig{Run: benchRun(i), Scheme: mac.SchemeAirtimeFQ})
+		runSpec(b, exp.SpecUDP(), benchCtx(i), exp.Params{"scheme": "Airtime"})
 	}
 }
 

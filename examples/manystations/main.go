@@ -5,35 +5,38 @@
 // is enabled, which also multiplies total throughput (the paper measured
 // 5.4x).
 //
-// Run with -stations and -dur to change the scale.
+// It runs the registered "scale" scenario through the campaign engine,
+// once per scheme. Run with -stations and -dur to change the scale.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strconv"
 
 	"repro/wifi"
 )
 
 func main() {
-	stations := flag.Int("stations", 30, "total number of clients")
+	stations := flag.Int("stations", 30, "total number of clients (at least 4)")
 	dur := flag.Int("dur", 20, "measured seconds per scheme")
 	flag.Parse()
 
-	for _, scheme := range []wifi.Scheme{wifi.SchemeFQCoDel, wifi.SchemeFQMAC, wifi.SchemeAirtimeFQ} {
-		r := wifi.RunScale(wifi.ScaleConfig{
-			Run: wifi.RunConfig{
-				Seed:     1,
-				Duration: wifi.Time(*dur) * wifi.Second,
-				Warmup:   5 * wifi.Second,
-				Reps:     1,
-			},
-			Scheme:   scheme,
-			Stations: *stations,
-		})
-		fmt.Print(r)
-		fmt.Println()
+	res, err := wifi.NewScenarioRegistry().Execute(wifi.Plan{
+		Scenarios: []string{"scale"},
+		Overrides: map[string][]string{"stations": {strconv.Itoa(*stations)}},
+		Reps:      1,
+		Duration:  wifi.Time(*dur) * wifi.Second,
+		Warmup:    5 * wifi.Second,
+		BaseSeed:  1,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	fmt.Println("The 1 Mbps station's share drops from a majority to 1/N,")
+	fmt.Print(res.Render())
+	fmt.Println()
+	fmt.Println("The 1 Mbps station's share (slow-share) drops from a majority to 1/N,")
 	fmt.Println("and total throughput rises several-fold (paper: 3.3 -> 17.7 Mbps).")
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Default sizing shared by every execution path — campaign Plans and the
-// standalone runners' RunConfig both fill zero fields from these, so the
-// "scaled-down interactive defaults" exist in exactly one place.
+// Default sizing of a Plan: Execute fills zero fields from these. They
+// are scaled down from the paper's 30 repetitions of 30 s for
+// interactive use.
 const (
 	DefaultReps     = 3
 	DefaultDuration = 10 * sim.Second
@@ -383,36 +383,11 @@ func runJob(sc *Scenario, spec JobSpec) (m *Metrics, err error) {
 	return m, err
 }
 
-// Split divides a worker budget (0 or less means GOMAXPROCS) between n
-// concurrent tasks and the parallelism available inside each task:
-// outer tasks run at once, each allowed inner workers, with
-// outer×inner staying near the budget. Use it when parallel work nests
-// — e.g. experiment cells that themselves parallelise repetitions — so
-// the user's worker cap bounds total concurrency instead of being
-// applied multiplicatively at every level.
-func Split(workers, n int) (outer, inner int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	outer = workers
-	if outer > n {
-		outer = n
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner = workers / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
-}
-
 // Map runs fn(0..n-1) across a pool of workers (0 or less means
-// GOMAXPROCS) and returns the results in index order. It is the
-// lightweight sharding primitive the experiment runners use to
-// parallelise repetitions: results are positionally stable, so callers
-// can fold them in a deterministic order regardless of worker count.
+// GOMAXPROCS) and returns the results in index order. It is a
+// lightweight sharding primitive for independent tasks outside a Plan:
+// results are positionally stable, so callers can fold them in a
+// deterministic order regardless of worker count.
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/mac"
 	"repro/internal/sim"
 )
 
@@ -69,27 +68,6 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(ref, buf.Bytes()) {
 			t.Fatalf("workers=%d artifact differs from workers=1", workers)
 		}
-	}
-}
-
-// TestRunnersWorkerInvariant: the standalone Run* runners also produce
-// identical results for serial and parallel repetition execution.
-func TestRunnersWorkerInvariant(t *testing.T) {
-	mk := func(workers int) RunConfig {
-		return RunConfig{Seed: 5, Duration: 2 * sim.Second, Warmup: sim.Second,
-			Reps: 3, Workers: workers}
-	}
-	serial := RunUDP(UDPConfig{Run: mk(1), Scheme: mac.SchemeAirtimeFQ})
-	parallel := RunUDP(UDPConfig{Run: mk(4), Scheme: mac.SchemeAirtimeFQ})
-	for i := range serial.Shares {
-		if serial.Shares[i] != parallel.Shares[i] ||
-			serial.Goodput[i] != parallel.Goodput[i] ||
-			serial.AggMean[i] != parallel.AggMean[i] {
-			t.Fatalf("station %d differs between worker counts", i)
-		}
-	}
-	if serial.TotalBps != parallel.TotalBps {
-		t.Fatal("total differs between worker counts")
 	}
 }
 

@@ -1,70 +1,24 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/campaign"
 	"repro/internal/mac"
-	"repro/internal/stats"
 )
 
-// TrafficKind selects the load for the fairness experiment (Figure 6).
-type TrafficKind int
-
-// The three traffic mixes of Figure 6.
-const (
-	TrafficUDP TrafficKind = iota
-	TrafficTCPDown
-	TrafficTCPBidir
-)
-
-var trafficNames = [...]string{"UDP", "TCP dl", "TCP bidir"}
-
-func (t TrafficKind) String() string { return trafficNames[t] }
-
-// TrafficKinds lists the mixes in the paper's order.
-var TrafficKinds = []TrafficKind{TrafficUDP, TrafficTCPDown, TrafficTCPBidir}
-
-// workloads returns the traffic mix as a workload composition.
-func (t TrafficKind) workloads() []*Workload {
-	switch t {
-	case TrafficTCPDown:
-		return []*Workload{TCPDown()}
-	case TrafficTCPBidir:
-		return []*Workload{TCPDown(), TCPUp()}
-	default:
-		return []*Workload{UDPFlood(50e6)}
-	}
-}
-
-// FairnessConfig configures one cell of Figure 6.
-type FairnessConfig struct {
-	Run     RunConfig
-	Scheme  mac.Scheme
-	Traffic TrafficKind
-}
-
-// FairnessResult is Jain's fairness index over the three stations'
-// airtime, averaged over repetitions.
-type FairnessResult struct {
-	Scheme  mac.Scheme
-	Traffic TrafficKind
-	Jain    float64
-	Shares  []float64
-}
-
-// fairnessInstance composes the experiment: the selected mix on every
-// station, Jain's index plus the raw shares.
-func fairnessInstance(cfg FairnessConfig) *Instance {
+// fairnessInstance composes one cell of Figure 6: the traffic mix on
+// every station, Jain's index over the stations' airtime plus the raw
+// shares.
+func fairnessInstance(scheme mac.Scheme, workloads []*Workload) *Instance {
 	return &Instance{
-		Net:       NetConfig{Scheme: cfg.Scheme, Stations: DefaultStations()},
-		Workloads: cfg.Traffic.workloads(),
+		Net:       NetConfig{Scheme: scheme, Stations: DefaultStations()},
+		Workloads: workloads,
 		Probes:    []Probe{Jain("jain"), IndexedShares("share-%d")},
 	}
 }
 
-// SpecFairness is the declarative form of the experiment.
+// SpecFairness is the declarative form of the experiment. The traffic
+// axis selects Figure 6's three mixes: a UDP flood, TCP download, and
+// simultaneous TCP download and upload.
 func SpecFairness() *Spec {
 	return &Spec{
 		Name: "fairness",
@@ -78,62 +32,20 @@ func SpecFairness() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			var kind TrafficKind
-			switch tr := p.Str("traffic"); tr {
-			case "udp":
-				kind = TrafficUDP
-			case "tcp-down":
-				kind = TrafficTCPDown
-			case "tcp-bidir":
-				kind = TrafficTCPBidir
-			default:
-				return nil, fmt.Errorf("unknown traffic %q", tr)
+			traffic, err := p.OneOf("traffic", "udp", "tcp-down", "tcp-bidir")
+			if err != nil {
+				return nil, err
 			}
-			return fairnessInstance(FairnessConfig{Scheme: scheme, Traffic: kind}), nil
+			var ws []*Workload
+			switch traffic {
+			case "udp":
+				ws = []*Workload{UDPFlood(50e6)}
+			case "tcp-down":
+				ws = []*Workload{TCPDown()}
+			case "tcp-bidir":
+				ws = []*Workload{TCPDown(), TCPUp()}
+			}
+			return fairnessInstance(scheme, ws), nil
 		},
 	}
-}
-
-// RunFairness executes one scheme × traffic cell, repetitions in
-// parallel.
-func RunFairness(cfg FairnessConfig) *FairnessResult {
-	cfg.Run.fill()
-	res := &FairnessResult{Scheme: cfg.Scheme, Traffic: cfg.Traffic}
-	type rep struct {
-		jain   float64
-		shares []float64
-	}
-	for _, r := range eachRep(cfg.Run, func(run RunConfig) rep {
-		_, rt := fairnessInstance(cfg).Execute(run)
-		return rep{stats.JainIndex(rt.AirDeltas()), rt.Shares()}
-	}) {
-		res.Jain += r.jain
-		if res.Shares == nil {
-			res.Shares = r.shares
-		} else {
-			for i := range r.shares {
-				res.Shares[i] += r.shares[i]
-			}
-		}
-	}
-	f := float64(cfg.Run.Reps)
-	res.Jain /= f
-	for i := range res.Shares {
-		res.Shares[i] /= f
-	}
-	return res
-}
-
-// String renders one cell.
-func (r *FairnessResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-9s Jain=%.3f shares=[", r.Scheme, r.Traffic, r.Jain)
-	for i, s := range r.Shares {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(pct(s))
-	}
-	b.WriteString("]\n")
-	return b.String()
 }

@@ -1,41 +1,22 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/campaign"
 	"repro/internal/mac"
-	"repro/internal/stats"
 )
 
-// LatencyConfig configures the latency-under-load experiment behind
-// Figures 1 and 4 (and the online appendix's bidirectional variant):
-// bulk TCP to every station with a concurrent ICMP ping.
-type LatencyConfig struct {
-	Run    RunConfig
-	Scheme mac.Scheme
-	Bidir  bool // add simultaneous upload from each station
-}
-
-// LatencyResult holds ping RTT distributions for the fast stations
-// (merged) and the slow station, in milliseconds.
-type LatencyResult struct {
-	Scheme     mac.Scheme
-	Fast, Slow stats.Sample
-}
-
-// latencyInstance composes the experiment: bulk TCP down (and, in the
+// latencyInstance composes the latency-under-load experiment behind
+// Figures 1 and 4: bulk TCP down (and, in the online appendix's
 // bidirectional variant, up) on every station from t=0, pings once the
 // load has settled, RTTs split fast/slow.
-func latencyInstance(cfg LatencyConfig) *Instance {
+func latencyInstance(scheme mac.Scheme, bidir bool) *Instance {
 	ws := []*Workload{TCPDown()}
-	if cfg.Bidir {
+	if bidir {
 		ws = append(ws, TCPUp())
 	}
 	ws = append(ws, Pings(0))
 	return &Instance{
-		Net:       NetConfig{Scheme: cfg.Scheme, Stations: DefaultStations()},
+		Net:       NetConfig{Scheme: scheme, Stations: DefaultStations()},
 		Workloads: ws,
 		Probes:    []Probe{FastSlowRTT("fast-rtt-ms", "slow-rtt-ms")},
 	}
@@ -55,37 +36,11 @@ func SpecLatency() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			cfg := LatencyConfig{Scheme: scheme}
-			switch d := p.Str("dir"); d {
-			case "down":
-			case "bidir":
-				cfg.Bidir = true
-			default:
-				return nil, fmt.Errorf("unknown dir %q", d)
+			dir, err := p.OneOf("dir", "down", "bidir")
+			if err != nil {
+				return nil, err
 			}
-			return latencyInstance(cfg), nil
+			return latencyInstance(scheme, dir == "bidir"), nil
 		},
 	}
-}
-
-// RunLatency executes the experiment, repetitions in parallel.
-func RunLatency(cfg LatencyConfig) *LatencyResult {
-	cfg.Run.fill()
-	res := &LatencyResult{Scheme: cfg.Scheme}
-	for _, m := range eachRep(cfg.Run, func(run RunConfig) *campaign.Metrics {
-		m, _ := latencyInstance(cfg).Execute(run)
-		return m
-	}) {
-		res.Fast.Merge(m.Sample("fast-rtt-ms"))
-		res.Slow.Merge(m.Sample("slow-rtt-ms"))
-	}
-	return res
-}
-
-// String renders the distributions.
-func (r *LatencyResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s fast: %s\n", r.Scheme, r.Fast.Summary())
-	fmt.Fprintf(&b, "%-8s slow: %s\n", r.Scheme, r.Slow.Summary())
-	return b.String()
 }

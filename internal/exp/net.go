@@ -1,12 +1,14 @@
 // Package exp assembles the paper's testbed inside the simulator and
-// provides one runner per table/figure of the evaluation (§4).
+// defines every table and figure of the evaluation (§4) as a declarative
+// Spec (see PaperSpecs). NewRegistry registers them as campaign
+// scenarios; the campaign engine is the one way they run.
 //
 // The canonical setup mirrors §4: a wired server one Gigabit Ethernet hop
 // from the access point, two fast stations close to the AP (MCS15,
 // 144.4 Mbps PHY), one slow station limited to MCS0 (7.2 Mbps), and, where
 // an experiment calls for it, an extra fast station. The 30-station
-// scaling experiment (§4.1.5) instead uses 29 autorate clients and one
-// 1 Mbps legacy client.
+// scaling experiment (§4.1.5) instead uses one 1 Mbps legacy client, 28
+// fast MCS7 clients and a ping-only MCS7 client.
 package exp
 
 import (
@@ -468,5 +470,3 @@ func DefaultStations() []StationSpec {
 func FourStations() []StationSpec {
 	return append(DefaultStations(), StationSpec{Name: "fast3", Rate: FastRate})
 }
-
-func fmtMbps(bps float64) string { return fmt.Sprintf("%.1f", bps/1e6) }

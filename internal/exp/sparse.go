@@ -1,34 +1,17 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/campaign"
 	"repro/internal/mac"
-	"repro/internal/stats"
 )
 
-// SparseConfig configures the sparse-station optimisation experiment
-// behind Figure 8: three stations receive bulk traffic (UDP or TCP) while
-// a fourth only receives a ping flow; its latency is compared with the
-// optimisation enabled and disabled.
-type SparseConfig struct {
-	Run RunConfig
-	TCP bool // bulk traffic is TCP download instead of UDP
-}
-
-// SparseResult holds the sparse station's RTT distributions.
-type SparseResult struct {
-	TCP               bool
-	Enabled, Disabled stats.Sample
-}
-
-// sparseInstance composes one variant: bulk load on the first three
-// stations, a ping-only fourth, optionally with the optimisation off.
-func sparseInstance(cfg SparseConfig, disable bool) *Instance {
+// sparseInstance composes the sparse-station optimisation experiment
+// behind Figure 8 under the Airtime scheme: bulk load (UDP, or TCP
+// download if tcp) on the first three stations, a ping-only fourth,
+// optionally with the optimisation disabled.
+func sparseInstance(tcp, disable bool) *Instance {
 	bulk := UDPFlood(50e6)
-	if cfg.TCP {
+	if tcp {
 		bulk = TCPDown()
 	}
 	return &Instance{
@@ -55,46 +38,7 @@ func SpecSparse() *Spec {
 			{Name: "opt", Values: []string{"on", "off"}},
 		},
 		Build: func(p Params) (*Instance, error) {
-			cfg := SparseConfig{TCP: p.Str("bulk") == "tcp"}
-			return sparseInstance(cfg, p.Str("opt") == "off"), nil
+			return sparseInstance(p.Str("bulk") == "tcp", p.Str("opt") == "off"), nil
 		},
 	}
-}
-
-// RunSparse executes both variants under the Airtime scheme; the
-// (variant, repetition) matrix runs in parallel.
-func RunSparse(cfg SparseConfig) *SparseResult {
-	cfg.Run.fill()
-	res := &SparseResult{TCP: cfg.TCP}
-	reps := cfg.Run.Reps
-	// Matrix order: enabled reps 0..R-1, then disabled — the historical
-	// fold order, kept so results stay identical.
-	samples := campaign.Map(2*reps, cfg.Run.Workers, func(i int) stats.Sample {
-		disable := i >= reps
-		run := cfg.Run.withSeed(cfg.Run.SeedFor(i % reps))
-		m, _ := sparseInstance(cfg, disable).Execute(run)
-		var s stats.Sample
-		s.Merge(m.Sample("sparse-rtt-ms"))
-		return s
-	})
-	for i := range samples {
-		if i >= reps {
-			res.Disabled.Merge(&samples[i])
-		} else {
-			res.Enabled.Merge(&samples[i])
-		}
-	}
-	return res
-}
-
-// String renders both distributions.
-func (r *SparseResult) String() string {
-	kind := "UDP"
-	if r.TCP {
-		kind = "TCP"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "sparse-opt enabled  (%s): %s\n", kind, r.Enabled.Summary())
-	fmt.Fprintf(&b, "sparse-opt disabled (%s): %s\n", kind, r.Disabled.Summary())
-	return b.String()
 }

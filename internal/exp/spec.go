@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
@@ -79,20 +80,21 @@ func (inst *Instance) Meta() *campaign.ScenarioMeta {
 }
 
 // Execute runs one repetition of the instance on its own simulator
-// world: attach start-phase workloads, warm up, attach measure-phase
-// workloads, arm the probes' measurement window, run the measured
-// interval, collect. It returns the emitted metrics and the runtime for
-// callers that want raw window values beyond the emitted metrics.
-func (inst *Instance) Execute(run RunConfig) (*campaign.Metrics, *Runtime) {
+// world, seeded with ctx.Seed: attach start-phase workloads, warm up
+// for ctx.Warmup, attach measure-phase workloads, arm the probes'
+// measurement window, run the measured ctx.Duration, collect. It
+// returns the emitted metrics and the runtime for callers that want raw
+// window values beyond the emitted metrics.
+func (inst *Instance) Execute(ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
 	cfg := inst.Net
-	cfg.Seed = run.Seed
+	cfg.Seed = ctx.Seed
 	w := BuildWorld(cfg)
 	rt := NewWorldRuntime(w)
 	rt.AttachPhase(inst.Workloads, PhaseStart)
-	w.Run(run.Warmup)
+	w.Run(ctx.Warmup)
 	rt.AttachPhase(inst.Workloads, PhaseMeasure)
 	rt.Arm()
-	w.Run(run.End())
+	w.Run(ctx.Warmup + ctx.Duration)
 	m := campaign.NewMetrics()
 	for _, p := range inst.Probes {
 		p.Collect(m, rt)
@@ -124,7 +126,7 @@ func (s *Spec) Scenario() *campaign.Scenario {
 			if err != nil {
 				return nil, err
 			}
-			m, _ := inst.Execute(runFromCtx(ctx))
+			m, _ := inst.Execute(ctx)
 			return m, nil
 		},
 	}
@@ -156,6 +158,18 @@ func (p Params) Str(name string) string { return p[name] }
 // Scheme resolves the conventional "scheme" parameter through the
 // transmit-path registry.
 func (p Params) Scheme() (mac.Scheme, error) { return ParseScheme(p["scheme"]) }
+
+// OneOf returns the named parameter's value if it is one of values,
+// and an error naming the accepted values otherwise.
+func (p Params) OneOf(name string, values ...string) (string, error) {
+	v := p[name]
+	for _, ok := range values {
+		if v == ok {
+			return v, nil
+		}
+	}
+	return "", fmt.Errorf("unknown %s %q (want %s)", name, v, strings.Join(values, " or "))
+}
 
 // Float parses the named parameter as a float64.
 func (p Params) Float(name string) (float64, error) {

@@ -125,7 +125,7 @@ func TestMixedWorkloadMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, rt := inst.Execute(RunConfig{Seed: 4, Duration: 4 * sim.Second, Warmup: 2 * sim.Second, Reps: 1})
+	m, rt := inst.Execute(campaign.Ctx{Seed: 4, Duration: 4 * sim.Second, Warmup: 2 * sim.Second})
 	if mos, ok := m.Scalar("mos"); !ok || mos < 3 {
 		t.Errorf("mos = %v (ok=%v), want a scored VO call", mos, ok)
 	}
@@ -174,7 +174,7 @@ func TestScenarioMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := inst.Execute(RunConfig{Seed: 2, Duration: sim.Second, Warmup: sim.Second / 2, Reps: 1})
+	m, _ := inst.Execute(campaign.Ctx{Seed: 2, Duration: sim.Second, Warmup: sim.Second / 2})
 	for _, name := range []string{"share-fast1", "share-slow", "goodput-mbps-fast2",
 		"aggr-slow", "total-mbps"} {
 		if !want[name] {

@@ -1,38 +1,21 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/campaign"
 	"repro/internal/mac"
 )
 
-// ThroughputConfig configures the TCP download throughput experiment
-// behind Figure 7 (and its bidirectional appendix variant).
-type ThroughputConfig struct {
-	Run    RunConfig
-	Scheme mac.Scheme
-	Bidir  bool
-}
-
-// ThroughputResult reports per-station and average TCP download goodput.
-type ThroughputResult struct {
-	Scheme  mac.Scheme
-	Names   []string
-	Mbps    []float64
-	Average float64
-}
-
-// throughputInstance composes the experiment: bulk TCP down (and
-// optionally up) on every station, per-station goodput plus the average.
-func throughputInstance(cfg ThroughputConfig) *Instance {
+// throughputInstance composes the TCP download throughput experiment
+// behind Figure 7 (and its bidirectional appendix variant): bulk TCP
+// down (and optionally up) on every station, per-station goodput plus
+// the average.
+func throughputInstance(scheme mac.Scheme, bidir bool) *Instance {
 	ws := []*Workload{TCPDown()}
-	if cfg.Bidir {
+	if bidir {
 		ws = append(ws, TCPUp())
 	}
 	return &Instance{
-		Net:       NetConfig{Scheme: cfg.Scheme, Stations: DefaultStations()},
+		Net:       NetConfig{Scheme: scheme, Stations: DefaultStations()},
 		Workloads: ws,
 		Probes: []Probe{
 			PerStation(GoodputCol("mbps-")),
@@ -55,54 +38,7 @@ func SpecThroughput() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			cfg := ThroughputConfig{Scheme: scheme, Bidir: p.Str("dir") == "bidir"}
-			return throughputInstance(cfg), nil
+			return throughputInstance(scheme, p.Str("dir") == "bidir"), nil
 		},
 	}
-}
-
-// RunThroughput executes the experiment, repetitions in parallel.
-func RunThroughput(cfg ThroughputConfig) *ThroughputResult {
-	cfg.Run.fill()
-	res := &ThroughputResult{Scheme: cfg.Scheme}
-	type rep struct {
-		names []string
-		mbps  []float64
-	}
-	for _, r := range eachRep(cfg.Run, func(run RunConfig) rep {
-		_, rt := throughputInstance(cfg).Execute(run)
-		gps := rt.Goodputs()
-		mbps := make([]float64, len(gps))
-		for i, gp := range gps {
-			mbps[i] = gp / 1e6
-		}
-		return rep{rt.Net().StationNames(), mbps}
-	}) {
-		if res.Names == nil {
-			res.Names = r.names
-			res.Mbps = make([]float64, len(r.mbps))
-		}
-		for i, v := range r.mbps {
-			res.Mbps[i] += v
-		}
-	}
-	f := float64(cfg.Run.Reps)
-	var sum float64
-	for i := range res.Mbps {
-		res.Mbps[i] /= f
-		sum += res.Mbps[i]
-	}
-	res.Average = sum / float64(len(res.Mbps))
-	return res
-}
-
-// String renders per-station throughput.
-func (r *ThroughputResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s ", r.Scheme)
-	for i, name := range r.Names {
-		fmt.Fprintf(&b, "%s=%.1f Mbps  ", name, r.Mbps[i])
-	}
-	fmt.Fprintf(&b, "avg=%.1f Mbps\n", r.Average)
-	return b.String()
 }

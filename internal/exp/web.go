@@ -1,45 +1,26 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/campaign"
 	"repro/internal/mac"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
-// WebConfig configures the page-load-time experiment behind Figure 11 and
-// its appendix variant: one station fetches a web page repeatedly while
-// the others run bulk transfers.
-type WebConfig struct {
-	Run         RunConfig
-	Scheme      mac.Scheme
-	Page        traffic.WebPage
-	SlowFetches bool // the slow station browses while fast stations do bulk
-}
-
-// WebResult reports page-load times in milliseconds.
-type WebResult struct {
-	Scheme mac.Scheme
-	Page   string
-	PLT    stats.Sample
-}
-
-// webInstance composes the experiment. Default: the first fast station
-// browses while the slow station bulk-downloads; the appendix variant
-// flips it (the slow station browses against both fast bulk stations).
-func webInstance(cfg WebConfig) *Instance {
+// webInstance composes the page-load-time experiment behind Figure 11
+// and its appendix variant: one station fetches page repeatedly while
+// others run bulk transfers. Default: the first fast station browses
+// while the slow station bulk-downloads; with slowFetches the roles flip
+// (the slow station browses against both fast bulk stations).
+func webInstance(scheme mac.Scheme, page traffic.WebPage, slowFetches bool) *Instance {
 	bulk, browser := StationAt(2), StationAt(0)
-	if cfg.SlowFetches {
+	if slowFetches {
 		bulk, browser = StationAt(0, 1), StationAt(2)
 	}
 	return &Instance{
-		Net: NetConfig{Scheme: cfg.Scheme, Stations: DefaultStations()}, // fast1 fast2 slow
+		Net: NetConfig{Scheme: scheme, Stations: DefaultStations()}, // fast1 fast2 slow
 		Workloads: []*Workload{
 			TCPDown().On(bulk),
-			WebBrowse(cfg.Page).On(browser),
+			WebBrowse(page).On(browser),
 		},
 		Probes: []Probe{PLT("plt-ms")},
 	}
@@ -64,30 +45,7 @@ func SpecWeb() *Spec {
 			if p.Str("page") == "large" {
 				page = traffic.LargePage
 			}
-			return webInstance(WebConfig{
-				Scheme: scheme, Page: page,
-				SlowFetches: p.Str("browser") == "slow",
-			}), nil
+			return webInstance(scheme, page, p.Str("browser") == "slow"), nil
 		},
 	}
-}
-
-// RunWeb executes the experiment, repetitions in parallel.
-func RunWeb(cfg WebConfig) *WebResult {
-	cfg.Run.fill()
-	res := &WebResult{Scheme: cfg.Scheme, Page: cfg.Page.Name}
-	for _, m := range eachRep(cfg.Run, func(run RunConfig) *campaign.Metrics {
-		m, _ := webInstance(cfg).Execute(run)
-		return m
-	}) {
-		res.PLT.Merge(m.Sample("plt-ms"))
-	}
-	return res
-}
-
-// String renders the PLT distribution.
-func (r *WebResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s page=%-6s PLT(ms): %s\n", r.Scheme, r.Page, r.PLT.Summary())
-	return b.String()
 }

@@ -33,7 +33,7 @@ func identityInstance(cfg NetConfig) *Instance {
 // five paper schemes. Float equality is exact: the two forms must build
 // the very same world.
 func TestOneBSSWorldIdentity(t *testing.T) {
-	run := RunConfig{Seed: 11, Duration: 2 * sim.Second, Warmup: sim.Second}
+	run := campaign.Ctx{Seed: 11, Duration: 2 * sim.Second, Warmup: sim.Second}
 	for _, name := range fivePaperSchemes {
 		scheme, err := ParseScheme(name)
 		if err != nil {
@@ -138,7 +138,7 @@ func TestDenseProbeColumns(t *testing.T) {
 		t.Fatalf("topology = %d BSS / %d stations, want 4/24", meta.Topology.BSSCount, meta.Topology.TotalStations)
 	}
 
-	m, _ := inst.Execute(RunConfig{Seed: 5, Duration: sim.Second, Warmup: sim.Second / 2})
+	m, _ := inst.Execute(campaign.Ctx{Seed: 5, Duration: sim.Second, Warmup: sim.Second / 2})
 	for _, want := range meta.MetricNames() {
 		_, isScalar := m.Scalar(want)
 		if !isScalar && m.Sample(want) == nil {
@@ -155,7 +155,7 @@ func TestBSSBusyDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rt := inst.Execute(RunConfig{Seed: 3, Duration: 2 * sim.Second, Warmup: sim.Second})
+	_, rt := inst.Execute(campaign.Ctx{Seed: 3, Duration: 2 * sim.Second, Warmup: sim.Second})
 	deltas := rt.BSSBusyDeltas()
 	if len(deltas) != 4 {
 		t.Fatalf("deltas = %d entries, want 4", len(deltas))

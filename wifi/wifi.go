@@ -9,8 +9,10 @@
 // The quickest way in is Testbed: it assembles the paper's setup (a wired
 // server, an access point with a selectable queueing Scheme, and a set of
 // wireless stations) and exposes traffic generators and measurement
-// helpers. The exp-level experiment runners that regenerate each of the
-// paper's tables and figures are exposed via the Run* functions.
+// helpers. Every table and figure of the paper's evaluation is a
+// registered campaign scenario: NewScenarioRegistry returns them, and a
+// Plan passed to its Execute runs them (EXPERIMENTS.md maps each figure
+// to its scenario).
 //
 //	tb := wifi.NewTestbed(wifi.TestbedConfig{
 //	    Scheme:   wifi.SchemeAirtimeFQ,
