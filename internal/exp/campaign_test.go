@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -71,8 +72,10 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScenarioParamErrors: bad parameter values surface as errors, not
-// panics, through the engine.
+// TestScenarioParamErrors: bad parameter values surface through the
+// engine as errors that name the axis, never as a panic and never as a
+// wrongly labelled cell. Each row used to run a different cell than its
+// label says, or panic in the simulator.
 func TestScenarioParamErrors(t *testing.T) {
 	_, err := NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"udp"},
@@ -84,5 +87,33 @@ func TestScenarioParamErrors(t *testing.T) {
 	}
 	if _, err := ParseScheme("DTT"); err != nil {
 		t.Fatalf("DTT not parseable: %v", err)
+	}
+
+	for _, tc := range []struct {
+		scenario, axis, value string
+	}{
+		{"throughput", "dir", "bidr"},
+		{"voip", "qos", "vo"},
+		{"voip", "delay-ms", "0"},
+		{"voip", "delay-ms", "-5"},
+		{"web", "page", "larg"},
+		{"web", "browser", "slwo"},
+		{"sparse", "bulk", "tpc"},
+		{"sparse", "opt", "of"},
+		{"scale", "stations", "2"},
+	} {
+		_, err := NewRegistry().Execute(campaign.Plan{
+			Scenarios: []string{tc.scenario},
+			Overrides: map[string][]string{tc.axis: {tc.value}},
+			Reps:      1, Duration: sim.Second, Warmup: sim.Second, Workers: 1,
+		})
+		switch {
+		case err == nil:
+			t.Errorf("%s %s=%s accepted", tc.scenario, tc.axis, tc.value)
+		case strings.Contains(err.Error(), "panic"):
+			t.Errorf("%s %s=%s panicked: %v", tc.scenario, tc.axis, tc.value, err)
+		case !strings.Contains(err.Error(), tc.axis):
+			t.Errorf("%s %s=%s: error %q does not name the axis", tc.scenario, tc.axis, tc.value, err)
+		}
 	}
 }

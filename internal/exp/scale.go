@@ -12,11 +12,8 @@ import (
 // station 0 is the 1 Mbps legacy client with HT disabled, the last is
 // ping-only, the rest are fast bulk stations. The third-party testbed
 // runs on a 2.4 GHz HT20 channel; fast stations here use MCS7
-// (72.2 Mbps). Counts below 4 fall back to the paper's 30.
+// (72.2 Mbps). count must be at least 4.
 func scaleSpecs(count int) []StationSpec {
-	if count < 4 {
-		count = 30
-	}
 	fastRate := phy.MCS(7, true)
 	specs := make([]StationSpec, 0, count)
 	specs = append(specs, StationSpec{Name: "slow", Rate: phy.Legacy(1)})
@@ -65,6 +62,9 @@ func SpecScale() *Spec {
 			count, err := p.Int("stations")
 			if err != nil {
 				return nil, err
+			}
+			if count < 4 {
+				return nil, fmt.Errorf("stations = %d, want at least 4 (slow, two fast, ping-only)", count)
 			}
 			return scaleInstance(scheme, count), nil
 		},

@@ -38,7 +38,15 @@ func SpecSparse() *Spec {
 			{Name: "opt", Values: []string{"on", "off"}},
 		},
 		Build: func(p Params) (*Instance, error) {
-			return sparseInstance(p.Str("bulk") == "tcp", p.Str("opt") == "off"), nil
+			bulk, err := p.OneOf("bulk", "udp", "tcp")
+			if err != nil {
+				return nil, err
+			}
+			opt, err := p.OneOf("opt", "on", "off")
+			if err != nil {
+				return nil, err
+			}
+			return sparseInstance(bulk == "tcp", opt == "off"), nil
 		},
 	}
 }

@@ -38,7 +38,11 @@ func SpecThroughput() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			return throughputInstance(scheme, p.Str("dir") == "bidir"), nil
+			dir, err := p.OneOf("dir", "down", "bidir")
+			if err != nil {
+				return nil, err
+			}
+			return throughputInstance(scheme, dir == "bidir"), nil
 		},
 	}
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/pkt"
@@ -43,12 +45,19 @@ func SpecVoIP() *Spec {
 			if err != nil {
 				return nil, err
 			}
+			qos, err := p.OneOf("qos", "BE", "VO")
+			if err != nil {
+				return nil, err
+			}
 			delay, err := p.Int("delay-ms")
 			if err != nil {
 				return nil, err
 			}
+			if delay <= 0 {
+				return nil, fmt.Errorf("delay-ms must be positive, got %d", delay)
+			}
 			ac := pkt.ACBE
-			if p.Str("qos") == "VO" {
+			if qos == "VO" {
 				ac = pkt.ACVO
 			}
 			return voipInstance(scheme, ac, sim.Time(delay)*sim.Millisecond), nil

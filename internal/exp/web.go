@@ -41,11 +41,19 @@ func SpecWeb() *Spec {
 			if err != nil {
 				return nil, err
 			}
+			pageName, err := p.OneOf("page", "small", "large")
+			if err != nil {
+				return nil, err
+			}
+			browser, err := p.OneOf("browser", "fast", "slow")
+			if err != nil {
+				return nil, err
+			}
 			page := traffic.SmallPage
-			if p.Str("page") == "large" {
+			if pageName == "large" {
 				page = traffic.LargePage
 			}
-			return webInstance(scheme, page, p.Str("browser") == "slow"), nil
+			return webInstance(scheme, page, browser == "slow"), nil
 		},
 	}
 }
