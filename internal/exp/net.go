@@ -1,7 +1,7 @@
 // Package exp assembles the paper's testbed inside the simulator and
 // defines every table and figure of the evaluation (§4) as a declarative
-// Spec (see PaperSpecs). NewRegistry registers them as campaign
-// scenarios; the campaign engine is the one way they run.
+// Spec (see PaperSpecs). NewRegistry registers them as the campaign
+// scenarios cmd/campaign runs.
 //
 // The canonical setup mirrors §4: a wired server one Gigabit Ethernet hop
 // from the access point, two fast stations close to the AP (MCS15,
