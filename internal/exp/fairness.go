@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"repro/internal/campaign"
 	"repro/internal/mac"
 )
@@ -32,18 +34,16 @@ func SpecFairness() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			traffic, err := p.OneOf("traffic", "udp", "tcp-down", "tcp-bidir")
-			if err != nil {
-				return nil, err
-			}
 			var ws []*Workload
-			switch traffic {
+			switch tr := p.Str("traffic"); tr {
 			case "udp":
 				ws = []*Workload{UDPFlood(50e6)}
 			case "tcp-down":
 				ws = []*Workload{TCPDown()}
 			case "tcp-bidir":
 				ws = []*Workload{TCPDown(), TCPUp()}
+			default:
+				return nil, fmt.Errorf("unknown traffic %q", tr)
 			}
 			return fairnessInstance(scheme, ws), nil
 		},
