@@ -197,20 +197,6 @@ func TestRunErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestMapOrderAndCoverage(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := Map(37, workers, func(i int) int { return i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	if Map(0, 4, func(i int) int { return i }) != nil {
-		t.Fatal("empty map not nil")
-	}
-}
-
 func TestArtifactFormats(t *testing.T) {
 	res, err := synthetic().Execute(Plan{Reps: 2, Workers: 2, BaseSeed: 3, Duration: sim.Second, Warmup: sim.Second})
 	if err != nil {

@@ -382,44 +382,3 @@ func runJob(sc *Scenario, spec JobSpec) (m *Metrics, err error) {
 	}
 	return m, err
 }
-
-// Map runs fn(0..n-1) across a pool of workers (0 or less means
-// GOMAXPROCS) and returns the results in index order. It is a
-// lightweight sharding primitive for independent tasks outside a Plan:
-// results are positionally stable, so callers can fold them in a
-// deterministic order regardless of worker count.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/campaign"
@@ -100,5 +102,46 @@ func TestPoolNoLeakAtDrain(t *testing.T) {
 				t.Fatal("world moved no packets")
 			}
 		})
+	}
+}
+
+// TestReleasedWorldsFeedTheNextRun runs one udp plan twice in a process
+// with the collector off. The first run's worlds released their packet
+// slabs into the reservoir, so the second run draws its packets from
+// there and allocates at most 60% of the first's bytes (a pool that
+// allocated every world's packets afresh would allocate as much).
+func TestReleasedWorldsFeedTheNextRun(t *testing.T) {
+	if raceOn {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	// Two cycles empty the reservoir of earlier tests' slabs; with the
+	// collector off nothing empties it during the test.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	plan := campaign.Plan{
+		Scenarios: []string{"udp"},
+		Reps:      1,
+		Duration:  sim.Second,
+		Warmup:    sim.Second / 2,
+		BaseSeed:  1,
+		Workers:   1,
+	}
+	reg := NewRegistry()
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := reg.Execute(plan); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := allocated()
+	second := allocated()
+	t.Logf("first run %d B, second %d B", first, second)
+	if ratio := float64(second) / float64(first); ratio > 0.6 {
+		t.Fatalf("second run allocated %d B, %.0f%% of the first's %d B; want <= 60%%",
+			second, 100*ratio, first)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package exp
+
+// raceOn reports a -race build, under which sync.Pool drops a quarter
+// of its Puts on purpose.
+const raceOn = true

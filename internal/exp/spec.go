@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
+	"repro/internal/pkt"
 )
 
 // A Spec is a declarative experiment definition: a parameter grid plus a
@@ -84,7 +85,8 @@ func (inst *Instance) Meta() *campaign.ScenarioMeta {
 // for ctx.Warmup, attach measure-phase workloads, arm the probes'
 // measurement window, run the measured ctx.Duration, collect. It
 // returns the emitted metrics and the runtime for callers that want raw
-// window values beyond the emitted metrics.
+// window values beyond the emitted metrics. The world stays intact; the
+// campaign runner (Scenario) releases its packet memory afterwards.
 func (inst *Instance) Execute(ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
 	cfg := inst.Net
 	cfg.Seed = ctx.Seed
@@ -126,7 +128,10 @@ func (s *Spec) Scenario() *campaign.Scenario {
 			if err != nil {
 				return nil, err
 			}
-			m, _ := inst.Execute(ctx)
+			m, rt := inst.Execute(ctx)
+			// The probes have read the world and nothing else will:
+			// hand its packet memory to the next run.
+			pkt.PoolOf(rt.World().Sim).Release()
 			return m, nil
 		},
 	}

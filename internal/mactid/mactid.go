@@ -125,7 +125,10 @@ func (l *queueList) remove(q *queue) {
 // Fq is the interface-wide shared queueing structure. All TIDs of all
 // stations on one interface share a single Fq.
 type Fq struct {
-	cfg      Config
+	cfg Config
+	// flows is the hash-queue table, built by the first Enqueue: many
+	// structures (FQ-CoDel's per-AC qdiscs outside BE) never see a
+	// packet, and a world is built per campaign run.
 	flows    []queue
 	overflow []*queue // TID overflow queues, registered as TIDs are created
 	// occupied is a binary max-heap of the queues currently holding
@@ -159,8 +162,7 @@ type Fq struct {
 func New(cfg Config) *Fq {
 	cfg.fill()
 	fq := &Fq{
-		cfg:   cfg,
-		flows: make([]queue, cfg.Flows),
+		cfg: cfg,
 		// Backlogged queues are few even under saturation; a small
 		// starting capacity keeps steady-state occupancy tracking
 		// allocation-free.
@@ -169,11 +171,16 @@ func New(cfg Config) *Fq {
 	if cfg.Flows&(cfg.Flows-1) == 0 {
 		fq.flowMask = uint64(cfg.Flows - 1)
 	}
+	return fq
+}
+
+// buildFlows allocates the hash-queue table on first use.
+func (fq *Fq) buildFlows() {
+	fq.flows = make([]queue, fq.cfg.Flows)
 	for i := range fq.flows {
 		fq.flows[i].idx = i
 		fq.flows[i].occPos = -1
 	}
-	return fq
 }
 
 // Len reports the total packets queued across all TIDs.
@@ -198,7 +205,7 @@ func (fq *Fq) SparseDequeues() int { return fq.sparseHits }
 // one per (station, traffic identifier).
 func (fq *Fq) NewTID() *TID {
 	t := &TID{fq: fq}
-	t.overflowQ = &queue{idx: len(fq.flows) + len(fq.overflow), occPos: -1}
+	t.overflowQ = &queue{idx: fq.cfg.Flows + len(fq.overflow), occPos: -1}
 	fq.overflow = append(fq.overflow, t.overflowQ)
 	t.codelDrop = func(dp *pkt.Packet) {
 		fq.len--
@@ -322,14 +329,15 @@ func (fq *Fq) occFlush() {
 }
 
 // longestQueue returns the queue (hash or overflow) holding the most
-// bytes — the occupied heap's root. Ties resolve to the lowest scan
-// position, matching a first-longest-wins scan over every queue.
+// bytes — the occupied heap's root — or nil when every queue is empty.
+// Ties resolve to the lowest scan position, matching a
+// first-longest-wins scan over every queue.
 //
 //hj17:hotpath
 func (fq *Fq) longestQueue() *queue {
 	fq.occFlush()
 	if len(fq.occupied) == 0 {
-		return &fq.flows[0]
+		return nil
 	}
 	return fq.occupied[0]
 }
@@ -341,6 +349,9 @@ func (fq *Fq) longestQueue() *queue {
 //hj17:hotpath
 func (fq *Fq) dropFromLongest() *pkt.Packet {
 	victim := fq.longestQueue()
+	if victim == nil {
+		return nil
+	}
 	fq.occDefer(victim)
 	p := victim.q.Pop()
 	if p == nil {
@@ -382,6 +393,9 @@ func (t *TID) Backlogged() bool { return t.len > 0 }
 func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	fq := t.fq
 	accepted := true
+	if fq.flows == nil {
+		fq.buildFlows()
+	}
 	var q *queue
 	if fq.flowMask != 0 {
 		q = &fq.flows[p.FlowKey()&fq.flowMask]

@@ -232,3 +232,27 @@ func TestConservation(t *testing.T) {
 		t.Fatalf("fq.Len=%d after drain", fq.Len())
 	}
 }
+
+// TestFlowTableBuiltOnFirstEnqueue: a structure that only ever sees
+// Dequeue (and Purge) builds no flow table, and overflow queues are
+// numbered after the table either way.
+func TestFlowTableBuiltOnFirstEnqueue(t *testing.T) {
+	fq := New(Config{Flows: 64})
+	t1, t2 := fq.NewTID(), fq.NewTID()
+	for i := 0; i < 3; i++ {
+		if t1.Dequeue(sim.Time(i), pa()) != nil {
+			t.Fatal("dequeued from an empty structure")
+		}
+	}
+	t2.Purge()
+	if fq.flows != nil {
+		t.Fatalf("Dequeue built a %d-queue flow table", len(fq.flows))
+	}
+	if t1.overflowQ.idx != 64 || t2.overflowQ.idx != 65 {
+		t.Fatalf("overflow queues numbered %d, %d; want 64, 65", t1.overflowQ.idx, t2.overflowQ.idx)
+	}
+	t1.Enqueue(mkp(1, 100), 0)
+	if len(fq.flows) != 64 {
+		t.Fatalf("first Enqueue built %d queues, want 64", len(fq.flows))
+	}
+}

@@ -10,21 +10,30 @@ import (
 
 // refLongestQueue is the original O(flows+overflow) reference: first
 // strictly longest hash queue in index order, then overflow queues, a
-// later queue winning only on strictly more bytes.
+// later queue winning only on strictly more bytes. It is nil while
+// every queue is empty, including before the flow table exists.
 func refLongestQueue(fq *Fq) *queue {
 	var longest *queue
-	for i := range fq.flows {
-		q := &fq.flows[i]
-		if longest == nil || q.q.Bytes() > longest.q.Bytes() {
+	consider := func(q *queue) {
+		if q.q.Bytes() > 0 && (longest == nil || q.q.Bytes() > longest.q.Bytes()) {
 			longest = q
 		}
+	}
+	for i := range fq.flows {
+		consider(&fq.flows[i])
 	}
 	for _, q := range fq.overflow {
-		if q.q.Bytes() > longest.q.Bytes() {
-			longest = q
-		}
+		consider(q)
 	}
 	return longest
+}
+
+// describe names a queue pick for failure messages.
+func describe(q *queue) string {
+	if q == nil {
+		return "none"
+	}
+	return fmt.Sprintf("idx %d (%d B)", q.idx, q.q.Bytes())
 }
 
 // checkHeap verifies the occupied heap against every queue whose byte
@@ -90,9 +99,10 @@ func peekLongestQueue(fq *Fq) *queue {
 }
 
 // TestLongestQueueMatchesReferenceScan drives randomized enqueues and
-// dequeues and checks the occupied heap after every op: its invariants
-// hold on every settled queue, and the victim it yields equals the
-// reference scan's, ties included. The one-TID row runs with small
+// dequeues and checks the occupied heap before the first op and after
+// every op: its invariants hold on every settled queue, and the victim
+// it yields equals the reference scan's, ties included. The first
+// check runs before the flow table exists. The one-TID row runs with small
 // limits and an advancing clock, so over-limit and CoDel drops both
 // change byte counts while a different queue is pending; the two-TID
 // row routes hash collisions through the overflow queues.
@@ -116,26 +126,28 @@ func TestLongestQueueMatchesReferenceScan(t *testing.T) {
 					tids[i] = fq.NewTID()
 				}
 				now := sim.Time(0)
-				for step := 0; step < 5000; step++ {
-					tid := tids[r.Intn(len(tids))]
-					if r.Intn(3) != 0 {
-						// Few flows over few sizes: hash collisions
-						// exercise the overflow queues, equal sizes
-						// force ties.
-						tid.Enqueue(mkp(uint64(r.Intn(12)), 100*(1+r.Intn(3))), now)
-					} else {
-						tid.Dequeue(now, codel.Default())
-					}
-					if tc.tick > 0 {
-						now += sim.Time(r.Intn(tc.tick)) * sim.Microsecond
+				for step := -1; step < 5000; step++ {
+					if step >= 0 {
+						tid := tids[r.Intn(len(tids))]
+						if r.Intn(3) != 0 {
+							// Few flows over few sizes: hash collisions
+							// exercise the overflow queues, equal sizes
+							// force ties.
+							tid.Enqueue(mkp(uint64(r.Intn(12)), 100*(1+r.Intn(3))), now)
+						} else {
+							tid.Dequeue(now, codel.Default())
+						}
+						if tc.tick > 0 {
+							now += sim.Time(r.Intn(tc.tick)) * sim.Microsecond
+						}
 					}
 					if err := checkHeap(fq); err != nil {
 						t.Fatalf("seed %d limit %d step %d: %v", seed, fq.cfg.Limit, step, err)
 					}
 					got, want := peekLongestQueue(fq), refLongestQueue(fq)
 					if got != want {
-						t.Fatalf("seed %d limit %d step %d: longestQueue picked idx %d (%d B), reference idx %d (%d B)",
-							seed, fq.cfg.Limit, step, got.idx, got.q.Bytes(), want.idx, want.q.Bytes())
+						t.Fatalf("seed %d limit %d step %d: longestQueue picked %s, reference %s",
+							seed, fq.cfg.Limit, step, describe(got), describe(want))
 					}
 				}
 			}

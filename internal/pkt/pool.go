@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -24,16 +25,31 @@ func PoolingEnabled() bool { return poolingEnabled.Load() }
 
 // PoolStats are a pool's lifetime counters.
 type PoolStats struct {
-	Gets      int64 // packets handed out
-	Puts      int64 // packets released
-	News      int64 // packets heap-allocated (Gets that missed the free list)
+	Gets int64 // packets handed out
+	Puts int64 // packets released
+	// News counts Gets that found the free list empty. Each threads one
+	// slab onto it (a disabled pool allocates one packet instead).
+	News      int64
 	Headers   int64 // TCP headers heap-allocated
-	Prewarmed int64 // packets pre-sized into the free list before traffic
+	Prewarmed int64 // packets threaded onto the free list by Prewarm
 }
 
 // Live reports packets currently held by the simulation (handed out and
 // not yet released).
 func (s PoolStats) Live() int64 { return s.Gets - s.Puts }
+
+// Slab sizes for Gets that find the free list empty: the first miss
+// threads minSlab packets and each later one doubles, up to maxSlab, so
+// a world that never needs many packets allocates few.
+const (
+	minSlab = 16
+	maxSlab = 256
+)
+
+// reservoir passes packet slabs (*[]Packet) from released pools to new
+// ones, so a campaign worker's next world reuses the memory of its last.
+// Like any sync.Pool it empties itself across idle GC cycles.
+var reservoir sync.Pool
 
 // Pool is a per-world packet free list. Every layer of one simulation
 // shares a single Pool (see PoolOf), so a packet released at any sink —
@@ -41,11 +57,16 @@ func (s PoolStats) Live() int64 { return s.Gets - s.Puts }
 // next traffic source that needs one. Pools are intentionally not
 // goroutine-safe: a simulation world is single-threaded, and parallel
 // campaign runs each own a world and therefore a pool.
+//
+// The pool owns its packet memory as slabs, which Release hands to the
+// next world's pool once this world is discarded.
 type Pool struct {
-	free    *Packet    // intrusive free list through Packet.next
-	hfree   *TCPHeader // recycled TCP headers, linked through sackNext
-	stats   PoolStats
-	enabled bool
+	free     *Packet     // intrusive free list through Packet.next
+	hfree    *TCPHeader  // recycled TCP headers, linked through sackNext
+	slabs    []*[]Packet // the packet memory this pool threaded
+	missSlab int         // size of the last slab a miss asked for
+	stats    PoolStats
+	enabled  bool
 }
 
 // NewPool creates a pool honouring the process-wide pooling default.
@@ -74,7 +95,12 @@ func (pl *Pool) Get() *Packet {
 	p := pl.free
 	if p == nil {
 		pl.stats.News++
-		return &Packet{}
+		if !pl.enabled {
+			return &Packet{}
+		}
+		pl.missSlab = min(max(2*pl.missSlab, minSlab), maxSlab)
+		pl.thread(takeSlab(pl.missSlab))
+		p = pl.free
 	}
 	pl.free = p.next
 	hdr := p.TCP
@@ -105,22 +131,58 @@ func (pl *Pool) Put(p *Packet) {
 	pl.free = p
 }
 
-// Prewarm grows the free list by n packets allocated as one contiguous
-// slab, so a world that can estimate its standing-queue depth up front
-// pays one allocation instead of n during queue build-up. A no-op when
-// pooling is disabled.
+// Prewarm grows the free list by at least n packets, so a world that can
+// estimate its standing-queue depth up front pays one allocation instead
+// of n during queue build-up. It threads released slabs first and
+// allocates the remainder as one slab. A no-op when pooling is disabled.
 func (pl *Pool) Prewarm(n int) {
-	if !pl.enabled || n <= 0 {
+	if !pl.enabled {
 		return
 	}
-	slab := make([]Packet, n)
-	for i := range slab {
-		p := &slab[i]
+	for n > 0 {
+		s := takeSlab(n)
+		pl.thread(s)
+		pl.stats.Prewarmed += int64(len(*s))
+		n -= len(*s)
+	}
+}
+
+// takeSlab returns a released slab from the reservoir, or a fresh one of
+// n packets when the reservoir is empty.
+func takeSlab(n int) *[]Packet {
+	if s, ok := reservoir.Get().(*[]Packet); ok {
+		return s
+	}
+	s := make([]Packet, n)
+	return &s
+}
+
+// thread takes ownership of slab s and pushes its packets onto the free
+// list. A released slab's packets still hold whatever their last world
+// left in them (queue links, TCP headers); Get zeroes each on hand-out
+// and recycles its header.
+func (pl *Pool) thread(s *[]Packet) {
+	pl.slabs = append(pl.slabs, s)
+	for i := range *s {
+		p := &(*s)[i]
 		p.pooled = true
 		p.next = pl.free
 		pl.free = p
 	}
-	pl.stats.Prewarmed += int64(n)
+}
+
+// Release hands the pool's slabs to the reservoir for the next world's
+// pool and disables this pool: Put stops recycling and Get returns fresh
+// packets, so nothing this pool does afterwards can reach released
+// memory. Call it only when the world is discarded: the packets it still
+// holds live in those slabs, and the next pool hands them out again.
+func (pl *Pool) Release() {
+	for _, s := range pl.slabs {
+		reservoir.Put(s)
+	}
+	pl.slabs = nil
+	pl.free, pl.hfree = nil, nil
+	pl.enabled = false
 }
 
 // GetHeader returns a zero-valued TCP header with any recycled Sack

@@ -1,6 +1,8 @@
 package pkt
 
 import (
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -129,5 +131,140 @@ func TestPoolOfAttachesOnce(t *testing.T) {
 	}
 	if PoolOf(sim.New(2)) == a {
 		t.Fatal("distinct worlds share a pool")
+	}
+}
+
+// drainReservoir empties the process-wide slab reservoir, so a test
+// decides which released slabs a new pool can draw.
+func drainReservoir() {
+	for reservoir.Get() != nil {
+	}
+}
+
+// keepReservoir stops the collector for the test, since a GC cycle may
+// empty the reservoir. It skips under -race, where sync.Pool drops a
+// quarter of Puts on purpose.
+func keepReservoir(t *testing.T) {
+	t.Helper()
+	if raceOn {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
+// TestReleasedSlabServesNextPool: a pool built after another pool's
+// Release serves its Gets from the released slab, zeroed, whatever the
+// released world left in the packets: queue links, TCP headers with
+// SACK blocks, free-list membership. The headers recycle with only
+// their Sack capacity.
+func TestReleasedSlabServesNextPool(t *testing.T) {
+	keepReservoir(t)
+	drainReservoir()
+	a := &Pool{enabled: true}
+	held := make([]*Packet, minSlab) // exactly one miss slab
+	for i := range held {
+		p := a.Get()
+		p.ID, p.Size, p.Flow, p.Retries = uint64(i+1), 1500, uint64(i), 2
+		held[i] = p
+	}
+	var headers []*TCPHeader
+	for i, p := range held[:8] {
+		h := a.GetHeader()
+		h.Seq = int64(i)
+		h.Sack = append(h.Sack, SackBlock{Start: 1, End: 2}, SackBlock{Start: 3, End: 4})
+		p.Proto, p.TCP = ProtoTCP, h
+		headers = append(headers, h)
+	}
+	var q Queue
+	for _, p := range held[4:12] { // queued, half of them with headers
+		q.Push(p)
+	}
+	for _, p := range held[12:] { // back on a's free list
+		a.Put(p)
+	}
+	a.Release()
+
+	b := &Pool{enabled: true}
+	for range held {
+		p := b.Get()
+		if !slices.Contains(held, p) {
+			t.Fatal("Get served a packet outside the released slab")
+		}
+		if *p != (Packet{}) {
+			t.Fatalf("packet from a released slab not zeroed: %+v", *p)
+		}
+	}
+	for range headers {
+		h := b.GetHeader()
+		if !slices.Contains(headers, h) {
+			t.Fatal("GetHeader allocated instead of recycling a released world's header")
+		}
+		if len(h.Sack) != 0 || cap(h.Sack) < 2 || h.Seq != 0 {
+			t.Fatalf("recycled header not reset: %+v (cap %d)", *h, cap(h.Sack))
+		}
+	}
+	if st := b.Stats(); st.News != 1 || st.Headers != 0 {
+		t.Fatalf("stats %+v, want one slab threaded and no header allocated", st)
+	}
+}
+
+// TestReleasedPoolRecyclesNothing: after Release a Put packet is never
+// handed out again, and the pool owns no slab.
+func TestReleasedPoolRecyclesNothing(t *testing.T) {
+	pl := &Pool{enabled: true}
+	p := pl.Get()
+	pl.Release()
+	pl.Put(p)
+	for i := 0; i < 2*maxSlab; i++ {
+		if pl.Get() == p {
+			t.Fatalf("Get %d handed out a packet Put after Release", i)
+		}
+	}
+	if len(pl.slabs) != 0 {
+		t.Fatalf("released pool threaded %d slabs", len(pl.slabs))
+	}
+	if st := pl.Stats(); st.Puts != 1 || st.Gets != 1+2*maxSlab {
+		t.Fatalf("released pool stats wrong: %+v", st)
+	}
+}
+
+// TestPrewarmOneSlab: on an empty reservoir Prewarm(n) makes one slab
+// of n packets, which then serves n Gets without a miss.
+func TestPrewarmOneSlab(t *testing.T) {
+	drainReservoir()
+	pl := &Pool{enabled: true}
+	pl.Prewarm(1000)
+	if len(pl.slabs) != 1 || len(*pl.slabs[0]) != 1000 {
+		t.Fatalf("Prewarm(1000) threaded %d slabs", len(pl.slabs))
+	}
+	for i := 0; i < 1000; i++ {
+		pl.Get()
+	}
+	if st := pl.Stats(); st.News != 0 || st.Prewarmed != 1000 {
+		t.Fatalf("stats %+v, want 1000 prewarmed and no miss", st)
+	}
+}
+
+// TestMissSlabsDouble: on an empty reservoir each Get that finds the
+// free list empty threads a slab twice the last, from 16 up to 256.
+func TestMissSlabsDouble(t *testing.T) {
+	drainReservoir()
+	want := []int{16, 32, 64, 128, 256, 256}
+	pl := &Pool{enabled: true}
+	for _, n := range want {
+		for i := 0; i < n; i++ {
+			pl.Get()
+		}
+	}
+	var got []int
+	for _, s := range pl.slabs {
+		got = append(got, len(*s))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("miss slabs %v, want %v", got, want)
+	}
+	if st := pl.Stats(); st.News != int64(len(want)) {
+		t.Fatalf("News = %d, want one per slab (%d)", st.News, len(want))
 	}
 }
