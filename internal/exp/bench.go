@@ -11,7 +11,7 @@ import (
 type BenchCounters struct {
 	Packets     int64  // packets entering a MAC transmit path (all nodes)
 	PoolGets    int64  // packets handed out by the world's pool
-	PoolNews    int64  // pool gets that found the free list empty (each threads a slab)
+	PoolNews    int64  // pool gets served by neither recycling nor Prewarm
 	LivePackets int64  // packets still held when the run stopped
 	Events      uint64 // simulator events executed
 	EventAllocs uint64 // events heap-allocated (vs recycled)
@@ -187,15 +187,15 @@ func NewDenseBenchWorld(cfg DenseBenchConfig) *DenseBenchWorld {
 		cell.Ping(cell.Stations[0], 0, cell.BSS+1)
 	}
 	w.Run(cfg.Warmup)
-	// Keep warming in half-second steps until one passes without the
-	// packet pool threading a new slab, so the timed window measures the
-	// steady state rather than queue fill and its GC pressure.
+	// Keep warming in half-second steps until the packet pool stops
+	// heap-growing, so the timed window measures the steady state rather
+	// than queue fill and its GC pressure.
 	pool := pkt.PoolOf(w.Sim)
 	prev := pool.Stats().News
 	for i := 0; i < 60; i++ {
 		w.Run(w.Sim.Now() + 500*sim.Millisecond)
 		news := pool.Stats().News
-		if news == prev {
+		if news-prev < 16 {
 			break
 		}
 		prev = news

@@ -140,6 +140,9 @@ type Packet struct {
 	// pooled marks packets currently resting in a Pool, to catch
 	// double releases.
 	pooled bool
+	// fresh marks free-list packets a Get miss threaded that no Get has
+	// handed out yet; PoolStats.News counts their first hand-outs.
+	fresh bool
 }
 
 // Dup returns a copy of p with a fresh link field. TCP headers are

@@ -27,8 +27,10 @@ func PoolingEnabled() bool { return poolingEnabled.Load() }
 type PoolStats struct {
 	Gets int64 // packets handed out
 	Puts int64 // packets released
-	// News counts Gets that found the free list empty. Each threads one
-	// slab onto it (a disabled pool allocates one packet instead).
+	// News counts Gets served by neither recycling nor Prewarm. A Get
+	// that finds the free list empty threads one slab, and each of its
+	// packets counts here on its first hand-out (a disabled pool counts
+	// every packet it allocates).
 	News      int64
 	Headers   int64 // TCP headers heap-allocated
 	Prewarmed int64 // packets threaded onto the free list by Prewarm
@@ -94,13 +96,16 @@ func (pl *Pool) Get() *Packet {
 	pl.stats.Gets++
 	p := pl.free
 	if p == nil {
-		pl.stats.News++
 		if !pl.enabled {
+			pl.stats.News++
 			return &Packet{}
 		}
 		pl.missSlab = min(max(2*pl.missSlab, minSlab), maxSlab)
-		pl.thread(takeSlab(pl.missSlab))
+		pl.thread(takeSlab(pl.missSlab), true)
 		p = pl.free
+	}
+	if p.fresh {
+		pl.stats.News++
 	}
 	pl.free = p.next
 	hdr := p.TCP
@@ -141,7 +146,7 @@ func (pl *Pool) Prewarm(n int) {
 	}
 	for n > 0 {
 		s := takeSlab(n)
-		pl.thread(s)
+		pl.thread(s, false)
 		pl.stats.Prewarmed += int64(len(*s))
 		n -= len(*s)
 	}
@@ -158,14 +163,15 @@ func takeSlab(n int) *[]Packet {
 }
 
 // thread takes ownership of slab s and pushes its packets onto the free
-// list. A released slab's packets still hold whatever their last world
-// left in them (queue links, TCP headers); Get zeroes each on hand-out
-// and recycles its header.
-func (pl *Pool) thread(s *[]Packet) {
+// list, marking them fresh when a Get miss threads them. A released
+// slab's packets still hold whatever their last world left in them
+// (queue links, TCP headers); Get zeroes each on hand-out and recycles
+// its header.
+func (pl *Pool) thread(s *[]Packet, fresh bool) {
 	pl.slabs = append(pl.slabs, s)
 	for i := range *s {
 		p := &(*s)[i]
-		p.pooled = true
+		p.pooled, p.fresh = true, fresh
 		p.next = pl.free
 		pl.free = p
 	}

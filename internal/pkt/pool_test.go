@@ -204,8 +204,8 @@ func TestReleasedSlabServesNextPool(t *testing.T) {
 			t.Fatalf("recycled header not reset: %+v (cap %d)", *h, cap(h.Sack))
 		}
 	}
-	if st := b.Stats(); st.News != 1 || st.Headers != 0 {
-		t.Fatalf("stats %+v, want one slab threaded and no header allocated", st)
+	if st := b.Stats(); st.News != int64(len(held)) || st.Headers != 0 {
+		t.Fatalf("stats %+v, want %d Gets served by a miss and no header allocated", st, len(held))
 	}
 }
 
@@ -264,7 +264,34 @@ func TestMissSlabsDouble(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("miss slabs %v, want %v", got, want)
 	}
-	if st := pl.Stats(); st.News != int64(len(want)) {
-		t.Fatalf("News = %d, want one per slab (%d)", st.News, len(want))
+	if st := pl.Stats(); st.News != st.Gets {
+		t.Fatalf("News = %d, want every one of the %d Gets", st.News, st.Gets)
+	}
+}
+
+// TestNewsCountsFirstHandOuts: News counts a miss slab's packets as
+// Gets hand them out, not the slab's unused tail, and not a released
+// miss slab's leftovers that Prewarm draws; so Gets-News stays the Gets
+// served by recycling or Prewarm.
+func TestNewsCountsFirstHandOuts(t *testing.T) {
+	keepReservoir(t)
+	drainReservoir()
+	a := &Pool{enabled: true}
+	a.Get() // threads a fresh slab and leaves minSlab-1 packets unused
+	a.Release()
+
+	b := &Pool{enabled: true}
+	b.Prewarm(minSlab) // draws a's slab
+	for i := 0; i < minSlab; i++ {
+		b.Get()
+	}
+	if st := b.Stats(); st.News != 0 || st.Prewarmed != minSlab {
+		t.Fatalf("stats %+v, want %d prewarmed Gets and no miss", st, minSlab)
+	}
+	p := b.Get() // a miss: threads a new slab
+	b.Put(p)
+	b.Get()
+	if st := b.Stats(); st.News != 1 || st.Gets-st.News != minSlab+1 {
+		t.Fatalf("stats %+v, want one Get served by the miss", st)
 	}
 }
