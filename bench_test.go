@@ -285,9 +285,9 @@ func BenchmarkAllocsPerPacket(b *testing.B) {
 			b.ReportAllocs()
 			var pkts, events int64
 			for i := 0; i < b.N; i++ {
-				c := exp.RunBenchWorld(exp.BenchWorldConfig{
+				c := exp.NewBenchWorld(exp.BenchWorldConfig{
 					Scheme: scheme, Seed: uint64(i) + 1, Duration: 3 * sim.Second,
-				})
+				}).Run()
 				pkts += c.Packets
 				events += int64(c.Events)
 			}

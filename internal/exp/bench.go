@@ -82,12 +82,6 @@ func (bw *BenchWorld) Run() BenchCounters {
 	return c
 }
 
-// RunBenchWorld is the one-shot form: build the 3-station testbed and
-// run it, returning the counters (construction included).
-func RunBenchWorld(cfg BenchWorldConfig) BenchCounters {
-	return NewBenchWorld(cfg).Run()
-}
-
 // DenseBenchConfig configures one dense multi-BSS benchmark world.
 type DenseBenchConfig struct {
 	Scheme   mac.Scheme
@@ -236,10 +230,4 @@ func (bw *DenseBenchWorld) Run() BenchCounters {
 	c.Events -= bw.base.Events
 	c.EventAllocs -= bw.base.EventAllocs
 	return c
-}
-
-// RunDenseBenchWorld is the one-shot form: build a dense world and run
-// it, returning the counters (construction included).
-func RunDenseBenchWorld(cfg DenseBenchConfig) BenchCounters {
-	return NewDenseBenchWorld(cfg).Run()
 }

@@ -265,16 +265,6 @@ func newCellNet(w *World, cell *bss.Cell, wiredDelay sim.Time) *Net {
 	return n
 }
 
-// stationByName returns the station with the given name, or nil.
-func (n *Net) stationByName(name string) *Station {
-	for _, st := range n.Stations {
-		if st.Name == name {
-			return st
-		}
-	}
-	return nil
-}
-
 // stationByName searches every cell's stations for the given name.
 func (w *World) stationByName(name string) *Station {
 	for _, st := range w.Stations {

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -15,10 +12,35 @@ import (
 	"repro/internal/tcp"
 )
 
+// unpooledRegistry registers every paper Spec like NewRegistry, except
+// that each run releases its world's packet pool before the world runs.
+// A released pool never recycles (see pkt.Pool.Release), so these runs
+// are the reference that packet recycling must not change.
+func unpooledRegistry() *campaign.Registry {
+	r := campaign.NewRegistry()
+	for _, s := range PaperSpecs() {
+		sc := s.Scenario()
+		sc.Run = func(ctx campaign.Ctx) (*campaign.Metrics, error) {
+			inst, err := s.Build(paramsFromCtx(ctx, s.Axes))
+			if err != nil {
+				return nil, err
+			}
+			cfg := inst.Net
+			cfg.Seed = ctx.Seed
+			w := BuildWorld(cfg)
+			pkt.PoolOf(w.Sim).Release()
+			m, _ := inst.run(w, ctx)
+			return m, nil
+		}
+		r.Register(sc)
+	}
+	return r
+}
+
 // TestPoolingOnOffIdenticalArtifacts runs a mixed TCP/UDP/VoIP campaign
-// with packet pooling disabled and enabled and asserts the artifacts are
-// byte-identical: recycling object memory must never change simulated
-// behaviour.
+// on recycling pools and on pools that never recycle and asserts the
+// artifacts are byte-identical: recycling object memory must never
+// change simulated behaviour.
 func TestPoolingOnOffIdenticalArtifacts(t *testing.T) {
 	plan := campaign.Plan{
 		Scenarios: []string{"udp", "latency", "voip"},
@@ -33,23 +55,8 @@ func TestPoolingOnOffIdenticalArtifacts(t *testing.T) {
 		BaseSeed: 5,
 		Workers:  4,
 	}
-	run := func() string {
-		res, err := NewRegistry().Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
-	}
-
-	pkt.SetPooling(false)
-	defer pkt.SetPooling(true)
-	off := run()
-	pkt.SetPooling(true)
-	on := run()
+	off := artifactHash(t, unpooledRegistry(), plan)
+	on := artifactHash(t, NewRegistry(), plan)
 	if on != off {
 		t.Fatalf("campaign artifacts diverge with pooling on (%s) vs off (%s)", on, off)
 	}

@@ -90,7 +90,11 @@ func (inst *Instance) Meta() *campaign.ScenarioMeta {
 func (inst *Instance) Execute(ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
 	cfg := inst.Net
 	cfg.Seed = ctx.Seed
-	w := BuildWorld(cfg)
+	return inst.run(BuildWorld(cfg), ctx)
+}
+
+// run is Execute on a world already built from inst.Net with ctx.Seed.
+func (inst *Instance) run(w *World, ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
 	rt := NewWorldRuntime(w)
 	rt.AttachPhase(inst.Workloads, PhaseStart)
 	w.Run(ctx.Warmup)

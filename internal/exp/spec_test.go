@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -62,9 +61,9 @@ func specGoldenPlan(scenario string) campaign.Plan {
 	}
 }
 
-func artifactHash(t *testing.T, plan campaign.Plan) string {
+func artifactHash(t *testing.T, reg *campaign.Registry, plan campaign.Plan) string {
 	t.Helper()
-	res, err := NewRegistry().Execute(plan)
+	res, err := reg.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestSpecGoldenAllScenarios(t *testing.T) {
 		name, want := name, want
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if got := artifactHash(t, specGoldenPlan(name)); got != want {
+			if got := artifactHash(t, NewRegistry(), specGoldenPlan(name)); got != want {
 				t.Errorf("artifact hash = %s, want golden %s\n"+
 					"the Spec-based runner diverged from the bespoke runner's behaviour", got, want)
 			}
@@ -91,8 +90,8 @@ func TestSpecGoldenAllScenarios(t *testing.T) {
 }
 
 // TestMixedWorkloadDeterminism: the composite UDP+TCP+VoIP+web scenario
-// produces byte-identical artifacts for 1, 4 and 8 workers, and with
-// packet pooling disabled.
+// produces byte-identical artifacts for 1, 4 and 8 workers, and on
+// worlds whose packet pools never recycle (unpooledRegistry).
 func TestMixedWorkloadDeterminism(t *testing.T) {
 	plan := func(workers int) campaign.Plan {
 		return campaign.Plan{
@@ -105,15 +104,13 @@ func TestMixedWorkloadDeterminism(t *testing.T) {
 			Workers:   workers,
 		}
 	}
-	ref := artifactHash(t, plan(1))
+	ref := artifactHash(t, NewRegistry(), plan(1))
 	for _, workers := range []int{4, 8} {
-		if got := artifactHash(t, plan(workers)); got != ref {
+		if got := artifactHash(t, NewRegistry(), plan(workers)); got != ref {
 			t.Errorf("workers=%d artifact %s differs from workers=1 %s", workers, got, ref)
 		}
 	}
-	pkt.SetPooling(false)
-	defer pkt.SetPooling(true)
-	if got := artifactHash(t, plan(4)); got != ref {
+	if got := artifactHash(t, unpooledRegistry(), plan(4)); got != ref {
 		t.Errorf("pooling-off artifact %s differs from pooling-on %s", got, ref)
 	}
 }

@@ -2,26 +2,9 @@ package pkt
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
-
-// poolingEnabled is the process-wide default for new worlds' packet
-// pools. It exists so equivalence tests can run identical scenarios with
-// recycling on and off; production paths leave it on.
-var poolingEnabled atomic.Bool
-
-func init() { poolingEnabled.Store(true) }
-
-// SetPooling sets the process-wide default for packet pools created
-// after the call (existing pools are unaffected). With pooling off a
-// pool still counts allocations and releases — Get always returns a
-// fresh Packet — which makes on/off runs directly comparable.
-func SetPooling(on bool) { poolingEnabled.Store(on) }
-
-// PoolingEnabled reports the current process-wide default.
-func PoolingEnabled() bool { return poolingEnabled.Load() }
 
 // PoolStats are a pool's lifetime counters.
 type PoolStats struct {
@@ -29,7 +12,7 @@ type PoolStats struct {
 	Puts int64 // packets released
 	// News counts Gets served by neither recycling nor Prewarm. A Get
 	// that finds the free list empty threads one slab, and each of its
-	// packets counts here on its first hand-out (a disabled pool counts
+	// packets counts here on its first hand-out (a released pool counts
 	// every packet it allocates).
 	News      int64
 	Headers   int64 // TCP headers heap-allocated
@@ -68,11 +51,11 @@ type Pool struct {
 	slabs    []*[]Packet // the packet memory this pool threaded
 	missSlab int         // size of the last slab a miss asked for
 	stats    PoolStats
-	enabled  bool
+	enabled  bool // cleared by Release
 }
 
-// NewPool creates a pool honouring the process-wide pooling default.
-func NewPool() *Pool { return &Pool{enabled: PoolingEnabled()} }
+// NewPool creates an empty recycling pool.
+func NewPool() *Pool { return &Pool{enabled: true} }
 
 // PoolOf returns the world's packet pool, creating and attaching it on
 // first use. The pool rides on the Sim's allocator slot so that traffic
@@ -139,7 +122,7 @@ func (pl *Pool) Put(p *Packet) {
 // Prewarm grows the free list by at least n packets, so a world that can
 // estimate its standing-queue depth up front pays one allocation instead
 // of n during queue build-up. It threads released slabs first and
-// allocates the remainder as one slab. A no-op when pooling is disabled.
+// allocates the remainder as one slab. A no-op on a released pool.
 func (pl *Pool) Prewarm(n int) {
 	if !pl.enabled {
 		return
@@ -182,6 +165,12 @@ func (pl *Pool) thread(s *[]Packet, fresh bool) {
 // packets, so nothing this pool does afterwards can reach released
 // memory. Call it only when the world is discarded: the packets it still
 // holds live in those slabs, and the next pool hands them out again.
+//
+// A pool released before its world runs therefore never recycles: every
+// Get allocates and counts in News, Prewarm threads nothing, and no
+// packet or TCP header is handed out twice. The pooling identity tests
+// rely on this: they run such a world as the reference that recycling
+// must not change.
 func (pl *Pool) Release() {
 	for _, s := range pl.slabs {
 		reservoir.Put(s)

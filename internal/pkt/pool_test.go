@@ -108,17 +108,30 @@ func TestPoolRecyclesHeaders(t *testing.T) {
 	}
 }
 
+// TestPoolDisabledStillCounts: a pool released before use is the
+// reference the pooling identity tests run worlds on. Prewarm threads
+// nothing, no packet or TCP header that comes back with Put is handed
+// out again, and the pool still counts every Get in News.
 func TestPoolDisabledStillCounts(t *testing.T) {
-	pl := &Pool{enabled: false}
+	pl := NewPool()
+	pl.Release()
+	pl.Prewarm(1000)
+	if st := pl.Stats(); len(pl.slabs) != 0 || st.Prewarmed != 0 {
+		t.Fatalf("released pool threaded %d slabs, Prewarmed = %d", len(pl.slabs), st.Prewarmed)
+	}
 	a := pl.Get()
+	h := pl.GetHeader()
+	a.Proto, a.TCP = ProtoTCP, h
 	pl.Put(a)
-	b := pl.Get()
-	if b == a {
-		t.Fatal("disabled pool recycled a packet")
+	if b := pl.Get(); b == a {
+		t.Fatal("released pool recycled a packet")
+	}
+	if pl.GetHeader() == h {
+		t.Fatal("released pool recycled a TCP header")
 	}
 	st := pl.Stats()
-	if st.Gets != 2 || st.Puts != 1 || st.Live() != 1 {
-		t.Fatalf("disabled pool stats wrong: %+v", st)
+	if st.Gets != 2 || st.Puts != 1 || st.News != 2 || st.Headers != 2 || st.Live() != 1 {
+		t.Fatalf("released pool stats wrong: %+v", st)
 	}
 }
 

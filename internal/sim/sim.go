@@ -132,8 +132,7 @@ type Sim struct {
 	// bounded-horizon events wait in O(1) buckets and are flushed into
 	// the heap slot-by-slot just before their window opens, preserving
 	// the heap's (time, seq) pop order exactly.
-	wh      wheel
-	wheelOn bool
+	wh wheel
 
 	free      []*Event // recycled events
 	allocated uint64   // events ever heap-allocated
@@ -147,7 +146,7 @@ type Sim struct {
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed uint64) *Sim {
-	return &Sim{rng: NewRand(seed), wheelOn: true}
+	return &Sim{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -166,13 +165,6 @@ func (s *Sim) EventsAllocated() uint64 { return s.allocated }
 // Pending reports the number of events currently scheduled to fire
 // (cancelled events awaiting lazy recycling are not counted).
 func (s *Sim) Pending() int { return s.live }
-
-// SetTimerWheel enables or disables the timing-wheel front-end (enabled
-// by default). With the wheel off, every event is heaped at schedule
-// time — the pure-heap mode the wheel's pop-order identity is property-
-// tested against. Events already parked in wheel buckets when the wheel
-// is turned off still drain normally.
-func (s *Sim) SetTimerWheel(on bool) { s.wheelOn = on }
 
 // Allocator returns the world's opaque allocator attachment (nil until
 // SetAllocator). See pkt.PoolOf for the packet pool that rides here.
@@ -286,7 +278,7 @@ func (s *Sim) schedule(e *Event, at Time) EventRef {
 		// instant already queued carries a smaller seq, so FIFO order on
 		// the side queue is exactly (at, seq) order — no heap traffic.
 		s.nowQ = append(s.nowQ, e)
-	} else if !s.wheelOn || !s.wheelInsert(e) {
+	} else if !s.wheelInsert(e) {
 		s.push(e)
 	}
 	return EventRef{e: e, gen: e.gen}

@@ -1,26 +1,118 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 )
 
-// wheelTrace runs a randomized self-scheduling workload and records, for
-// every fired event, the (time, id) pair. The workload exercises every
-// routing path of the hybrid: zero-delay continuations, sub-slot delays,
-// level-0 and level-1 horizons, beyond-horizon delays that overflow into
-// the heap, lazy cancellations of pending events at all horizons, and
-// RunUntil stepping (which snaps the clock forward across quiet gaps).
-func wheelTrace(seed uint64, wheel bool, events int) []string {
-	s := New(seed)
-	s.SetTimerWheel(wheel)
+// timerQueue is what wheelTrace drives: the Sim, or refQueue below.
+type timerQueue interface {
+	Now() Time
+	After(d Time, fn func()) (cancel func())
+	RunUntil(end Time)
+	Drain()
+}
+
+// simQueue adapts the Sim to timerQueue.
+type simQueue struct{ *Sim }
+
+func (q simQueue) After(d Time, fn func()) func() {
+	ref := q.Sim.After(d, fn)
+	return func() { q.Cancel(ref) }
+}
+
+func (q simQueue) Drain() { q.Run(0) }
+
+// refEvent is one pending event of refQueue.
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	dead bool
+}
+
+// refHeap orders refEvents by (time, seq) for container/heap.
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// refQueue is the pop-order reference for the Sim: one binary heap on
+// (time, seq), no wheel, no same-instant side queue. Cancel marks an
+// event dead, and RunUntil leaves the clock at end.
+type refQueue struct {
+	now Time
+	seq uint64
+	h   refHeap
+}
+
+func (q *refQueue) Now() Time { return q.now }
+
+func (q *refQueue) After(d Time, fn func()) func() {
+	e := &refEvent{at: q.now + d, seq: q.seq, fn: fn}
+	q.seq++
+	heap.Push(&q.h, e)
+	return func() { e.dead = true }
+}
+
+// step fires the earliest live event due by end, discarding dead ones
+// on the way, and reports whether it fired one.
+func (q *refQueue) step(end Time) bool {
+	for len(q.h) > 0 && q.h[0].at <= end {
+		e := heap.Pop(&q.h).(*refEvent)
+		if e.dead {
+			continue
+		}
+		q.now = e.at
+		e.fn()
+		return true
+	}
+	return false
+}
+
+func (q *refQueue) RunUntil(end Time) {
+	for q.step(end) {
+	}
+	if q.now < end {
+		q.now = end
+	}
+}
+
+func (q *refQueue) Drain() {
+	for q.step(math.MaxInt64) {
+	}
+}
+
+// wheelTrace runs a randomized self-scheduling workload on q and records,
+// for every fired event, the (time, id) pair. The workload exercises
+// every routing path of the Sim's wheel+heap hybrid: zero-delay
+// continuations, sub-slot delays, level-0 and level-1 horizons,
+// beyond-horizon delays that overflow into the heap, lazy cancellations
+// of pending events at all horizons, and RunUntil stepping (which snaps
+// the clock forward across quiet gaps).
+func wheelTrace(q timerQueue, seed uint64, events int) []string {
 	r := NewRand(seed ^ 0x9e3779b97f4a7c15)
 	var order []string
-	var refs []EventRef
+	var cancels []func()
 	n := 0
 	var spawn func(id int)
 	spawn = func(id int) {
-		order = append(order, fmt.Sprintf("%d@%d", id, s.Now()))
+		order = append(order, fmt.Sprintf("%d@%d", id, q.Now()))
 		if n >= events {
 			return
 		}
@@ -43,29 +135,30 @@ func wheelTrace(seed uint64, wheel bool, events int) []string {
 			case 5:
 				d = Time(r.Intn(100)) * Millisecond // slot-aligned-ish
 			}
-			refs = append(refs, s.After(d, func() { spawn(id) }))
+			cancels = append(cancels, q.After(d, func() { spawn(id) }))
 		}
-		// Cancellation storm: kill a random pending ref now and then.
-		if len(refs) > 4 && r.Intn(3) == 0 {
-			s.Cancel(refs[r.Intn(len(refs))])
+		// Cancellation storm: kill a random pending event now and then.
+		if len(cancels) > 4 && r.Intn(3) == 0 {
+			cancels[r.Intn(len(cancels))]()
 		}
 	}
-	s.After(0, func() { spawn(0) })
+	q.After(0, func() { spawn(0) })
 	for end := Time(0); end < 2*Second; end += 100 * Millisecond {
-		s.RunUntil(end)
+		q.RunUntil(end)
 	}
-	s.Run(0)
+	q.Drain()
 	return order
 }
 
 // TestWheelPopOrderIdentity: across randomized cancel/reschedule storms,
-// the wheel+heap hybrid must fire the exact same events at the exact
-// same times in the exact same order as the pure heap. This is the
-// property that keeps golden campaign artifacts byte-identical.
+// the Sim's wheel+heap hybrid must fire the exact same events at the
+// exact same times in the exact same order as the pure-heap reference.
+// This is the property that keeps golden campaign artifacts
+// byte-identical.
 func TestWheelPopOrderIdentity(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		a := wheelTrace(seed, true, 30000)
-		b := wheelTrace(seed, false, 30000)
+		a := wheelTrace(simQueue{New(seed)}, seed, 30000)
+		b := wheelTrace(&refQueue{}, seed, 30000)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: fired %d events with wheel, %d without", seed, len(a), len(b))
 		}
@@ -128,20 +221,10 @@ func TestWheelCascadeOrdering(t *testing.T) {
 	}
 }
 
-// BenchmarkHeapPushPop: schedule/fire cost through the pure 4-ary heap
-// with a steady population of pending timers, the pre-wheel baseline.
-func BenchmarkHeapPushPop(b *testing.B) {
-	benchPushPop(b, false)
-}
-
-// BenchmarkWheelPushPop: the same workload through the timing wheel.
+// BenchmarkWheelPushPop: schedule/fire cost through the timing wheel
+// and heap with a steady population of pending timers.
 func BenchmarkWheelPushPop(b *testing.B) {
-	benchPushPop(b, true)
-}
-
-func benchPushPop(b *testing.B, wheel bool) {
 	s := New(1)
-	s.SetTimerWheel(wheel)
 	r := NewRand(7)
 	nop := func() {}
 	// Steady population of 4096 pending timers at mixed horizons, as the

@@ -2,40 +2,35 @@ package stats
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
 
 // Stable serialization for Sample and its streaming layer. The encoding
-// is exact — float64s travel as their IEEE-754 bit patterns (binary) or
-// Go's shortest round-trippable decimal form (JSON) — so a decoded
-// sample folds into downstream aggregation byte-identically to the
-// original. The campaign result cache depends on this exactness: a cell
-// replayed from the cache must produce the same artifact bytes as the
-// run that populated it.
+// is exact — float64s travel as their IEEE-754 bit patterns — so a
+// decoded sample folds into downstream aggregation byte-identically to
+// the original. The campaign result cache depends on this exactness: a
+// cell replayed from the cache must produce the same artifact bytes as
+// the run that populated it.
 //
-// What round-trips: the retained observations (in insertion order), the
-// unbounded flag, and the full streaming state (Welford accumulator,
-// exact min/max, histogram buckets) once spilled. What intentionally
-// does not: the sorted-order cache and its instrumentation counter —
-// both are lazily rebuilt and observationally irrelevant.
+// What round-trips: the retained observations (in insertion order) and
+// the full streaming state (Welford accumulator, exact min/max,
+// histogram buckets) once spilled. What intentionally does not: the
+// sorted-order cache and its instrumentation counter — both are lazily
+// rebuilt and observationally irrelevant.
 
 // sampleCodecVersion tags the binary encoding; bump on layout change.
 const sampleCodecVersion = 1
 
-const (
-	sampleFlagUnbounded = 1 << iota
-	sampleFlagSpilled
-)
+// sampleFlagSpilled is the only flag bit of the encoding. Bit 0 once
+// marked an unbounded sample; nothing writes it, and decoding rejects it
+// like any other unknown bit.
+const sampleFlagSpilled = 1 << 1
 
 // MarshalBinary encodes the sample. The encoding is deterministic: equal
 // samples produce equal bytes.
 func (s *Sample) MarshalBinary() ([]byte, error) {
 	var flags byte
-	if s.unbounded {
-		flags |= sampleFlagUnbounded
-	}
 	if s.str != nil {
 		flags |= sampleFlagSpilled
 	}
@@ -61,8 +56,11 @@ func (s *Sample) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("stats: unknown sample codec version %d", data[0])
 	}
 	flags := data[1]
+	if flags&^sampleFlagSpilled != 0 {
+		return fmt.Errorf("stats: unknown sample flags %#x", flags)
+	}
 	d := decoder{buf: data[2:]}
-	*s = Sample{unbounded: flags&sampleFlagUnbounded != 0}
+	*s = Sample{}
 	if flags&sampleFlagSpilled == 0 {
 		n := d.uvarint()
 		if n > uint64(len(d.buf)/8) {
@@ -173,85 +171,11 @@ func (d *decoder) finish(what string) error {
 	return nil
 }
 
-// sampleJSON is the JSON shape of a Sample: either the retained values
-// or the spilled stream, never both.
-type sampleJSON struct {
-	Unbounded bool        `json:"unbounded,omitempty"`
-	Values    []float64   `json:"values,omitempty"`
-	Stream    *streamJSON `json:"stream,omitempty"`
-}
-
-type streamJSON struct {
-	N       int64      `json:"n"`
-	Mean    float64    `json:"mean"`
-	M2      float64    `json:"m2"`
-	Min     float64    `json:"min"`
-	Max     float64    `json:"max"`
-	HistN   int64      `json:"hist_n"`
-	Buckets [][2]int64 `json:"buckets,omitempty"` // (index, count), ascending
-}
-
-// MarshalJSON encodes the sample as JSON. Values use Go's shortest
-// round-trippable float formatting, so decode restores exact bits.
-func (s *Sample) MarshalJSON() ([]byte, error) {
-	j := sampleJSON{Unbounded: s.unbounded}
-	if s.str == nil {
-		j.Values = s.xs
-		if j.Values == nil {
-			j.Values = []float64{}
-		}
-		return json.Marshal(j)
-	}
-	st := &streamJSON{
-		N: s.str.w.n, Mean: s.str.w.mean, M2: s.str.w.m2,
-		Min: s.str.min, Max: s.str.max, HistN: s.str.h.n,
-	}
-	for i, c := range s.str.h.counts {
-		if c != 0 {
-			st.Buckets = append(st.Buckets, [2]int64{int64(i), c})
-		}
-	}
-	j.Stream = st
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON decodes a MarshalJSON encoding, replacing the sample's
-// state.
-func (s *Sample) UnmarshalJSON(data []byte) error {
-	var j sampleJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.Stream != nil && len(j.Values) > 0 {
-		return fmt.Errorf("stats: sample JSON has both values and stream")
-	}
-	*s = Sample{unbounded: j.Unbounded}
-	if j.Stream == nil {
-		if len(j.Values) > 0 {
-			s.xs = j.Values
-		}
-		return nil
-	}
-	st := &Stream{
-		w:   Welford{n: j.Stream.N, mean: j.Stream.Mean, m2: j.Stream.M2},
-		min: j.Stream.Min, max: j.Stream.Max,
-	}
-	st.h.n = j.Stream.HistN
-	for _, b := range j.Stream.Buckets {
-		if b[0] < 0 || b[0] >= histBkts {
-			return fmt.Errorf("stats: sample JSON histogram bucket %d out of range", b[0])
-		}
-		st.h.counts[b[0]] = b[1]
-	}
-	s.str = st
-	return nil
-}
-
 // Equal reports whether two samples hold identical state: the same
 // retained observations in the same order, or the same spilled stream.
 // It is the oracle the round-trip tests use.
 func (s *Sample) Equal(o *Sample) bool {
-	if s.unbounded != o.unbounded || (s.str == nil) != (o.str == nil) {
+	if (s.str == nil) != (o.str == nil) {
 		return false
 	}
 	if s.str != nil {

@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,11 +10,8 @@ import (
 // randomSample builds a sample with n observations drawn from a mix of
 // magnitudes (sub-normal-ish tiny, ordinary, huge) so every histogram
 // region and float shape is exercised.
-func randomSample(rng *rand.Rand, n int, unbounded bool) *Sample {
+func randomSample(rng *rand.Rand, n int) *Sample {
 	var s Sample
-	if unbounded {
-		s.SetUnbounded()
-	}
 	for i := 0; i < n; i++ {
 		var x float64
 		switch rng.Intn(5) {
@@ -42,38 +39,36 @@ func TestSampleBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sizes := []int{0, 1, 2, 17, 1000, ExactCap, ExactCap + 1, ExactCap + 913}
 	for _, n := range sizes {
-		for _, unbounded := range []bool{false, true} {
-			s := randomSample(rng, n, unbounded)
-			blob, err := s.MarshalBinary()
-			if err != nil {
-				t.Fatalf("n=%d unbounded=%v: marshal: %v", n, unbounded, err)
-			}
-			var d Sample
-			if err := d.UnmarshalBinary(blob); err != nil {
-				t.Fatalf("n=%d unbounded=%v: unmarshal: %v", n, unbounded, err)
-			}
-			if !d.Equal(s) {
-				t.Fatalf("n=%d unbounded=%v: state differs after round trip", n, unbounded)
-			}
-			// Determinism: re-encoding yields the same bytes.
-			blob2, _ := d.MarshalBinary()
-			if string(blob) != string(blob2) {
-				t.Fatalf("n=%d unbounded=%v: encoding not deterministic", n, unbounded)
-			}
-			// Behavioral identity: statistics agree bit-for-bit, and the
-			// decoded sample keeps accumulating like the original.
-			checkSameStats(t, s, &d)
-			extra := rng.NormFloat64() * 10
-			s.Add(extra)
-			d.Add(extra)
-			checkSameStats(t, s, &d)
-			// Aggregation identity: merging the decoded copy into a fresh
-			// sample matches merging the original.
-			var m1, m2 Sample
-			m1.Merge(s)
-			m2.Merge(&d)
-			checkSameStats(t, &m1, &m2)
+		s := randomSample(rng, n)
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("n=%d: marshal: %v", n, err)
 		}
+		var d Sample
+		if err := d.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("n=%d: unmarshal: %v", n, err)
+		}
+		if !d.Equal(s) {
+			t.Fatalf("n=%d: state differs after round trip", n)
+		}
+		// Determinism: re-encoding yields the same bytes.
+		blob2, _ := d.MarshalBinary()
+		if string(blob) != string(blob2) {
+			t.Fatalf("n=%d: encoding not deterministic", n)
+		}
+		// Behavioral identity: statistics agree bit-for-bit, and the
+		// decoded sample keeps accumulating like the original.
+		checkSameStats(t, s, &d)
+		extra := rng.NormFloat64() * 10
+		s.Add(extra)
+		d.Add(extra)
+		checkSameStats(t, s, &d)
+		// Aggregation identity: merging the decoded copy into a fresh
+		// sample matches merging the original.
+		var m1, m2 Sample
+		m1.Merge(s)
+		m2.Merge(&d)
+		checkSameStats(t, &m1, &m2)
 	}
 }
 
@@ -95,37 +90,19 @@ func checkSameStats(t *testing.T, a, b *Sample) {
 	}
 }
 
-// TestSampleJSONRoundTrip mirrors the binary property through the JSON
-// encoding, which must also restore exact float bits.
-func TestSampleJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 3, 500, ExactCap + 7} {
-		s := randomSample(rng, n, false)
-		blob, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("n=%d: marshal: %v", n, err)
-		}
-		var d Sample
-		if err := json.Unmarshal(blob, &d); err != nil {
-			t.Fatalf("n=%d: unmarshal: %v", n, err)
-		}
-		if !d.Equal(s) {
-			t.Fatalf("n=%d: state differs after JSON round trip", n)
-		}
-		checkSameStats(t, s, &d)
-	}
-}
-
 // TestSampleDecodeRejectsGarbage: corrupted blobs error out instead of
 // panicking or silently truncating — the cache layer depends on decode
 // failures being clean misses.
 func TestSampleDecodeRejectsGarbage(t *testing.T) {
-	s := randomSample(rand.New(rand.NewSource(3)), 64, false)
+	s := randomSample(rand.New(rand.NewSource(3)), 64)
 	good, _ := s.MarshalBinary()
 	cases := [][]byte{
 		nil,
 		{},
 		{99, 0},            // bad version
+		{1, 1, 0},          // retired unbounded flag
+		{1, 4, 0},          // unknown flag
+		{1, 0x80, 0},       // unknown flag
 		good[:1],           // truncated header
 		good[:len(good)-3], // truncated payload
 		append(good, 1, 2, 3) /* trailing garbage */}
@@ -135,14 +112,27 @@ func TestSampleDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: corrupted blob decoded without error", i)
 		}
 	}
-	// A spilled sample with an out-of-range bucket index is rejected too.
-	sp := randomSample(rand.New(rand.NewSource(4)), ExactCap+10, false)
-	blob, _ := sp.MarshalBinary()
+	// A spilled sample with an out-of-range bucket index is rejected too;
+	// the same blob with the last valid index decodes.
+	spilled := func(bucket uint64) []byte {
+		b := []byte{sampleCodecVersion, sampleFlagSpilled, 1} // one observation
+		// mean, m2, min, max
+		for i := 0; i < 4; i++ {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		}
+		b = binary.AppendUvarint(b, 1) // histogram count
+		b = binary.AppendUvarint(b, 1) // non-zero buckets
+		b = binary.AppendUvarint(b, bucket)
+		return binary.AppendUvarint(b, 1)
+	}
 	var d Sample
-	if err := d.UnmarshalBinary(blob); err != nil {
+	if err := d.UnmarshalBinary(spilled(histBkts - 1)); err != nil {
 		t.Fatalf("spilled blob: %v", err)
 	}
 	if !d.Spilled() {
 		t.Fatal("decoded sample lost spilled state")
+	}
+	if err := d.UnmarshalBinary(spilled(histBkts)); err == nil {
+		t.Fatal("bucket index histBkts decoded without error")
 	}
 }

@@ -25,27 +25,16 @@ const ExactCap = 8192
 // ExactCap observations are retained exactly (with the sorted order
 // cached across quantile queries and invalidated by Add/Merge); past the
 // cap the retained values are folded into a Stream and further
-// observations go straight there. SetUnbounded opts a sample out of
-// spilling for tests that need exact quantiles at any size.
+// observations go straight there.
 //
 // A Sample is single-owner like the packets it measures: after it is
 // merged into another sample or copied, the source must not accumulate
 // further.
 type Sample struct {
-	xs        []float64
-	sorted    bool
-	unbounded bool
-	str       *Stream // non-nil once spilled
-	sorts     int     // sort invocations, for the cache regression test
-}
-
-// SetUnbounded opts the sample into unlimited exact retention (the
-// golden/exact path). It must be called before the cap is reached.
-func (s *Sample) SetUnbounded() {
-	if s.str != nil {
-		panic("stats: SetUnbounded after the sample spilled")
-	}
-	s.unbounded = true
+	xs     []float64
+	sorted bool
+	str    *Stream // non-nil once spilled
+	sorts  int     // sort invocations, for the cache regression test
 }
 
 // Spilled reports whether the sample has sealed into streaming mode.
@@ -67,7 +56,7 @@ func (s *Sample) Add(x float64) {
 		s.str.Add(x)
 		return
 	}
-	if !s.unbounded && len(s.xs) >= ExactCap {
+	if len(s.xs) >= ExactCap {
 		s.spill()
 		s.str.Add(x)
 		return
@@ -185,16 +174,13 @@ func (s *Sample) CDF(points int) [][2]float64 {
 }
 
 // Merge folds all observations from other into s. The merge stays exact
-// while the combined size fits the exact buffer (or s is unbounded and
-// other holds raw values); otherwise both sides seal into streams.
+// while the combined size fits the exact buffer; otherwise both sides
+// seal into streams.
 func (s *Sample) Merge(other *Sample) {
-	if s.str == nil && other.str == nil {
-		if s.unbounded || len(s.xs)+len(other.xs) <= ExactCap {
-			s.xs = append(s.xs, other.xs...)
-			s.sorted = false
-			return
-		}
-		s.spill()
+	if s.str == nil && other.str == nil && len(s.xs)+len(other.xs) <= ExactCap {
+		s.xs = append(s.xs, other.xs...)
+		s.sorted = false
+		return
 	}
 	if s.str == nil {
 		s.spill()
