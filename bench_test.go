@@ -11,11 +11,16 @@
 package repro
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/mac"
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -273,10 +278,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkAllocsPerPacket measures the steady-state cost of moving one
-// packet through each transmit-path scheme on the cmd/bench workload
-// (3-station UDP floods plus a ping). Run with -benchmem: allocs/op and
-// B/op divided by the reported pkts/op give the per-packet figures that
-// BENCH_3.json records; the pooled lifecycles keep them near zero.
+// packet through each transmit-path scheme on the udp-flood testbed
+// (50 Mbps of downstream UDP per station plus a ping). Run with
+// -benchmem: ns/op, allocs/op and B/op divided by the reported pkts/op
+// give the per-packet figures; the pooled lifecycles keep allocations
+// near zero.
 func BenchmarkAllocsPerPacket(b *testing.B) {
 	schemes := append(append([]mac.Scheme{}, mac.Schemes...), mac.SchemeDTT)
 	for _, scheme := range schemes {
@@ -285,14 +291,133 @@ func BenchmarkAllocsPerPacket(b *testing.B) {
 			b.ReportAllocs()
 			var pkts, events int64
 			for i := 0; i < b.N; i++ {
-				c := exp.NewBenchWorld(exp.BenchWorldConfig{
-					Scheme: scheme, Seed: uint64(i) + 1, Duration: 3 * sim.Second,
-				}).Run()
-				pkts += c.Packets
-				events += int64(c.Events)
+				n := exp.NewNet(exp.NetConfig{Seed: uint64(i) + 1, Scheme: scheme, Stations: exp.DefaultStations()})
+				for _, st := range n.Stations {
+					n.DownloadUDP(st, 50e6, pkt.ACBE)
+				}
+				n.Ping(n.Stations[0], 0, 1)
+				n.Run(3 * sim.Second)
+				pkts += n.AP.InputPackets
+				for _, st := range n.Stations {
+					pkts += st.Node.InputPackets
+				}
+				events += int64(n.Sim.EventsRun())
 			}
 			b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
 	}
+}
+
+// BenchmarkDenseScaling checks that the per-packet cost follows the
+// active stations, not the associated ones. It sweeps dense multi-BSS
+// worlds under the Airtime scheme from one 30-station cell to 1000
+// stations in 16 co-channel cells. Every world carries the same load:
+// 24 active fast stations, spread round-robin over the cells, share
+// 60 Mbps of downstream UDP, and each cell's slow station is pinged. A
+// hot loop that scans per-association or per-BSS state therefore shows
+// up as ns/pkt growing with the population. The benchmark fails when a
+// 1000-station point costs more than 1.5x the 30-station point per
+// packet.
+//
+// The worlds are built and warmed up outside the timed window. Then each
+// round runs every world for one window, timed directly, and a point's
+// figure is its fastest window. Interleaving the points puts a slow
+// spell of a shared machine into one round of every point rather than
+// into every window of one point.
+func BenchmarkDenseScaling(b *testing.B) {
+	const (
+		limit  = 1.5
+		rounds = 8
+		window = 10 * sim.Second
+	)
+	points := []struct{ stations, bsss int }{
+		{30, 1}, {120, 4}, {480, 8}, {1000, 8}, {1000, 16},
+	}
+	nsPerPkt := make([]float64, len(points))
+	for j := range nsPerPkt {
+		nsPerPkt[j] = math.Inf(1)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		worlds := make([]*exp.World, len(points))
+		for j, pt := range points {
+			worlds[j] = newDenseWorld(pt.stations, pt.bsss, uint64(i)+1)
+		}
+		runtime.GC()
+		b.StartTimer()
+		for k := 0; k < rounds; k++ {
+			for j, w := range worlds {
+				p0 := worldPackets(w)
+				start := time.Now()
+				w.Run(w.Sim.Now() + window)
+				ns := float64(time.Since(start).Nanoseconds())
+				nsPerPkt[j] = min(nsPerPkt[j], ns/float64(worldPackets(w)-p0))
+			}
+		}
+	}
+	for j, pt := range points {
+		r := nsPerPkt[j] / nsPerPkt[0]
+		b.ReportMetric(nsPerPkt[j], fmt.Sprintf("ns/pkt-%dsta-%dbss", pt.stations, pt.bsss))
+		if pt.stations >= 1000 && r > limit {
+			b.Errorf("%d stations / %d BSS cost %.2fx the %d-station ns/pkt (limit %.1fx)",
+				pt.stations, pt.bsss, r, points[0].stations, limit)
+		}
+	}
+}
+
+// newDenseWorld builds the dense world BenchmarkDenseScaling times and
+// runs it until its packet pool stops growing, so the timed window
+// measures the steady state rather than queue build-up.
+func newDenseWorld(stations, bsss int, seed uint64) *exp.World {
+	// 60 Mbps is below the medium's capacity at every point, so queues
+	// stay short and the run measures machinery, not standing buffers.
+	const active, offeredBps = 24, 60e6
+	w := exp.BuildWorld(exp.NetConfig{Seed: seed, Scheme: mac.SchemeAirtimeFQ, BSSs: exp.DenseTopology(stations, bsss)})
+	// Round-robin over the cells, fast stations only (station 0 of each
+	// cell is its slow client), so every BSS carries traffic.
+	var load []*exp.Station
+	for round := 1; len(load) < active; round++ {
+		added := false
+		for _, cell := range w.Cells {
+			if round < len(cell.Stations) && len(load) < active {
+				load = append(load, cell.Stations[round])
+				added = true
+			}
+		}
+		if !added {
+			break
+		}
+	}
+	for _, st := range load {
+		st.Cell.DownloadUDP(st, offeredBps/float64(len(load)), pkt.ACBE)
+	}
+	for _, cell := range w.Cells {
+		cell.Ping(cell.Stations[0], 0, cell.BSS+1)
+	}
+	w.Run(500 * sim.Millisecond)
+	pool := pkt.PoolOf(w.Sim)
+	prev := pool.Stats().News
+	for i := 0; i < 60; i++ {
+		w.Run(w.Sim.Now() + 500*sim.Millisecond)
+		news := pool.Stats().News
+		if news-prev < 16 {
+			break
+		}
+		prev = news
+	}
+	return w
+}
+
+// worldPackets counts the packets that have entered any MAC transmit
+// path of w.
+func worldPackets(w *exp.World) int64 {
+	var c int64
+	for _, cell := range w.Cells {
+		c += cell.AP.InputPackets
+	}
+	for _, st := range w.Stations {
+		c += st.Node.InputPackets
+	}
+	return c
 }

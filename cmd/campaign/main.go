@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -251,6 +252,10 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		fmt.Fprintln(os.Stderr, "campaign sweep: need at least one -axis name=v1,v2,...")
 		os.Exit(2)
 	}
+	if err := checkRanges(&o); err != nil {
+		fmt.Fprintf(os.Stderr, "campaign %s: %v\n", cmd, err)
+		os.Exit(2)
+	}
 	checkScenarios(reg, o.scenarios)
 
 	// SIGINT interrupts the campaign gracefully: in-flight cells drain
@@ -364,6 +369,28 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 			})
 		})
 	}
+}
+
+// checkRanges rejects the flag values campaign.Plan would silently
+// replace with its defaults (a zero or negative count, duration or
+// seed), negative worker counts, and durations too long for sim.Time's
+// int64 nanoseconds. !(x > 0) also rejects NaN.
+func checkRanges(o *options) error {
+	switch {
+	case o.reps < 1:
+		return fmt.Errorf("-reps must be at least 1, got %d", o.reps)
+	case !(o.dur > 0):
+		return fmt.Errorf("-dur must be a positive number of seconds, got %v", o.dur)
+	case !(o.warmup > 0):
+		return fmt.Errorf("-warmup must be a positive number of seconds, got %v", o.warmup)
+	case (o.dur+o.warmup)*float64(sim.Second) >= math.MaxInt64:
+		return fmt.Errorf("-dur %v plus -warmup %v seconds overflow simulated time", o.dur, o.warmup)
+	case o.seed == 0:
+		return errors.New("-seed must be nonzero")
+	case o.workers < 0:
+		return fmt.Errorf("-workers must be 0 (GOMAXPROCS) or more, got %d", o.workers)
+	}
+	return nil
 }
 
 // checkScenarios rejects unknown -s names up front with a did-you-mean

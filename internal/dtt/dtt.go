@@ -40,7 +40,6 @@ type Scheduler struct {
 	Quantum sim.Time
 
 	head, tail *Entry // circular service list (singly linked, head = next)
-	entries    []*Entry
 }
 
 // New returns a scheduler with the default quantum.
@@ -55,9 +54,7 @@ func (s *Scheduler) quantum() sim.Time {
 
 // Register adds a station with its backlog probe.
 func (s *Scheduler) Register(backlogged func() bool) *Entry {
-	e := &Entry{backlogged: backlogged}
-	s.entries = append(s.entries, e)
-	return e
+	return &Entry{backlogged: backlogged}
 }
 
 // Activate marks e as backlogged. Entries joining the rotation start with

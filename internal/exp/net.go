@@ -137,8 +137,8 @@ type World struct {
 // pre-sized for when a CBR load attaches: an over-subscribed flow holds
 // on the order of a second of its offered packets queued before the AQM
 // and the global limit bite, and growing the free list one packet at a
-// time through that build-up is what cooled FQ-CoDel's pool reuse to 72%
-// against FIFO's 97% in BENCH_5.
+// time through that build-up once cooled FQ-CoDel's pool reuse to 72%
+// against FIFO's 97% over a 3 s udp-flood world.
 const poolPrewarmHorizon = 1 * sim.Second
 
 // poolPrewarmCap bounds the pre-sized packets per world; beyond the

@@ -37,9 +37,6 @@ func NewWeightedAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
 	return a
 }
 
-// Inner exposes the wrapped scheduler (for tests and tracing).
-func (a *Airtime) Inner() *airtime.Scheduler { return a.inner }
-
 func (a *Airtime) station(e *Entry) *airtime.Station { return e.impl.(*airtime.Station) }
 
 // Register implements StationScheduler.

@@ -24,9 +24,6 @@ func NewDTT(quantum sim.Time) *DTT {
 	}
 }
 
-// Inner exposes the wrapped scheduler (for tests and tracing).
-func (d *DTT) Inner() *dtt.Scheduler { return d.inner }
-
 func (d *DTT) entry(e *Entry) *dtt.Entry { return e.impl.(*dtt.Entry) }
 
 // Register implements StationScheduler.
