@@ -22,6 +22,12 @@ var goldenArtifacts = map[string]string{
 	"udp":      "b0a875a71ad3d63462b37e0cc6e2f79e132d56e755f16e25a954d142c78be80e",
 	"fairness": "f1a7a6d0dadc7c217f21a0fd9d6f358e1a1bfe2852a6c3772769c4e49fc3e20a",
 	"latency":  "94c9c9351f4746693a6654fe1626e4a8add5b60a93e821ba39d59c52966f5718",
+	// Every shipped station scheduler beyond the paper's plain Airtime:
+	// the round-robin ablation, weighted airtime at a weight below and
+	// above 1, and DTT, under weights and under bidirectional TCP.
+	// Captured before the airtime and DTT packages were folded into
+	// sched, so grant order is pinned for every policy.
+	"schedulers": "5fdc161d892a82670341fa835633200afe65b710ac66cbc9ae5a66e905366fc1",
 }
 
 var fivePaperSchemes = []string{"FIFO", "FQ-CoDel", "FQ-MAC", "Airtime", "DTT"}
@@ -50,6 +56,19 @@ func TestGoldenDeterminismAcrossRefactor(t *testing.T) {
 		"udp":      goldenPlan("udp", map[string][]string{"rate-mbps": {"20"}}),
 		"fairness": goldenPlan("fairness", map[string][]string{"traffic": {"tcp-down"}}),
 		"latency":  goldenPlan("latency", map[string][]string{"dir": {"down"}}),
+		"schedulers": {
+			Scenarios: []string{"weighted-udp", "fairness"},
+			Overrides: map[string][]string{
+				"scheme":      {"Airtime-RR", "Weighted-Airtime", "DTT"},
+				"slow-weight": {"0.5", "2"},
+				"traffic":     {"tcp-bidir"},
+			},
+			Reps:     2,
+			Duration: 2 * sim.Second,
+			Warmup:   1 * sim.Second,
+			BaseSeed: 7,
+			Workers:  4,
+		},
 	}
 	for name, plan := range plans {
 		plan := plan
