@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/airtime"
 	"repro/internal/channel"
 	"repro/internal/mactid"
 	"repro/internal/minstrel"
@@ -125,7 +124,7 @@ func (c *Config) fill() {
 		c.DriverBuf = 128
 	}
 	if c.AirtimeQuantum <= 0 {
-		c.AirtimeQuantum = airtime.DefaultQuantum
+		c.AirtimeQuantum = sched.DefaultQuantum
 	}
 	if c.SlowRateThreshold <= 0 {
 		c.SlowRateThreshold = 12e6
@@ -349,13 +348,14 @@ func (n *Node) SetRate(s *Station, rate phy.Rate) {
 }
 
 // SetStationWeight sets the station's relative airtime weight (0 or 1 =
-// the default equal share). Weights take effect only under schemes whose
-// scheduler honours them (sched.Weighted), such as Weighted-Airtime; the
-// paper's schemes ignore them.
+// the default equal share; see sched.CheckWeight for the bound). It sets
+// sched.Entry.Weight on every access category's entry, which only the
+// weighted airtime scheduler reads (Weighted-Airtime); the paper's
+// schemes ignore it.
 func (n *Node) SetStationWeight(s *Station, weight float64) {
 	for ac := 0; ac < pkt.NumACs; ac++ {
-		if ws, ok := n.sched[ac].(sched.Weighted); ok && s.tids[ac].schedEntry != nil {
-			ws.SetWeight(s.tids[ac].schedEntry, weight)
+		if e := s.tids[ac].schedEntry; e != nil {
+			e.Weight = weight
 		}
 	}
 }

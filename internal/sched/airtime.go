@@ -1,81 +1,123 @@
 package sched
 
-import (
-	"repro/internal/airtime"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
-// Airtime adapts the paper's deficit airtime scheduler (§3.2,
-// Algorithm 3) to the StationScheduler interface. It charges actual
-// airtime in both directions — the accuracy improvement over DTT — and,
-// when Weighted is set, scales each station's per-round deficit
-// replenishment by its weight.
+// Airtime is the paper's deficit airtime scheduler (§3.2, Algorithm 3).
+//
+// It is modelled on FQ-CoDel's deficit round-robin, with stations taking
+// the place of flows and the deficit accounted in microseconds of airtime
+// instead of bytes. The MAC charges every transmitted and received
+// frame's true airtime against the owning station's deficit — the
+// accuracy improvement over DTT — and Next decides which station builds
+// the next aggregate.
+//
+// With the sparse-station optimisation (advantage 3 in §3.2), a station
+// that was completely idle enters the new-stations list and gets priority
+// for one scheduling round, with the same anti-gaming rule as FQ-CoDel's
+// sparse-flow mechanism: on emptying it moves to the old list, so it
+// cannot bounce between idle and priority.
+//
+// The weighted variant scales each station's per-round replenishment by
+// its Entry.Weight (the policy knob the ath9k implementation exposes);
+// the plain variant ignores weights, so the paper's scheme cannot be
+// skewed by weights configured on stations.
 type Airtime struct {
-	inner *airtime.Scheduler
-	// weighted enables the per-station weight knob; the plain Airtime
-	// scheme keeps it off so weights set on stations have no effect.
-	weighted bool
-	owner    map[*airtime.Station]*Entry
+	quantum   sim.Time
+	sparseOpt bool
+	weighted  bool
+
+	newL, oldL list
 }
 
 // NewAirtime returns the paper's airtime scheduler with the given quantum
-// (0 = default) and sparse-station optimisation setting.
+// (0 = DefaultQuantum) and sparse-station optimisation setting.
 func NewAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
-	return &Airtime{
-		inner: &airtime.Scheduler{Quantum: quantum, SparseOpt: sparseOpt},
-		owner: make(map[*airtime.Station]*Entry),
-	}
+	return &Airtime{quantum: quantumOr(quantum), sparseOpt: sparseOpt}
 }
 
 // NewWeightedAirtime returns the airtime scheduler with the per-station
-// weight knob enabled (SetWeight scales a station's deficit
+// weight knob enabled: Entry.Weight scales a station's deficit
 // replenishment, giving it a proportionally larger or smaller airtime
-// share).
+// share.
 func NewWeightedAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
 	a := NewAirtime(quantum, sparseOpt)
 	a.weighted = true
 	return a
 }
 
-func (a *Airtime) station(e *Entry) *airtime.Station { return e.impl.(*airtime.Station) }
-
-// Register implements StationScheduler.
-func (a *Airtime) Register(backlogged func() bool) *Entry {
-	st := &airtime.Station{Backlogged: backlogged}
-	e := &Entry{impl: st}
-	a.owner[st] = e
-	return e
+// replenish is the deficit e earns per round.
+func (a *Airtime) replenish(e *Entry) sim.Time {
+	if !a.weighted || e.Weight <= 0 || e.Weight == 1 {
+		return a.quantum
+	}
+	return sim.Time(float64(a.quantum) * e.Weight)
 }
 
-// Activate implements StationScheduler.
-func (a *Airtime) Activate(e *Entry) { a.inner.Activate(a.station(e)) }
+// Register implements StationScheduler.
+func (a *Airtime) Register(backlogged func() bool) *Entry { return newEntry(backlogged) }
 
-// Next implements StationScheduler.
-func (a *Airtime) Next() *Entry {
-	st := a.inner.Next()
-	if st == nil {
-		return nil
+// Activate implements StationScheduler. A newly backlogged station starts
+// with one round's deficit on the new-stations list when the sparse
+// optimisation is on, the old list otherwise.
+//
+//hj17:hotpath
+func (a *Airtime) Activate(e *Entry) {
+	if e.listed {
+		return
 	}
-	return a.owner[st]
+	e.balance = a.replenish(e)
+	if a.sparseOpt {
+		a.newL.pushTail(e)
+	} else {
+		a.oldL.pushTail(e)
+	}
+}
+
+// Next implements StationScheduler, applying Algorithm 3's deficit and
+// list rotation rules. The chosen station stays at the head of its list,
+// so it keeps the turn until its deficit is exhausted or its queue
+// empties.
+//
+//hj17:hotpath
+func (a *Airtime) Next() *Entry {
+	for {
+		l := &a.newL
+		if l.head == nil {
+			l = &a.oldL
+		}
+		e := l.head
+		if e == nil {
+			return nil
+		}
+		if e.balance <= 0 {
+			e.balance += a.replenish(e)
+			l.popHead()
+			a.oldL.pushTail(e)
+			continue
+		}
+		if !e.backlogged() {
+			l.popHead()
+			if l == &a.newL {
+				// Anti-gaming rule: an emptying sparse station moves to
+				// the old list rather than leaving the scheduler, so it
+				// cannot re-enter the priority list immediately.
+				a.oldL.pushTail(e)
+			}
+			continue
+		}
+		return e
+	}
 }
 
 // ChargeTx implements StationScheduler; the wall-clock duration is
 // ignored, only true airtime counts.
-func (a *Airtime) ChargeTx(e *Entry, air, _ sim.Time) {
-	a.inner.ChargeTx(a.station(e), air)
-}
+//
+//hj17:hotpath
+func (a *Airtime) ChargeTx(e *Entry, air, _ sim.Time) { e.balance -= air }
 
-// ChargeRx implements StationScheduler.
-func (a *Airtime) ChargeRx(e *Entry, air sim.Time) {
-	a.inner.ChargeRx(a.station(e), air)
-}
-
-// SetWeight implements Weighted. On a plain (unweighted) Airtime
-// scheduler it is a no-op, so the paper's scheme is unaffected by weights
-// configured on stations.
-func (a *Airtime) SetWeight(e *Entry, weight float64) {
-	if !a.weighted {
-		return
-	}
-	a.station(e).Weight = weight
-}
+// ChargeRx implements StationScheduler. Accounting received frames lets
+// the scheduler partially compensate for upstream traffic it cannot
+// directly control (§4.1.2).
+//
+//hj17:hotpath
+func (a *Airtime) ChargeRx(e *Entry, air sim.Time) { e.balance -= air }

@@ -9,91 +9,44 @@ import "repro/internal/sim"
 // accounting versus mere per-station scheduling — round-robin equalises
 // transmission opportunities, so slow stations still consume far more
 // than an equal airtime share.
-type RoundRobin struct {
-	head, tail *rrEntry
-}
-
-type rrEntry struct {
-	entry      *Entry
-	backlogged func() bool
-	active     bool
-	next       *rrEntry
-
-	// Turns counts scheduling grants (for tests and tracing).
-	Turns int
-}
+type RoundRobin struct{ rot list }
 
 // NewRoundRobin returns the round-robin baseline scheduler.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
-func (r *RoundRobin) get(e *Entry) *rrEntry { return e.impl.(*rrEntry) }
-
 // Register implements StationScheduler.
-func (r *RoundRobin) Register(backlogged func() bool) *Entry {
-	re := &rrEntry{backlogged: backlogged}
-	re.entry = &Entry{impl: re}
-	return re.entry
-}
+func (r *RoundRobin) Register(backlogged func() bool) *Entry { return newEntry(backlogged) }
 
 // Activate implements StationScheduler.
+//
+//hj17:hotpath
 func (r *RoundRobin) Activate(e *Entry) {
-	re := r.get(e)
-	if re.active {
-		return
+	if !e.listed {
+		r.rot.pushTail(e)
 	}
-	re.active = true
-	r.pushTail(re)
-}
-
-func (r *RoundRobin) pushTail(re *rrEntry) {
-	re.next = nil
-	if r.tail == nil {
-		r.head = re
-	} else {
-		r.tail.next = re
-	}
-	r.tail = re
-}
-
-func (r *RoundRobin) popHead() *rrEntry {
-	re := r.head
-	if re == nil {
-		return nil
-	}
-	r.head = re.next
-	if r.head == nil {
-		r.tail = nil
-	}
-	re.next = nil
-	return re
 }
 
 // Next implements StationScheduler: the first backlogged station in the
 // rotation gets one turn and moves to the tail. Stations whose backlog
 // has drained leave the rotation (they re-enter via Activate).
+//
+//hj17:hotpath
 func (r *RoundRobin) Next() *Entry {
-	for {
-		re := r.head
-		if re == nil {
-			return nil
+	for e := r.rot.popHead(); e != nil; e = r.rot.popHead() {
+		if e.backlogged() {
+			r.rot.pushTail(e)
+			return e
 		}
-		if !re.backlogged() {
-			r.popHead()
-			re.active = false
-			continue
-		}
-		r.popHead()
-		r.pushTail(re)
-		re.Turns++
-		return re.entry
 	}
+	return nil
 }
 
 // ChargeTx implements StationScheduler; round-robin keeps no accounts.
+//
+//hj17:hotpath
 func (r *RoundRobin) ChargeTx(*Entry, sim.Time, sim.Time) {}
 
 // ChargeRx implements StationScheduler; round-robin keeps no accounts.
+//
+//hj17:hotpath
 func (r *RoundRobin) ChargeRx(*Entry, sim.Time) {}
-
-// Queued reports whether any entry is in rotation (for tests).
-func (r *RoundRobin) Queued() bool { return r.head != nil }

@@ -1,19 +1,48 @@
-// Package sched defines the station-scheduler side of the pluggable
+// Package sched implements the station-scheduler side of the pluggable
 // transmit path: the StationScheduler interface the MAC drives when it
 // decides which station builds the next aggregate, and the three
-// implementations the repository ships — the paper's deficit airtime
-// scheduler (§3.2), the DTT comparison baseline (Garroppo et al.) and a
-// trivial round-robin baseline that isolates how much of the paper's
-// gains come from deficit accounting versus mere per-station scheduling.
+// policies the repository ships — the paper's deficit airtime scheduler
+// (§3.2, Algorithm 3, plain and weighted), the DTT comparison baseline
+// (Garroppo et al.) and a round-robin baseline that isolates how much of
+// the paper's gains come from deficit accounting versus mere per-station
+// scheduling.
 //
-// The MAC registers one Entry per (station, access category) pair and
-// talks to the scheduler exclusively through entries; schedulers keep
-// their own per-entry state behind the opaque impl field. New scheduler
-// policies plug into the MAC by composing a scheme via mac.RegisterScheme
-// — no MAC changes required.
+// Every policy is a rotation of Entry values on an intrusive list. The
+// MAC registers one Entry per (station, access category) pair and talks
+// to the scheduler exclusively through entries. New policies plug into
+// the MAC by composing a scheme via mac.RegisterScheme — no MAC changes
+// required.
 package sched
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
+
+// DefaultQuantum is the airtime (Airtime) or transmission time (DTT)
+// replenished per round. It matches the granularity used by the ath9k
+// implementation; fairness is independent of the exact value, which only
+// trades scheduling granularity for overhead.
+const DefaultQuantum = 300 * sim.Microsecond
+
+// MinWeight and MaxWeight bound a station's airtime weight: the span that
+// mac80211's 16-bit airtime weight gives around its default of 256.
+// Outside it the weighted deficit replenishment truncates to zero or
+// overflows, and a station that never earns credit stalls the scheduler.
+const (
+	MinWeight = 1.0 / 256
+	MaxWeight = 256
+)
+
+// CheckWeight rejects a station weight outside [MinWeight, MaxWeight],
+// NaN and the infinities included.
+func CheckWeight(w float64) error {
+	if !(w >= MinWeight && w <= MaxWeight) {
+		return fmt.Errorf("weight %v outside [1/256, 256]", w)
+	}
+	return nil
+}
 
 // Entry is one station's handle within a StationScheduler. The registrar
 // (the MAC) supplies the backlog probe at Register time and may attach
@@ -23,8 +52,18 @@ type Entry struct {
 	// here so Next results translate back to stations.
 	User any
 
-	// impl is the scheduler-private per-entry state.
-	impl any
+	// Weight scales the station's deficit replenishment under the
+	// weighted Airtime policy: a station with weight 2 earns twice the
+	// airtime share of a weight-1 station. Zero means the default weight
+	// of 1; other policies ignore it. Callers bound it with CheckWeight.
+	Weight float64
+
+	backlogged func() bool
+	next       *Entry
+	listed     bool
+	// balance is Airtime's deficit and DTT's token credit: the entry
+	// may transmit while it is positive.
+	balance sim.Time
 }
 
 // StationScheduler schedules the stations of one access category: the
@@ -53,9 +92,62 @@ type StationScheduler interface {
 	ChargeRx(e *Entry, air sim.Time)
 }
 
-// Weighted is implemented by schedulers that honour per-station share
-// weights (the policy knob the ath9k airtime scheduler exposes). A weight
-// of 0 means the default weight of 1.
-type Weighted interface {
-	SetWeight(e *Entry, weight float64)
+func newEntry(backlogged func() bool) *Entry { return &Entry{backlogged: backlogged} }
+
+func quantumOr(q sim.Time) sim.Time {
+	if q > 0 {
+		return q
+	}
+	return DefaultQuantum
+}
+
+// list is a singly linked FIFO of entries threaded through Entry.next.
+// An entry is on at most one list at a time, and Entry.listed records
+// whether it is on one.
+type list struct{ head, tail *Entry }
+
+//hj17:hotpath
+func (l *list) pushTail(e *Entry) {
+	e.next = nil
+	e.listed = true
+	if l.tail == nil {
+		l.head = e
+	} else {
+		l.tail.next = e
+	}
+	l.tail = e
+}
+
+//hj17:hotpath
+func (l *list) pushFront(e *Entry) {
+	e.next = l.head
+	e.listed = true
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
+	}
+}
+
+//hj17:hotpath
+func (l *list) popHead() *Entry {
+	e := l.head
+	if e == nil {
+		return nil
+	}
+	l.head = e.next
+	if l.head == nil {
+		l.tail = nil
+	}
+	e.next = nil
+	e.listed = false
+	return e
+}
+
+//hj17:hotpath
+func (l *list) len() int {
+	n := 0
+	for e := l.head; e != nil; e = e.next {
+		n++
+	}
+	return n
 }
