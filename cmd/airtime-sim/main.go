@@ -18,6 +18,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/mac"
 	"repro/internal/phy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -71,7 +72,7 @@ func main() {
 	warm := flag.Float64("warmup", 3, "warmup seconds")
 	seed := flag.Uint64("seed", 1, "random seed")
 	loss := flag.Float64("mpdu-loss", 0, "per-MPDU random loss probability")
-	slowWeight := flag.Float64("slow-weight", 0, "airtime weight of slow stations (weighted schemes only; 0 = default 1)")
+	slowWeight := flag.Float64("slow-weight", 0, "airtime weight of slow stations, in [1/256, 256] (weighted schemes only; 0 = default 1)")
 	amsdu := flag.Int("amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
 	traceN := flag.Int("trace", 0, "dump the last N AP trace events")
 	flag.Parse()
@@ -85,6 +86,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if *slowWeight != 0 {
+		if err := sched.CheckWeight(*slowWeight); err != nil {
+			fmt.Fprintln(os.Stderr, "-slow-weight:", err)
+			os.Exit(2)
+		}
 	}
 
 	var specs []exp.StationSpec
@@ -101,7 +108,7 @@ func main() {
 	for i := 0; i < *slow; i++ {
 		name := fmt.Sprintf("slow%d", i+1)
 		specs = append(specs, exp.StationSpec{Name: name, Rate: slowRate})
-		if *slowWeight > 0 {
+		if *slowWeight != 0 {
 			weights[name] = *slowWeight
 		}
 	}

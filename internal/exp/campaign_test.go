@@ -101,6 +101,12 @@ func TestScenarioParamErrors(t *testing.T) {
 		{"sparse", "bulk", "tpc"},
 		{"sparse", "opt", "of"},
 		{"scale", "stations", "2"},
+		// Weights outside [1/256, 256] once stalled the weighted
+		// scheduler forever: replenishment truncated to zero or
+		// overflowed, so the deficit never turned positive.
+		{"weighted-udp", "slow-weight", "Inf"},
+		{"weighted-udp", "slow-weight", "1e30"},
+		{"weighted-udp", "slow-weight", "1e-7"},
 	} {
 		_, err := NewRegistry().Execute(campaign.Plan{
 			Scenarios: []string{tc.scenario},

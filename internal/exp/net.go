@@ -20,6 +20,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/pkt"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/traffic"
@@ -81,7 +82,9 @@ type NetConfig struct {
 
 	// Weights assigns relative airtime weights by station name. Only
 	// schemes whose scheduler honours weights (Weighted-Airtime) are
-	// affected; the paper's schemes ignore them.
+	// affected; the paper's schemes ignore them. A listed weight must lie
+	// in [sched.MinWeight, sched.MaxWeight], or BuildWorld panics; an
+	// unlisted station keeps the default weight 1.
 	Weights map[string]float64
 }
 
@@ -214,6 +217,9 @@ func BuildWorld(cfg NetConfig) *World {
 		if st == nil {
 			panic(fmt.Sprintf("exp: Weights names unknown station %q (stations: %s)",
 				name, strings.Join(w.StationNames(), ", ")))
+		}
+		if err := sched.CheckWeight(weight); err != nil {
+			panic(fmt.Sprintf("exp: Weights[%q]: %v", name, err))
 		}
 		st.Cell.AP.SetStationWeight(st.APView, weight)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
+	"repro/internal/sched"
 )
 
 // udpInstance composes the one-way UDP flood experiment behind Figure 5
@@ -67,8 +68,11 @@ func SpecWeightedUDP() *Spec {
 				return nil, err
 			}
 			w, err := p.Float("slow-weight")
-			if err != nil || !(w > 0) {
-				return nil, fmt.Errorf("bad slow-weight %q", p.Str("slow-weight"))
+			if err != nil {
+				return nil, err
+			}
+			if err := sched.CheckWeight(w); err != nil {
+				return nil, fmt.Errorf("bad slow-weight: %w", err)
 			}
 			inst := udpInstance(scheme, 50e6, map[string]float64{"slow": w})
 			inst.Probes = []Probe{

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -166,4 +168,28 @@ func TestBSSBusyDeltas(t *testing.T) {
 			t.Errorf("BSS %d busy share = %.3f, want a real slice of the medium", b, s)
 		}
 	}
+}
+
+// TestBuildWorldRejectsBadWeights: library callers reach the weighted
+// scheduler through NetConfig.Weights, so BuildWorld panics on a weight
+// outside the scheduler's bound, as it does on an unknown station name.
+func TestBuildWorldRejectsBadWeights(t *testing.T) {
+	build := func(w float64) {
+		BuildWorld(NetConfig{
+			Seed: 1, Scheme: SchemeWeightedAirtime, Stations: DefaultStations(),
+			Weights: map[string]float64{"slow": w},
+		})
+	}
+	for _, w := range []float64{math.Inf(1), 1e30, 1e-7, 0, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("weight %v accepted", w)
+				}
+			}()
+			build(w)
+		}()
+	}
+	build(sched.MinWeight)
+	build(sched.MaxWeight)
 }
