@@ -46,6 +46,8 @@ func NewWeightedAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
 }
 
 // replenish is the deficit e earns per round.
+//
+//hj17:hotpath
 func (a *Airtime) replenish(e *Entry) sim.Time {
 	if !a.weighted || e.Weight <= 0 || e.Weight == 1 {
 		return a.quantum
