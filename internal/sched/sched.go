@@ -27,9 +27,9 @@ import (
 const DefaultQuantum = 300 * sim.Microsecond
 
 // MinWeight and MaxWeight bound a station's airtime weight: the span that
-// mac80211's 16-bit airtime weight gives around its default of 256.
-// Outside it the weighted deficit replenishment truncates to zero or
-// overflows, and a station that never earns credit stalls the scheduler.
+// mac80211's 16-bit airtime weight gives around its default of 256. Far
+// enough outside it the weighted deficit replenishment truncates to zero
+// or overflows, and a station that never earns credit stalls Next.
 const (
 	MinWeight = 1.0 / 256
 	MaxWeight = 256
