@@ -56,7 +56,9 @@ func (a *Airtime) replenish(e *Entry) sim.Time {
 }
 
 // Register implements StationScheduler.
-func (a *Airtime) Register(backlogged func() bool) *Entry { return newEntry(backlogged) }
+func (a *Airtime) Register(backlogged func() bool) *Entry {
+	return &Entry{backlogged: backlogged}
+}
 
 // Activate implements StationScheduler. A newly backlogged station starts
 // with one round's deficit on the new-stations list when the sparse

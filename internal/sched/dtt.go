@@ -26,7 +26,9 @@ type DTT struct {
 func NewDTT(quantum sim.Time) *DTT { return &DTT{quantum: quantumOr(quantum)} }
 
 // Register implements StationScheduler.
-func (d *DTT) Register(backlogged func() bool) *Entry { return newEntry(backlogged) }
+func (d *DTT) Register(backlogged func() bool) *Entry {
+	return &Entry{backlogged: backlogged}
+}
 
 // Activate implements StationScheduler. Entries joining the rotation
 // start with one quantum of credit.

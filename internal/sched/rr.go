@@ -15,7 +15,9 @@ type RoundRobin struct{ rot list }
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Register implements StationScheduler.
-func (r *RoundRobin) Register(backlogged func() bool) *Entry { return newEntry(backlogged) }
+func (r *RoundRobin) Register(backlogged func() bool) *Entry {
+	return &Entry{backlogged: backlogged}
+}
 
 // Activate implements StationScheduler.
 //

@@ -92,8 +92,6 @@ type StationScheduler interface {
 	ChargeRx(e *Entry, air sim.Time)
 }
 
-func newEntry(backlogged func() bool) *Entry { return &Entry{backlogged: backlogged} }
-
 func quantumOr(q sim.Time) sim.Time {
 	if q > 0 {
 		return q
