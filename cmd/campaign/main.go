@@ -9,8 +9,6 @@
 //	campaign run  [-s udp -s fairness] [-reps 10] [-dur 30] [-workers 8]
 //	              [-out results.json] [-csv results.csv]
 //	campaign sweep -s udp -axis scheme=FIFO,Airtime -axis rate-mbps=10,50,100
-//	campaign run  -journal c.journal ...      # checkpoint as cells finish
-//	campaign run  -journal c.journal -resume  # replay it, run the rest
 //
 // describe prints a scenario's declarative composition — its stations,
 // workloads, probes, parameter axes and emitted metric names — from
@@ -18,21 +16,20 @@
 // run plus axis overrides. Aggregated output (JSON/CSV artifacts and
 // the printed table) is byte-identical for any -workers value: per-run
 // seeds derive from job coordinates and aggregation folds in matrix
-// order. The same contract extends across the result cache and the
-// resume journal: cold, warm-cache and resumed executions of one
-// campaign produce byte-identical artifacts.
+// order. The same contract extends across the result cache: cold,
+// warm-cache and interrupted-then-rerun executions of one campaign
+// produce byte-identical artifacts.
 //
 // Results are cached by default under os.UserCacheDir()/hj17, keyed by
-// (scenario, canonicalized params, rep, seed, code fingerprint); rerun
-// a campaign and only never-seen cells simulate. -no-cache opts out,
-// -cache-dir relocates the store, and -fingerprint overrides the code
-// fingerprint for development builds that go vcs-stamping cannot tell
-// apart.
+// (scenario, canonicalized params, rep, seed, code fingerprint), where
+// the code fingerprint is the SHA-256 of this executable's bytes: rerun
+// a campaign and only never-seen cells simulate, and rebuilding after
+// an edit recomputes everything. -no-cache opts out and -cache-dir
+// relocates the store.
 //
 // SIGINT interrupts a run gracefully: in-flight cells drain into the
-// -journal checkpoint stream and the process exits with status 130 and
-// a resume hint — rerun with -resume to pick up where it stopped. A
-// journal whose tail was torn by a crash resumes from its valid prefix.
+// cache and the process exits with status 130 — rerun the same command
+// to simulate only the rest. Under -no-cache nothing is kept.
 package main
 
 import (
@@ -50,7 +47,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/cache"
-	"repro/internal/campaign/journal"
 	"repro/internal/exp"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -204,22 +200,19 @@ func schemes(args []string) {
 }
 
 type options struct {
-	scenarios   stringList
-	axes        axisOverrides
-	reps        int
-	dur         float64
-	warmup      float64
-	seed        uint64
-	workers     int
-	out         string
-	csv         string
-	quiet       bool
-	cacheDir    string
-	noCache     bool
-	fingerprint string
-	journalPath string
-	resume      bool
-	statsOut    string
+	scenarios stringList
+	axes      axisOverrides
+	reps      int
+	dur       float64
+	warmup    float64
+	seed      uint64
+	workers   int
+	out       string
+	csv       string
+	quiet     bool
+	cacheDir  string
+	noCache   bool
+	statsOut  string
 }
 
 func executeFlags(o *options) *flag.FlagSet {
@@ -237,9 +230,6 @@ func executeFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.quiet, "q", false, "suppress progress output")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "result cache directory (default <user cache dir>/hj17)")
 	fs.BoolVar(&o.noCache, "no-cache", false, "disable the content-addressed result cache")
-	fs.StringVar(&o.fingerprint, "fingerprint", "", "override the code fingerprint cache keys use")
-	fs.StringVar(&o.journalPath, "journal", "", "checkpoint completed cells to this file")
-	fs.BoolVar(&o.resume, "resume", false, "replay the -journal file and run only the remainder")
 	fs.StringVar(&o.statsOut, "stats-out", "", "write execution stats JSON (cache hits, wall time) to this path")
 	return fs
 }
@@ -259,20 +249,19 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 	checkScenarios(reg, o.scenarios)
 
 	// SIGINT interrupts the campaign gracefully: in-flight cells drain
-	// into the journal and the process exits resumable.
+	// into the cache, so a rerun simulates only the rest.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
 	plan := campaign.Plan{
-		Scenarios:   o.scenarios,
-		Overrides:   o.axes,
-		Reps:        o.reps,
-		Duration:    sim.Time(o.dur * float64(sim.Second)),
-		Warmup:      sim.Time(o.warmup * float64(sim.Second)),
-		BaseSeed:    o.seed,
-		Workers:     o.workers,
-		Fingerprint: o.fingerprint,
-		Context:     ctx,
+		Scenarios: o.scenarios,
+		Overrides: o.axes,
+		Reps:      o.reps,
+		Duration:  sim.Time(o.dur * float64(sim.Second)),
+		Warmup:    sim.Time(o.warmup * float64(sim.Second)),
+		BaseSeed:  o.seed,
+		Workers:   o.workers,
+		Context:   ctx,
 	}
 
 	if !o.noCache {
@@ -293,33 +282,6 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 		plan.Cache = store
 	}
 
-	if o.resume {
-		if o.journalPath == "" {
-			fmt.Fprintln(os.Stderr, "campaign: -resume needs -journal <path>")
-			os.Exit(2)
-		}
-		replayed, n, err := journal.Replay(o.journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: replaying %s: %v\n", o.journalPath, err)
-			os.Exit(1)
-		}
-		plan.Resume = replayed
-		if !o.quiet {
-			fmt.Fprintf(os.Stderr, "resuming: %d completed cells replayed from %s\n", n, o.journalPath)
-		}
-	}
-	var jw *journal.Writer
-	if o.journalPath != "" {
-		w, err := journal.Create(o.journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: opening journal %s: %v\n", o.journalPath, err)
-			os.Exit(1)
-		}
-		jw = w
-		defer w.Close()
-		plan.Journal = w
-	}
-
 	start := time.Now()
 	if !o.quiet {
 		plan.OnProgress = progressLine(start)
@@ -328,16 +290,7 @@ func execute(reg *campaign.Registry, cmd string, args []string) {
 	res, err := reg.Execute(plan)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "\n%v\n", err)
-		// os.Exit skips defers — flush the checkpoint stream explicitly
-		// so every drained cell survives to the resume.
-		if jw != nil {
-			jw.Close()
-		}
 		if errors.Is(err, campaign.ErrInterrupted) {
-			if o.journalPath != "" {
-				fmt.Fprintf(os.Stderr, "campaign: resume with: campaign %s -journal %s -resume ...\n",
-					cmd, o.journalPath)
-			}
 			os.Exit(130) // conventional SIGINT exit status
 		}
 		os.Exit(1)

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,6 +59,53 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 					t.Errorf("stderr %q does not name -%s", stderr.String(), r.flag)
 				}
 			})
+		}
+	}
+}
+
+// TestCacheKeysOnExecutable: the result cache keys on the bytes of the
+// binary that runs. A copy of this binary with one byte appended stands
+// in for a rebuild after an edit: it misses every cell the original
+// cached, then hits its own, and the original still hits its cells.
+func TestCacheKeysOnExecutable(t *testing.T) {
+	dir := t.TempDir()
+	orig, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := filepath.Join(dir, "campaign-edited")
+	if err := os.WriteFile(edited, append(raw, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	statsPath := filepath.Join(dir, "stats.json")
+	steps := []struct {
+		bin       string
+		simulated int
+	}{{orig, 6}, {orig, 0}, {edited, 6}, {edited, 0}, {orig, 0}}
+	for i, step := range steps {
+		c := exec.Command(step.bin, "run", "-s", "table1", "-q",
+			"-cache-dir", cacheDir, "-stats-out", statsPath)
+		c.Env = append(os.Environ(), "CAMPAIGN_TEST_MAIN=1")
+		var stderr bytes.Buffer
+		c.Stderr = &stderr
+		if err := c.Run(); err != nil {
+			t.Fatalf("run %d (%s): %v; stderr:\n%s", i, filepath.Base(step.bin), err, stderr.String())
+		}
+		blob, err := os.ReadFile(statsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct{ Simulated int }
+		if err := json.Unmarshal(blob, &stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Simulated != step.simulated {
+			t.Errorf("run %d (%s): simulated %d, want %d", i, filepath.Base(step.bin), stats.Simulated, step.simulated)
 		}
 	}
 }

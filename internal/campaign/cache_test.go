@@ -1,14 +1,13 @@
 package campaign_test
 
-// Engine-level tests of the caching and checkpoint/resume layer, in an
-// external test package so they can compose the campaign engine with
-// its cache and journal subpackages the way cmd/campaign does.
+// Engine-level tests of the result cache — the campaign's only durable
+// store — in an external test package so they can compose the campaign
+// engine with its cache subpackage the way cmd/campaign does.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -19,7 +18,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/cache"
-	"repro/internal/campaign/journal"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -215,9 +213,10 @@ func TestCorruptedEntriesRecompute(t *testing.T) {
 	}
 }
 
-// TestResumeMidCampaign: interrupt a campaign after a prefix of cells,
-// resume from the journal at several worker counts, and require the
-// resumed artifact byte-identical to an uninterrupted run.
+// TestResumeMidCampaign: a campaign that crashes after 7 cells leaves
+// them in the cache; rerunning it at 1, 4 or 8 workers simulates only
+// the rest and writes the uninterrupted artifact, and a second rerun
+// simulates nothing.
 func TestResumeMidCampaign(t *testing.T) {
 	ref, err := synthetic(nil).Execute(basePlan())
 	if err != nil {
@@ -226,13 +225,12 @@ func TestResumeMidCampaign(t *testing.T) {
 	want := artifact(t, ref)
 
 	for _, workers := range []int{1, 4, 8} {
-		dir := t.TempDir()
-		jpath := filepath.Join(dir, "c.journal")
-
-		// "Interrupted" first run: journal only a prefix by aborting via
-		// a scenario error after 7 completions. Progress of an aborted
-		// Execute is not deterministic across workers, but the journal's
-		// validity is what matters.
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Crashing first run: every run after the 7th panics, so the
+		// campaign fails with exactly 7 cells cached.
 		var count int
 		r := campaign.NewRegistry()
 		inner := synthetic(nil).Get("alpha")
@@ -246,63 +244,27 @@ func TestResumeMidCampaign(t *testing.T) {
 				return inner.Run(ctx)
 			},
 		})
-		w, err := journal.Create(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		p := basePlan()
-		p.Journal = w
+		p.Cache = store
 		if _, err := r.Execute(p); err == nil {
-			t.Fatal("interrupted campaign reported success")
+			t.Fatal("crashed campaign reported success")
 		}
-		w.Close()
-
-		// Resume: replay the journal, schedule the rest.
-		replayed, n, err := journal.Replay(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 7 {
-			t.Fatalf("journal kept %d cells, want 7", n)
-		}
-		w2, err := journal.Create(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2 := basePlan()
-		p2.Workers = workers
-		p2.Journal = w2
-		p2.Resume = replayed
-		res, err := synthetic(nil).Execute(p2)
-		if err != nil {
-			t.Fatalf("workers=%d: resume failed: %v", workers, err)
-		}
-		w2.Close()
-		if res.Stats.FromCache != 7 || res.Stats.Simulated != res.Runs-7 {
-			t.Fatalf("workers=%d: resume stats = %+v", workers, res.Stats)
-		}
-		if !bytes.Equal(artifact(t, res), want) {
-			t.Fatalf("workers=%d: resumed artifact differs from uninterrupted run", workers)
+		if n := store.Len(); n != 7 {
+			t.Fatalf("crash left %d cached cells, want 7", n)
 		}
 
-		// The journal now holds every cell: a second resume simulates
-		// nothing.
-		replayed2, _, err := journal.Replay(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p3 := basePlan()
-		p3.Resume = replayed2
-		res2, err := synthetic(nil).Execute(p3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res2.Stats.Simulated != 0 {
-			t.Fatalf("workers=%d: full journal still simulated %d cells",
-				workers, res2.Stats.Simulated)
-		}
-		if !bytes.Equal(artifact(t, res2), want) {
-			t.Fatalf("workers=%d: journal-only artifact differs", workers)
+		p.Workers = workers
+		for rerun, wantCached := range []int{7, ref.Runs} {
+			res, err := synthetic(nil).Execute(p)
+			if err != nil {
+				t.Fatalf("workers=%d, rerun %d: %v", workers, rerun, err)
+			}
+			if res.Stats.FromCache != wantCached || res.Stats.Simulated != res.Runs-wantCached {
+				t.Fatalf("workers=%d, rerun %d: stats = %+v, want %d cached", workers, rerun, res.Stats, wantCached)
+			}
+			if !bytes.Equal(artifact(t, res), want) {
+				t.Fatalf("workers=%d, rerun %d: artifact differs from uninterrupted run", workers, rerun)
+			}
 		}
 	}
 }
@@ -347,19 +309,10 @@ type lossyStore struct{ err error }
 func (lossyStore) Get(string) ([]byte, bool)  { return nil, false }
 func (s lossyStore) Put(string, []byte) error { return s.err }
 
-// failingJournal is a JournalWriter whose every Append fails.
-type failingJournal struct{}
-
-func (failingJournal) Append(string, []byte) error {
-	return fmt.Errorf("write c.journal: %w", syscall.ENOSPC)
-}
-
 // TestStorageFaults: the local storage faults of the failure model. A
 // cache that loses writes — by error or silently — costs only
 // recomputation: every cell simulates, on every run, and the artifact
-// is byte-identical to a cache-free run. A journal that cannot append
-// aborts the campaign with an error naming the journal and no Result:
-// a journal that silently drops cells would make resume lie.
+// is byte-identical to a cache-free run.
 func TestStorageFaults(t *testing.T) {
 	ref, err := synthetic(nil).Execute(basePlan())
 	if err != nil {
@@ -367,29 +320,19 @@ func TestStorageFaults(t *testing.T) {
 	}
 	want := artifact(t, ref)
 	cases := []struct {
-		name    string
-		cache   campaign.BlobStore
-		journal campaign.JournalWriter
-		wantErr string // "" means the run must succeed
+		name  string
+		cache campaign.BlobStore
 	}{
-		{name: "cache put ENOSPC", cache: lossyStore{err: syscall.ENOSPC}},
-		{name: "cache write dropped", cache: lossyStore{}},
-		{name: "journal append fails", journal: failingJournal{}, wantErr: "journal"},
+		{"cache put ENOSPC", lossyStore{err: syscall.ENOSPC}},
+		{"cache write dropped", lossyStore{}},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			p := basePlan()
 			p.Workers = workers
-			p.Cache, p.Journal = c.cache, c.journal
+			p.Cache = c.cache
 			for run := 0; run < 2; run++ {
 				res, err := synthetic(nil).Execute(p)
-				if c.wantErr != "" {
-					if err == nil || !strings.Contains(err.Error(), c.wantErr) || res != nil {
-						t.Fatalf("%s, workers=%d: got result %v, err %v; want no result and an error mentioning %q",
-							c.name, workers, res != nil, err, c.wantErr)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatalf("%s, workers=%d, run %d: %v", c.name, workers, run, err)
 				}
@@ -407,9 +350,10 @@ func TestStorageFaults(t *testing.T) {
 }
 
 // TestInterruptDrainsAndResumes: cancelling Plan.Context mid-campaign
-// stops scheduling, drains the runs in flight into the journal and
-// reports ErrInterrupted; resuming from that journal yields the
-// artifact of an uninterrupted run.
+// stops scheduling, drains the runs in flight into the cache and
+// reports ErrInterrupted; rerunning the same plan simulates only the
+// cells the cache lacks and yields the artifact of an uninterrupted
+// run. Without a cache the error does not claim any cell was kept.
 func TestInterruptDrainsAndResumes(t *testing.T) {
 	ref, err := synthetic(nil).Execute(basePlan())
 	if err != nil {
@@ -417,9 +361,9 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	}
 	want := artifact(t, ref)
 	const k = 5
-	for _, workers := range []int{1, 4} {
-		jpath := filepath.Join(t.TempDir(), "c.journal")
+	interrupted := func(workers int, store campaign.BlobStore) error {
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var started atomic.Int32
 		inner := synthetic(nil).Get("alpha")
 		r := campaign.NewRegistry()
@@ -432,40 +376,44 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 				return inner.Run(c)
 			},
 		})
-		w, err := journal.Create(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		p := basePlan()
 		p.Workers = workers
-		p.Journal = w
+		p.Cache = store
 		p.Context = ctx
 		res, err := r.Execute(p)
-		w.Close()
-		cancel()
 		if !errors.Is(err, campaign.ErrInterrupted) || res != nil {
 			t.Fatalf("workers=%d: got result %v, err %v; want ErrInterrupted", workers, res != nil, err)
 		}
-
-		replayed, n, err := journal.Replay(jpath)
+		return err
+	}
+	for _, workers := range []int{1, 4} {
+		store, err := cache.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n < k {
-			t.Fatalf("workers=%d: journal holds %d records, want at least %d", workers, n, k)
+		if err := interrupted(workers, store); !strings.Contains(err.Error(), "rerun") {
+			t.Errorf("workers=%d: %q does not tell the user to rerun", workers, err)
 		}
-		p2 := basePlan()
-		p2.Workers = workers
-		p2.Resume = replayed
-		resumed, err := synthetic(nil).Execute(p2)
+		kept := store.Len()
+		if kept < k {
+			t.Fatalf("workers=%d: cache holds %d cells, want at least %d", workers, kept, k)
+		}
+		p := basePlan()
+		p.Workers = workers
+		p.Cache = store
+		rerun, err := synthetic(nil).Execute(p)
 		if err != nil {
-			t.Fatalf("workers=%d: resume failed: %v", workers, err)
+			t.Fatalf("workers=%d: rerun failed: %v", workers, err)
 		}
-		if resumed.Stats.FromCache != len(replayed) || resumed.Stats.Simulated != resumed.Runs-len(replayed) {
-			t.Fatalf("workers=%d: resume stats = %+v with %d replayed cells", workers, resumed.Stats, len(replayed))
+		if rerun.Stats.FromCache != kept || rerun.Stats.Simulated != rerun.Runs-kept {
+			t.Fatalf("workers=%d: rerun stats = %+v with %d cached cells", workers, rerun.Stats, kept)
 		}
-		if !bytes.Equal(artifact(t, resumed), want) {
-			t.Fatalf("workers=%d: resumed artifact differs from uninterrupted run", workers)
+		if !bytes.Equal(artifact(t, rerun), want) {
+			t.Fatalf("workers=%d: rerun artifact differs from uninterrupted run", workers)
+		}
+
+		if err := interrupted(workers, nil); !strings.Contains(err.Error(), "no finished cell was kept") {
+			t.Errorf("workers=%d, no cache: %q claims cells were kept", workers, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -224,20 +225,11 @@ func TestArtifactFormats(t *testing.T) {
 	}
 }
 
-// TestMetricsCodecRoundTrip: the cache/journal blob encoding reproduces a
-// Metrics exactly — names, insertion order, float bits, samples.
+// TestMetricsCodecRoundTrip: the cache's blob encoding reproduces a
+// Metrics exactly — names, insertion order, float bits, samples — and
+// the decoder rejects damaged blobs and blobs the encoder never writes.
 func TestMetricsCodecRoundTrip(t *testing.T) {
-	m := NewMetrics()
-	m.Add("zeta", 1.5)
-	m.Add("alpha", -0.0)  // negative zero must survive
-	m.Add("tiny", 5e-324) // smallest denormal
-	m.Add("odd", 0.1+0.2) // non-representable decimal
-	var s1, s2 stats.Sample
-	for i := 0; i < 100; i++ {
-		s1.Add(float64(i) * 0.31)
-	}
-	m.AddSample("dist-b", &s1)
-	m.AddSample("dist-a", &s2) // empty sample round-trips too
+	m := codecMetrics()
 	blob, err := EncodeMetrics(m)
 	if err != nil {
 		t.Fatal(err)
@@ -267,11 +259,83 @@ func TestMetricsCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("re-encoding differs")
 	}
-	for _, bad := range [][]byte{nil, blob[:3], blob[:len(blob)-2], append(append([]byte{}, blob...), 9)} {
+	for _, bad := range badMetricsBlobs(blob) {
 		if _, err := DecodeMetrics(bad); err == nil {
-			t.Fatalf("corrupted blob (%d bytes) decoded", len(bad))
+			t.Errorf("bad blob %x decoded", bad)
 		}
 	}
+}
+
+// codecMetrics is the metric set the codec tests round-trip.
+func codecMetrics() *Metrics {
+	m := NewMetrics()
+	m.Add("zeta", 1.5)
+	m.Add("alpha", -0.0)  // negative zero must survive
+	m.Add("tiny", 5e-324) // smallest denormal
+	m.Add("odd", 0.1+0.2) // non-representable decimal
+	var s1, s2 stats.Sample
+	for i := 0; i < 100; i++ {
+		s1.Add(float64(i) * 0.31)
+	}
+	m.AddSample("dist-b", &s1)
+	m.AddSample("dist-a", &s2) // empty sample round-trips too
+	return m
+}
+
+// badMetricsBlobs lists blobs DecodeMetrics must reject: damaged copies
+// of a good blob, a non-minimal varint, and repeated names.
+func badMetricsBlobs(good []byte) [][]byte {
+	one := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
+	empty, _ := new(stats.Sample).MarshalBinary()
+	scalarA := append([]byte{1, 'a'}, one...)
+	sampleX := append([]byte{1, 'x', byte(len(empty))}, empty...)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return [][]byte{
+		nil,
+		good[:3],
+		good[:len(good)-2],
+		cat(good, []byte{9}),
+		cat(metricsMagic, []byte{0x80, 0x00, 0x00}),               // zero scalars, spelled in two bytes
+		cat(metricsMagic, []byte{2}, scalarA, scalarA, []byte{0}), // scalar a twice
+		cat(metricsMagic, []byte{0, 2}, sampleX, sampleX),         // sample x twice
+	}
+}
+
+// FuzzDecodeMetrics: whatever DecodeMetrics accepts re-encodes to the
+// same bytes, and its samples answer queries, merge and aggregate
+// without panicking. The seeds are the round-trip and rejection blobs
+// above.
+func FuzzDecodeMetrics(f *testing.F) {
+	good, err := EncodeMetrics(codecMetrics())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, bad := range badMetricsBlobs(good) {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := DecodeMetrics(blob)
+		if err != nil {
+			return
+		}
+		again, err := EncodeMetrics(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("decoded blob re-encodes differently:\n in  %x\n out %x", blob, again)
+		}
+		for _, ns := range m.samples {
+			ns.sample.Median()
+			ns.sample.Quantile(0.95)
+			ns.sample.Mean()
+			var into stats.Sample
+			into.Add(1)
+			into.Merge(ns.sample)
+		}
+		aggregateCell(&Scenario{Name: "fuzz"}, nil, []uint64{1}, []*Metrics{m})
+	})
 }
 
 // TestCacheKeyProperties: canonicalization and sensitivity of the
@@ -355,11 +419,11 @@ func TestProgressCallback(t *testing.T) {
 	var last int
 	_, err := synthetic().Execute(Plan{
 		Scenarios: []string{"beta"}, Reps: 6, Workers: 1,
-		Progress: func(done, total int) {
+		OnProgress: func(p ProgressInfo) {
 			calls++
-			last = total
-			if done < 1 || done > total {
-				t.Errorf("done %d out of range", done)
+			last = p.Total
+			if p.Done < 1 || p.Done > p.Total {
+				t.Errorf("done %d out of range", p.Done)
 			}
 		},
 	})

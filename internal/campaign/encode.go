@@ -9,10 +9,10 @@ import (
 )
 
 // Stable binary encoding for the Metrics of one repetition — the value
-// type of the result cache and the journal. The encoding is exact
-// (float64 bit patterns, insertion order preserved), so a decoded
-// Metrics aggregates byte-identically to the in-memory original: cold,
-// warm-cache and resumed executions of the same cell produce the same
+// type of the result cache. The encoding is exact (float64 bit
+// patterns, insertion order preserved), so a decoded Metrics aggregates
+// byte-identically to the in-memory original: cold, warm-cache and
+// interrupted-then-rerun executions of the same cell produce the same
 // artifact.
 
 // metricsMagic tags (and versions) the Metrics blob layout.
@@ -43,9 +43,11 @@ func EncodeMetrics(m *Metrics) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeMetrics parses an EncodeMetrics blob. Corruption of any kind is
-// an error, never a partial result — the cache treats a failed decode
-// as a miss and recomputes.
+// DecodeMetrics parses an EncodeMetrics blob. It accepts only what
+// EncodeMetrics writes — minimal varints, each scalar and each sample
+// name once — so a decoded blob re-encodes to the same bytes. Anything
+// else is an error, never a partial result: the cache treats a failed
+// decode as a miss and recomputes.
 func DecodeMetrics(blob []byte) (*Metrics, error) {
 	if len(blob) < len(metricsMagic) || string(blob[:len(metricsMagic)]) != string(metricsMagic) {
 		return nil, fmt.Errorf("campaign: metrics blob has no %s header", metricsMagic)
@@ -55,6 +57,9 @@ func DecodeMetrics(blob []byte) (*Metrics, error) {
 	nScalars := d.uvarint()
 	for i := uint64(0); i < nScalars && d.err == nil; i++ {
 		name := d.str()
+		if _, dup := m.scalarIndex[name]; dup {
+			return nil, fmt.Errorf("campaign: metrics blob repeats scalar %q", name)
+		}
 		m.Add(name, d.float64())
 	}
 	nSamples := d.uvarint()
@@ -63,6 +68,9 @@ func DecodeMetrics(blob []byte) (*Metrics, error) {
 		sb := d.bytes()
 		if d.err != nil {
 			break
+		}
+		if _, dup := m.sampleIndex[name]; dup {
+			return nil, fmt.Errorf("campaign: metrics blob repeats sample %q", name)
 		}
 		var s stats.Sample
 		if err := s.UnmarshalBinary(sb); err != nil {
@@ -80,7 +88,9 @@ func DecodeMetrics(blob []byte) (*Metrics, error) {
 }
 
 // blobReader is a cursor over a binary blob that latches the first
-// error, mirroring the stats decoder.
+// error, mirroring the stats decoder. Like it, it accepts only minimal
+// varints: binary.AppendUvarint never ends a multi-byte encoding in a
+// zero byte.
 type blobReader struct {
 	buf []byte
 	err error
@@ -99,6 +109,10 @@ func (d *blobReader) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
 		d.fail(fmt.Errorf("truncated varint"))
+		return 0
+	}
+	if n > 1 && d.buf[n-1] == 0 {
+		d.fail(fmt.Errorf("non-minimal varint"))
 		return 0
 	}
 	d.buf = d.buf[n:]

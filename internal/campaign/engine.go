@@ -38,45 +38,31 @@ type Plan struct {
 	BaseSeed uint64   // campaign base seed (default 42)
 	Workers  int      // worker goroutines (default GOMAXPROCS)
 
-	// Progress, if set, is called after each completed run with the
-	// number of finished runs and the matrix size. Calls may come from
-	// any worker.
-	Progress func(done, total int)
-
-	// OnProgress, if set, receives richer snapshots than Progress:
-	// cache-hit versus simulated counts alongside done/total. Calls may
-	// come from any worker.
+	// OnProgress, if set, is called after each completed run with a
+	// snapshot of the matrix: done/total plus the cache-hit versus
+	// simulated split. Calls may come from any worker.
 	OnProgress func(ProgressInfo)
 
-	// Cache, if set, is the content-addressed result store: Execute
-	// consults it (under Fingerprint) before scheduling each job and
-	// writes completed results back, so repeated runs and sweep
-	// supersets only simulate cells never seen before.
+	// Cache, if set, is the content-addressed result store and the
+	// campaign's only durable state: Execute consults it (under
+	// Fingerprint) before scheduling each job and writes completed
+	// results back, so repeated runs, sweep supersets and reruns of an
+	// interrupted campaign only simulate cells never seen before.
 	Cache BlobStore
-
-	// Journal, if set, receives every completed cell as it finishes —
-	// the checkpoint stream an interrupted campaign resumes from.
-	Journal JournalWriter
-
-	// Resume maps cache keys to encoded Metrics blobs replayed from a
-	// previous run's journal; matching cells are not re-simulated.
-	Resume map[string][]byte
 
 	// Fingerprint identifies the code that produces results, scoping
 	// cache keys so results never leak across code changes. Empty means
-	// BuildFingerprint() when the cache, journal or resume map is in
-	// use.
+	// ExecutableFingerprint() when the cache is in use.
 	Fingerprint string
 
 	// Context, if set, bounds the campaign: when it is cancelled the
-	// engine stops scheduling new jobs, drains the ones in flight
-	// (journaling them as usual) and returns an error matching
-	// ErrInterrupted — the campaign is resumable from its journal. Nil
-	// means context.Background().
+	// engine stops scheduling new jobs, drains the ones in flight (into
+	// the cache as usual) and returns an error matching ErrInterrupted.
+	// Nil means context.Background().
 	Context context.Context
 }
 
-func (p *Plan) fill() {
+func (p *Plan) fill() error {
 	if p.Reps <= 0 {
 		p.Reps = DefaultReps
 	}
@@ -92,12 +78,17 @@ func (p *Plan) fill() {
 	if p.Workers <= 0 {
 		p.Workers = runtime.GOMAXPROCS(0)
 	}
-	if p.Fingerprint == "" && (p.Cache != nil || p.Journal != nil || len(p.Resume) > 0) {
-		p.Fingerprint = BuildFingerprint()
-	}
 	if p.Context == nil {
 		p.Context = context.Background()
 	}
+	if p.Fingerprint == "" && p.Cache != nil {
+		fp, err := ExecutableFingerprint()
+		if err != nil {
+			return err
+		}
+		p.Fingerprint = fp
+	}
+	return nil
 }
 
 // Result is a completed campaign: one aggregated Cell per (scenario,
@@ -129,7 +120,9 @@ type job struct {
 // shards it across the worker pool, and aggregates. The first run error
 // (in matrix order) aborts the campaign's result.
 func (r *Registry) Execute(p Plan) (*Result, error) {
-	p.fill()
+	if err := p.fill(); err != nil {
+		return nil, err
+	}
 	selected := r.scenarios
 	if len(p.Scenarios) > 0 {
 		selected = make([]*Scenario, 0, len(p.Scenarios))
@@ -200,34 +193,20 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 		}
 	}
 
-	// Resolve cache and resume hits first: cells already computed — by a
-	// previous campaign via the content-addressed cache, or by this
-	// campaign's interrupted predecessor via the journal — decode
-	// straight into the result matrix and never reach a worker. A blob
-	// that fails to decode is a miss (recompute), never an error.
+	// Resolve cache hits first: cells a previous campaign computed —
+	// including an interrupted run of this one — decode straight into
+	// the result matrix and never reach a worker. A blob that fails to
+	// decode is a miss (recompute), never an error.
 	outs := make([]*Metrics, len(jobs))
 	errs := make([]error, len(jobs))
 	keys := make([]string, len(jobs))
-	needKeys := p.Cache != nil || p.Journal != nil || len(p.Resume) > 0
 	st := ExecStats{Total: len(jobs)}
 	var miss []int
 
-	// mu guards the completion state (stats, journal) the pool's
+	// mu guards the completion state (stats, progress) the pool's
 	// workers share.
 	var mu sync.Mutex
-	var journalErr error
-	appendJournal := func(i int, blob []byte) {
-		if p.Journal == nil || journalErr != nil {
-			return
-		}
-		if err := p.Journal.Append(keys[i], blob); err != nil {
-			journalErr = err
-		}
-	}
 	progress := func() {
-		if p.Progress != nil {
-			p.Progress(st.FromCache+st.Simulated, st.Total)
-		}
 		if p.OnProgress != nil {
 			p.OnProgress(ProgressInfo{
 				Done: st.FromCache + st.Simulated, Total: st.Total,
@@ -237,27 +216,12 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	}
 
 	for i := range jobs {
-		if needKeys {
-			keys[i] = jobs[i].spec.CacheKey(p.Fingerprint)
-		}
-		if len(p.Resume) > 0 {
-			if blob, ok := p.Resume[keys[i]]; ok {
-				if m, err := DecodeMetrics(blob); err == nil {
-					outs[i] = m
-					st.FromCache++
-					progress()
-					continue
-				}
-			}
-		}
 		if p.Cache != nil {
+			keys[i] = jobs[i].spec.CacheKey(p.Fingerprint)
 			if blob, ok := p.Cache.Get(keys[i]); ok {
 				if m, err := DecodeMetrics(blob); err == nil {
 					outs[i] = m
 					st.FromCache++
-					// Journal the hit too: a later -resume must see every
-					// completed cell, not only the simulated ones.
-					appendJournal(i, blob)
 					progress()
 					continue
 				}
@@ -267,8 +231,7 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	}
 
 	// complete records one simulated result: write-back to the cache
-	// (best-effort) and the journal, then progress. Any worker may call
-	// it.
+	// (best-effort), then progress. Any worker may call it.
 	complete := func(i int, m *Metrics, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -278,12 +241,9 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 			return
 		}
 		st.Simulated++
-		if p.Cache != nil || p.Journal != nil {
+		if p.Cache != nil {
 			if blob, encErr := EncodeMetrics(m); encErr == nil {
-				if p.Cache != nil {
-					p.Cache.Put(keys[i], blob)
-				}
-				appendJournal(i, blob)
+				p.Cache.Put(keys[i], blob)
 			}
 		}
 		progress()
@@ -294,7 +254,7 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	// failed job stops further scheduling (in-flight runs drain) — a
 	// long campaign should not burn every core before reporting a broken
 	// cell. Context cancellation likewise stops scheduling and drains,
-	// so every finished cell reaches the journal.
+	// so every finished cell reaches the cache.
 	ctx := p.Context
 	var failed atomic.Bool
 	next := make(chan int)
@@ -326,11 +286,11 @@ feed:
 	close(next)
 	wg.Wait()
 
-	if journalErr != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", journalErr)
-	}
 	if ctx.Err() != nil {
-		return nil, fmt.Errorf("campaign: %w (completed cells are journaled; rerun with -resume)", ErrInterrupted)
+		if p.Cache == nil {
+			return nil, fmt.Errorf("campaign: %w (no cache, so no finished cell was kept; rerun to start over)", ErrInterrupted)
+		}
+		return nil, fmt.Errorf("campaign: %w (finished cells are cached; rerun to simulate only the rest)", ErrInterrupted)
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -1,45 +1,35 @@
 package campaign
 
 import (
-	"runtime/debug"
-	"strings"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"sync"
 )
 
-// BuildFingerprint derives the code fingerprint the result cache keys
-// on: stale results must never leak across code changes, so the
-// fingerprint folds in the module version and the VCS revision of the
-// build (plus a +dirty marker for modified trees). Binaries built
-// without VCS stamping (go run, test binaries) fall back to the module
-// version — typically "(devel)" — which is stable across invocations of
-// the same tree but cannot distinguish code changes; development
-// workflows that edit scenario code should pass an explicit
-// -fingerprint instead.
-func BuildFingerprint() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
+// ExecutableFingerprint is the code identity the result cache keys on
+// when a Plan names none: the hex SHA-256 of the running executable's
+// bytes, hashed once per process. It measures the code that runs
+// instead of trusting what a build says about itself, so any edit that
+// changes the binary changes every cell key — go run and test binaries
+// included — while rebuilding an unchanged tree keeps them.
+func ExecutableFingerprint() (string, error) { return executableHash() }
+
+var executableHash = sync.OnceValues(func() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", fmt.Errorf("campaign: code fingerprint: %w", err)
 	}
-	var rev, modified string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", fmt.Errorf("campaign: code fingerprint: %w", err)
 	}
-	var parts []string
-	if v := bi.Main.Version; v != "" {
-		parts = append(parts, v)
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("campaign: code fingerprint: hashing %s: %w", path, err)
 	}
-	if rev != "" {
-		if modified == "true" {
-			rev += "+dirty"
-		}
-		parts = append(parts, rev)
-	}
-	if len(parts) == 0 {
-		return "unknown"
-	}
-	return strings.Join(parts, "-")
-}
+	return hex.EncodeToString(h.Sum(nil)), nil
+})

@@ -63,29 +63,22 @@ type BlobStore interface {
 	Put(key string, blob []byte) error
 }
 
-// JournalWriter receives each completed cell as it finishes. Append
-// must be safe for concurrent use. Append errors abort the campaign —
-// a journal that silently drops cells would make resume lie.
-type JournalWriter interface {
-	Append(key string, blob []byte) error
-}
-
 // ErrInterrupted marks a campaign stopped by Plan.Context cancellation
 // (e.g. SIGINT). Every cell completed before the interrupt has been
-// journaled, so the campaign is resumable; the partial matrix is not
-// aggregated into a Result.
+// written back to Plan.Cache, if one is set (best-effort, like every
+// write-back), so rerunning the same plan simulates only the rest; the
+// partial matrix is not aggregated into a Result.
 var ErrInterrupted = errors.New("campaign interrupted")
 
 // ProgressInfo is a campaign progress snapshot: how much of the matrix
-// is done, and how it got done — cells served from the cache (or a
-// resume journal) versus cells actually simulated. ETA estimation
-// should use the simulated-cell rate only; cached cells resolve in
-// microseconds and would otherwise make the forecast absurdly
-// optimistic.
+// is done, and how it got done — cells served from the cache versus
+// cells actually simulated. ETA estimation should use the
+// simulated-cell rate only; cached cells resolve in microseconds and
+// would otherwise make the forecast absurdly optimistic.
 type ProgressInfo struct {
 	Done      int // completed runs (FromCache + Simulated)
 	Total     int // matrix size
-	FromCache int // runs served from cache or resume journal
+	FromCache int // runs served from the cache
 	Simulated int // runs actually executed
 }
 

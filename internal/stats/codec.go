@@ -47,7 +47,12 @@ func (s *Sample) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes an encoding produced by MarshalBinary,
-// replacing the sample's state.
+// replacing the sample's state. It accepts only what MarshalBinary can
+// write: minimal varints, at most ExactCap retained values, and a
+// stream whose counts agree, whose buckets are listed once each in
+// increasing order, and whose m2 and min/max are ordered. So a decoded
+// blob re-encodes to the same bytes. A NaN the encoder can write still
+// decodes: each check is written as a rejection NaN does not trigger.
 func (s *Sample) UnmarshalBinary(data []byte) error {
 	if len(data) < 2 {
 		return fmt.Errorf("stats: sample blob too short (%d bytes)", len(data))
@@ -63,6 +68,9 @@ func (s *Sample) UnmarshalBinary(data []byte) error {
 	*s = Sample{}
 	if flags&sampleFlagSpilled == 0 {
 		n := d.uvarint()
+		if n > ExactCap {
+			return fmt.Errorf("stats: unspilled sample claims %d values, above ExactCap %d", n, ExactCap)
+		}
 		if n > uint64(len(d.buf)/8) {
 			return fmt.Errorf("stats: sample claims %d values in %d bytes", n, len(d.buf))
 		}
@@ -105,25 +113,61 @@ func (s *Stream) appendBinary(buf []byte) []byte {
 }
 
 func (s *Stream) readBinary(d *decoder) {
-	s.w.n = int64(d.uvarint())
+	s.w.n = d.count()
 	s.w.mean = d.float64()
 	s.w.m2 = d.float64()
 	s.min = d.float64()
 	s.max = d.float64()
-	s.h.n = int64(d.uvarint())
+	s.h.n = d.count()
 	nz := d.uvarint()
-	for i := uint64(0); i < nz && d.err == nil; i++ {
+	if d.err != nil {
+		return
+	}
+	switch {
+	case s.w.n != s.h.n:
+		d.fail(fmt.Errorf("welford count %d != histogram count %d", s.w.n, s.h.n))
+		return
+	case s.w.m2 < 0:
+		d.fail(fmt.Errorf("negative m2 %v", s.w.m2))
+		return
+	case s.min > s.max:
+		d.fail(fmt.Errorf("min %v above max %v", s.min, s.max))
+		return
+	}
+	// Buckets: strictly increasing indexes, nonzero counts summing to n.
+	// Each count is at most n - sum, so the sum never overflows.
+	var sum int64
+	for i, prev := uint64(0), int64(-1); i < nz; i++ {
 		idx := d.uvarint()
-		cnt := d.uvarint()
-		if idx >= histBkts {
+		cnt := d.count()
+		switch {
+		case d.err != nil:
+			return
+		case idx >= histBkts:
 			d.fail(fmt.Errorf("histogram bucket %d out of range", idx))
 			return
+		case int64(idx) <= prev:
+			d.fail(fmt.Errorf("histogram bucket %d listed after bucket %d", idx, prev))
+			return
+		case cnt == 0:
+			d.fail(fmt.Errorf("histogram bucket %d listed with count 0", idx))
+			return
+		case cnt > s.h.n-sum:
+			d.fail(fmt.Errorf("histogram buckets hold more than its count %d", s.h.n))
+			return
 		}
-		s.h.counts[idx] = int64(cnt)
+		s.h.counts[idx] = cnt
+		sum += cnt
+		prev = int64(idx)
+	}
+	if sum != s.h.n {
+		d.fail(fmt.Errorf("histogram buckets hold %d of its count %d", sum, s.h.n))
 	}
 }
 
 // decoder is a cursor over a binary blob that latches the first error.
+// It accepts only minimal varints: binary.AppendUvarint never ends a
+// multi-byte encoding in a zero byte.
 type decoder struct {
 	buf []byte
 	err error
@@ -144,8 +188,22 @@ func (d *decoder) uvarint() uint64 {
 		d.fail(fmt.Errorf("truncated varint"))
 		return 0
 	}
+	if n > 1 && d.buf[n-1] == 0 {
+		d.fail(fmt.Errorf("non-minimal varint"))
+		return 0
+	}
 	d.buf = d.buf[n:]
 	return v
+}
+
+// count reads a uvarint that must fit an int64 count.
+func (d *decoder) count() int64 {
+	v := d.uvarint()
+	if v > math.MaxInt64 {
+		d.fail(fmt.Errorf("count %d overflows int64", v))
+		return 0
+	}
+	return int64(v)
 }
 
 func (d *decoder) float64() float64 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -90,49 +91,117 @@ func checkSameStats(t *testing.T, a, b *Sample) {
 	}
 }
 
-// TestSampleDecodeRejectsGarbage: corrupted blobs error out instead of
-// panicking or silently truncating — the cache layer depends on decode
-// failures being clean misses.
+// spilledBlob hand-builds a spilled sample encoding: the Welford count,
+// mean, m2, min and max, the histogram count, then (index, count)
+// bucket pairs in the order given.
+func spilledBlob(wn uint64, m2, min, max float64, hn uint64, buckets ...[2]uint64) []byte {
+	b := []byte{sampleCodecVersion, sampleFlagSpilled}
+	b = binary.AppendUvarint(b, wn)
+	for _, x := range []float64{1, m2, min, max} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	b = binary.AppendUvarint(b, hn)
+	b = binary.AppendUvarint(b, uint64(len(buckets)))
+	for _, bk := range buckets {
+		b = binary.AppendUvarint(b, bk[0])
+		b = binary.AppendUvarint(b, bk[1])
+	}
+	return b
+}
+
+// TestSampleDecodeRejectsGarbage: corrupted blobs, and blobs no encoder
+// writes, error out instead of panicking or silently decoding into a
+// sample the artifact would then fold in — the cache layer depends on
+// decode failures being clean misses.
 func TestSampleDecodeRejectsGarbage(t *testing.T) {
 	s := randomSample(rand.New(rand.NewSource(3)), 64)
 	good, _ := s.MarshalBinary()
-	cases := [][]byte{
-		nil,
-		{},
-		{99, 0},            // bad version
-		{1, 1, 0},          // retired unbounded flag
-		{1, 4, 0},          // unknown flag
-		{1, 0x80, 0},       // unknown flag
-		good[:1],           // truncated header
-		good[:len(good)-3], // truncated payload
-		append(good, 1, 2, 3) /* trailing garbage */}
-	for i, blob := range cases {
+	overCap := binary.AppendUvarint([]byte{sampleCodecVersion, 0}, ExactCap+1)
+	overCap = append(overCap, make([]byte, 8*(ExactCap+1))...)
+	const big = 1<<63 + 5 // reads as -9.2e18 through an int64
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"nil", nil},
+		{"empty", []byte{}},
+		{"bad version", []byte{99, 0}},
+		{"retired unbounded flag", []byte{1, 1, 0}},
+		{"unknown flag 4", []byte{1, 4, 0}},
+		{"unknown flag 0x80", []byte{1, 0x80, 0}},
+		{"truncated header", good[:1]},
+		{"truncated payload", good[:len(good)-3]},
+		{"trailing garbage", append(good, 1, 2, 3)},
+		{"non-minimal varint", []byte{sampleCodecVersion, 0, 0x80, 0x00}},
+		{"unspilled above ExactCap", overCap},
+		{"count above MaxInt64", spilledBlob(big, 0, 1, 1, big, [2]uint64{7, big})},
+		{"histogram n 5, buckets 10000", spilledBlob(5, 0, 1, 1, 5, [2]uint64{7, 10000})},
+		{"n 10000, empty histogram", spilledBlob(10000, 0, 1, 1, 10000)},
+		{"welford n != histogram n", spilledBlob(2, 0, 1, 1, 1, [2]uint64{7, 1})},
+		{"bucket listed twice", spilledBlob(2, 0, 1, 1, 2, [2]uint64{7, 1}, [2]uint64{7, 1})},
+		{"buckets decreasing", spilledBlob(2, 0, 1, 1, 2, [2]uint64{8, 1}, [2]uint64{7, 1})},
+		{"zero-count bucket", spilledBlob(1, 0, 1, 1, 1, [2]uint64{7, 0}, [2]uint64{8, 1})},
+		{"min above max", spilledBlob(1, 0, 2, 1, 1, [2]uint64{7, 1})},
+		{"negative m2", spilledBlob(1, -1, 1, 1, 1, [2]uint64{7, 1})},
+		{"bucket index histBkts", spilledBlob(1, 0, 1, 1, 1, [2]uint64{histBkts, 1})},
+	}
+	for _, c := range cases {
 		var d Sample
-		if err := d.UnmarshalBinary(blob); err == nil {
-			t.Errorf("case %d: corrupted blob decoded without error", i)
+		if err := d.UnmarshalBinary(c.blob); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
 		}
 	}
-	// A spilled sample with an out-of-range bucket index is rejected too;
-	// the same blob with the last valid index decodes.
-	spilled := func(bucket uint64) []byte {
-		b := []byte{sampleCodecVersion, sampleFlagSpilled, 1} // one observation
-		// mean, m2, min, max
-		for i := 0; i < 4; i++ {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
-		}
-		b = binary.AppendUvarint(b, 1) // histogram count
-		b = binary.AppendUvarint(b, 1) // non-zero buckets
-		b = binary.AppendUvarint(b, bucket)
-		return binary.AppendUvarint(b, 1)
-	}
+	// The same shapes the encoder can write decode: the last valid
+	// bucket index, and a stream whose m2, min and max are NaN.
 	var d Sample
-	if err := d.UnmarshalBinary(spilled(histBkts - 1)); err != nil {
+	if err := d.UnmarshalBinary(spilledBlob(1, 0, 1, 1, 1, [2]uint64{histBkts - 1, 1})); err != nil {
 		t.Fatalf("spilled blob: %v", err)
 	}
 	if !d.Spilled() {
 		t.Fatal("decoded sample lost spilled state")
 	}
-	if err := d.UnmarshalBinary(spilled(histBkts)); err == nil {
-		t.Fatal("bucket index histBkts decoded without error")
+	var nan Sample
+	for i := 0; i <= ExactCap; i++ {
+		nan.Add(math.NaN())
 	}
+	blob, _ := nan.MarshalBinary()
+	if err := d.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("NaN stream: %v", err)
+	}
+}
+
+// FuzzSampleUnmarshal: whatever UnmarshalBinary accepts re-encodes to
+// the same bytes, and the decoded sample answers queries and merges
+// without panicking. The seeds are the round-trip and garbage shapes
+// above.
+func FuzzSampleUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 17, ExactCap + 1} {
+		blob, _ := randomSample(rng, n).MarshalBinary()
+		f.Add(blob)
+	}
+	f.Add([]byte{sampleCodecVersion, 0, 0x80, 0x00})
+	f.Add(spilledBlob(2, 0, 1, 1, 2, [2]uint64{7, 1}, [2]uint64{7, 1}))
+	f.Add(spilledBlob(10000, 0, 1, 1, 10000))
+	f.Add(spilledBlob(1, 0, 1, 1, 1, [2]uint64{histBkts - 1, 1}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var s Sample
+		if s.UnmarshalBinary(blob) != nil {
+			return
+		}
+		again, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("decoded blob re-encodes differently:\n in  %x\n out %x", blob, again)
+		}
+		s.Median()
+		s.Quantile(0.95)
+		s.Mean()
+		var m Sample
+		m.Add(1)
+		m.Merge(&s)
+		m.Median()
+	})
 }
