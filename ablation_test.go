@@ -35,9 +35,9 @@ func BenchmarkAblationQuantum(b *testing.B) {
 					n.DownloadUDP(st, 50e6, pkt.ACBE)
 				}
 				n.Run(2 * sim.Second)
-				snap := n.SnapshotAirtime()
+				snap := n.World.SnapshotAirtime()
 				n.Run(8 * sim.Second)
-				jain += stats.JainIndex(n.AirtimeSince(snap))
+				jain += stats.JainIndex(n.World.AirtimeSince(snap))
 			}
 			b.ReportMetric(jain/float64(b.N), "jain")
 		})
@@ -137,10 +137,10 @@ func BenchmarkAblationAggrCap(b *testing.B) {
 					n.DownloadUDP(st, 50e6, pkt.ACBE)
 				}
 				n.Run(2 * sim.Second)
-				snap := n.SnapshotAirtime()
+				snap := n.World.SnapshotAirtime()
 				base := deliveredBytes()
 				n.Run(10 * sim.Second)
-				shares := stats.Shares(n.AirtimeSince(snap))
+				shares := stats.Shares(n.World.AirtimeSince(snap))
 				slowShare += shares[2]
 				totalMbps += float64(deliveredBytes()-base) * 8 / 8e6 // 8 s measured
 			}

@@ -10,15 +10,15 @@
 //	              [-out results.json] [-csv results.csv]
 //	campaign sweep -s udp -axis scheme=FIFO,Airtime -axis rate-mbps=10,50,100
 //
-// describe prints a scenario's declarative composition — its stations,
-// workloads, probes, parameter axes and emitted metric names — from
-// Spec metadata. run executes the scenarios' default grids; sweep is
-// run plus axis overrides. Aggregated output (JSON/CSV artifacts and
-// the printed table) is byte-identical for any -workers value: per-run
-// seeds derive from job coordinates and aggregation folds in matrix
-// order. The same contract extends across the result cache: cold,
-// warm-cache and interrupted-then-rerun executions of one campaign
-// produce byte-identical artifacts.
+// describe prints a scenario's parameter axes and what its default grid
+// point builds and emits — stations, workloads and metric names — read
+// from a 1 ns run of that point. run executes the scenarios' default
+// grids; sweep is run plus axis overrides. Aggregated output (JSON/CSV
+// artifacts and the printed table) is byte-identical for any -workers
+// value: per-run seeds derive from job coordinates and aggregation
+// folds in matrix order. The same contract extends across the result
+// cache: cold, warm-cache and interrupted-then-rerun executions of one
+// campaign produce byte-identical artifacts.
 //
 // Results are cached by default under os.UserCacheDir()/hj17, keyed by
 // (scenario, canonicalized params, rep, seed, code fingerprint), where
@@ -77,17 +77,16 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	reg := exp.NewRegistry()
 	cmd, args := os.Args[1], os.Args[2:]
 	switch cmd {
 	case "list":
-		list(reg)
+		list(exp.PaperSpecs())
 	case "describe":
-		describe(reg, args)
+		describe(exp.PaperSpecs(), args)
 	case "schemes":
 		schemes(args)
 	case "run", "sweep":
-		execute(reg, cmd, args)
+		execute(exp.NewRegistry(), cmd, args)
 	default:
 		fmt.Fprintf(os.Stderr, "campaign: unknown command %q\n\n", cmd)
 		usage()
@@ -101,8 +100,8 @@ func usage() {
 commands:
   list                 show registered scenarios, their parameter axes and
                        the registered transmit-path schemes
-  describe <scenario>  show a scenario's stations, workloads, probes and
-                       emitted metric names from its Spec metadata
+  describe <scenario>  show a scenario's stations, workloads and emitted
+                       metric names, read from a run of its default point
   schemes [-csv]       print registered scheme names (for scripting sweeps)
   run   [flags]        run scenarios over their default parameter grids
   sweep [flags]        run with -axis overrides sweeping chosen parameters
@@ -114,11 +113,11 @@ flags of run and sweep:
 	fs.PrintDefaults()
 }
 
-func list(reg *campaign.Registry) {
+func list(specs []*exp.Spec) {
 	fmt.Println("scenarios:")
-	for _, sc := range reg.Scenarios() {
-		fmt.Printf("%-12s %s%s\n", sc.Name, sc.Desc, stationTotal(sc))
-		for _, a := range sc.Axes {
+	for _, s := range specs {
+		fmt.Printf("%-12s %s%s\n", s.Name, s.Desc, stationTotal(mustDescribe(s)))
+		for _, a := range s.Axes {
 			fmt.Printf("  %-18s %s\n", a.Name, strings.Join(a.Values, ", "))
 		}
 	}
@@ -128,59 +127,68 @@ func list(reg *campaign.Registry) {
 	}
 }
 
-// stationTotal renders a scenario's default-point station count — with
-// its BSS count for multi-BSS worlds — as a list suffix.
-func stationTotal(sc *campaign.Scenario) string {
-	if sc.Meta == nil {
-		return ""
+// mustDescribe describes a Spec's default point, exiting on a Spec
+// whose defaults do not build.
+func mustDescribe(s *exp.Spec) *exp.Description {
+	d, err := s.Describe()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "campaign: scenario %q: %v\n", s.Name, err)
+		os.Exit(1)
 	}
-	if t := sc.Meta.Topology; t != nil {
-		return fmt.Sprintf("  [%d stations / %d BSS]", t.TotalStations, t.BSSCount)
-	}
-	return fmt.Sprintf("  [%d stations]", len(sc.Meta.Stations))
+	return d
 }
 
-// describe prints one scenario's declarative composition from its Spec
-// metadata: stations, workloads (with phase and targets), probes with
-// the metric names they emit, and the parameter grid.
-func describe(reg *campaign.Registry, args []string) {
+// stationTotal renders a scenario's default-point station count — with
+// its BSS count for multi-BSS worlds — as a list suffix.
+func stationTotal(d *exp.Description) string {
+	if d.PerBSS != nil {
+		return fmt.Sprintf("  [%d stations / %d BSS]", len(d.Stations), len(d.PerBSS))
+	}
+	return fmt.Sprintf("  [%d stations]", len(d.Stations))
+}
+
+// describe prints one scenario's parameter grid and what its default
+// point builds and emits: topology, stations, workloads (with phase and
+// targets) and metric names in artifact order.
+func describe(specs []*exp.Spec, args []string) {
+	names := make([]string, len(specs))
+	var spec *exp.Spec
+	for i, s := range specs {
+		names[i] = s.Name
+		if len(args) == 1 && s.Name == args[0] {
+			spec = s
+		}
+	}
 	if len(args) != 1 {
 		fmt.Fprintf(os.Stderr, "usage: campaign describe <scenario>   (scenarios: %s)\n",
-			strings.Join(reg.Names(), ", "))
+			strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	sc := reg.Get(args[0])
-	if sc == nil {
+	if spec == nil {
 		fmt.Fprintf(os.Stderr, "campaign: unknown scenario %q (have %s)\n",
-			args[0], strings.Join(reg.Names(), ", "))
+			args[0], strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	fmt.Printf("%s — %s\n", sc.Name, sc.Desc)
+	fmt.Printf("%s — %s\n", spec.Name, spec.Desc)
 	fmt.Println("\nparameters (default grid; override with sweep -axis):")
-	for _, a := range sc.Axes {
+	for _, a := range spec.Axes {
 		fmt.Printf("  %-14s %s\n", a.Name, strings.Join(a.Values, ", "))
 	}
-	if sc.Meta == nil {
-		fmt.Println("\n(no composition metadata — hand-written scenario)")
-		return
-	}
-	if t := sc.Meta.Topology; t != nil {
-		per := make([]string, len(t.StationsPerBSS))
-		for i, n := range t.StationsPerBSS {
+	d := mustDescribe(spec)
+	if d.PerBSS != nil {
+		per := make([]string, len(d.PerBSS))
+		for i, n := range d.PerBSS {
 			per[i] = fmt.Sprint(n)
 		}
 		fmt.Printf("\ntopology (default point): %d co-channel BSS, %d stations total (per BSS: %s)\n",
-			t.BSSCount, t.TotalStations, strings.Join(per, ", "))
+			len(d.PerBSS), len(d.Stations), strings.Join(per, ", "))
 	}
-	fmt.Printf("\nstations (default point): %s\n", strings.Join(sc.Meta.Stations, ", "))
+	fmt.Printf("\nstations (default point): %s\n", strings.Join(d.Stations, ", "))
 	fmt.Println("\nworkloads:")
-	for _, w := range sc.Meta.Workloads {
-		fmt.Printf("  %-10s %-38s at %-7s on %s\n", w.Kind, w.Label, w.Phase, w.Targets)
+	for _, w := range d.Workloads {
+		fmt.Printf("  %-10s %-38s at %-7s on %s\n", w.Kind, w.Label, w.Phase, w.Target.Describe())
 	}
-	fmt.Println("\nprobes and emitted metrics:")
-	for _, p := range sc.Meta.Probes {
-		fmt.Printf("  %-14s %s\n", p.Name, strings.Join(p.Metrics, ", "))
-	}
+	fmt.Printf("\nmetrics (artifact order): %s\n", strings.Join(d.Metrics, ", "))
 }
 
 // schemes prints the registered scheme names, one per line (or

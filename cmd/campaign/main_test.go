@@ -109,3 +109,64 @@ func TestCacheKeysOnExecutable(t *testing.T) {
 		}
 	}
 }
+
+// campaignCmd re-executes the test binary as the command with args and
+// returns its stdout and exit status.
+func campaignCmd(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	c := exec.Command(os.Args[0], args...)
+	c.Env = append(os.Environ(), "CAMPAIGN_TEST_MAIN=1")
+	var stdout bytes.Buffer
+	c.Stdout = &stdout
+	var exit *exec.ExitError
+	if err := c.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("campaign %s: %v", strings.Join(args, " "), err)
+	}
+	return stdout.String(), c.ProcessState.ExitCode()
+}
+
+// TestDescribeAndList: describe prints a scenario's topology and the
+// metric names its default point emits, an unknown scenario exits 2,
+// and list names every scenario, in order, with its default station
+// count.
+func TestDescribeAndList(t *testing.T) {
+	out, code := campaignCmd(t, "describe", "dense")
+	if code != 0 {
+		t.Fatalf("describe dense: exit status %d", code)
+	}
+	for _, want := range []string{
+		"\ntopology (default point): 1 co-channel BSS, 40 stations total (per BSS: 40)\n",
+		"\nmetrics (artifact order): total-mbps, obss-jain, bss-share-0, jain-bss-0, rtt-ms-bss-0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("describe dense lacks %q; output:\n%s", want, out)
+		}
+	}
+	if _, code := campaignCmd(t, "describe", "nosuch"); code != 2 {
+		t.Errorf("describe nosuch: exit status %d, want 2", code)
+	}
+
+	out, code = campaignCmd(t, "list")
+	if code != 0 {
+		t.Fatalf("list: exit status %d", code)
+	}
+	lines := strings.Split(out, "\n")
+	for _, sc := range []struct{ name, stations string }{
+		{"latency", "[3 stations]"}, {"udp", "[3 stations]"},
+		{"fairness", "[3 stations]"}, {"throughput", "[3 stations]"},
+		{"sparse", "[4 stations]"}, {"scale", "[30 stations]"},
+		{"voip", "[4 stations]"}, {"web", "[3 stations]"},
+		{"weighted-udp", "[3 stations]"}, {"table1", "[3 stations]"},
+		{"mixed", "[4 stations]"}, {"dense", "[40 stations / 1 BSS]"},
+	} {
+		for len(lines) > 0 && !strings.HasPrefix(lines[0], sc.name+" ") {
+			lines = lines[1:]
+		}
+		if len(lines) == 0 {
+			t.Fatalf("list lacks scenario %q in order; output:\n%s", sc.name, out)
+		}
+		if !strings.HasSuffix(lines[0], "  "+sc.stations) {
+			t.Errorf("list line %q does not end in %q", lines[0], sc.stations)
+		}
+	}
+}

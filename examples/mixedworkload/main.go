@@ -5,8 +5,8 @@
 // two ways:
 //
 //  1. registered as a campaign Spec and swept over schemes through the
-//     parallel engine (deterministic artifacts, introspectable
-//     metadata), and
+//     parallel engine (deterministic artifacts; Spec.Describe lists what
+//     it emits), and
 //  2. attached imperatively to a live Testbed via Testbed.Attach.
 package main
 
@@ -62,13 +62,16 @@ func spec() *wifi.Spec {
 
 func main() {
 	// --- 1. The Spec through the campaign engine --------------------------
+	s := spec()
 	reg := wifi.NewScenarioRegistry()
-	spec().Register(reg)
+	s.Register(reg)
 
-	sc := reg.Get("voip-web-bulk")
+	d, err := s.Describe()
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("registered scenario %q\n  stations: %s\n  metrics:  %s\n\n",
-		sc.Name, strings.Join(sc.Meta.Stations, ", "),
-		strings.Join(sc.Meta.MetricNames(), ", "))
+		s.Name, strings.Join(d.Stations, ", "), strings.Join(d.Metrics, ", "))
 
 	res, err := reg.Execute(wifi.Plan{
 		Scenarios: []string{"voip-web-bulk"},

@@ -33,9 +33,6 @@ func (f *Facts) AddAll(other *Facts) {
 	}
 }
 
-// Has reports whether the fact is present.
-func (f *Facts) Has(fact string) bool { return f.set[fact] }
-
 // HasVerb reports whether any of the verbs is recorded for symbol.
 func (f *Facts) HasVerb(sym string, verbs ...string) bool {
 	for _, v := range verbs {

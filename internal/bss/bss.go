@@ -29,6 +29,9 @@ const (
 	StationOffset = 10      // stations are StationOffset, StationOffset+1, ...
 )
 
+// MaxStations is the most stations one BSS's identifier window holds.
+const MaxStations = IDStride - StationOffset
+
 // ServerID returns the wired server identifier of BSS b.
 func ServerID(b int) pkt.NodeID { return pkt.NodeID(b*IDStride + ServerOffset) }
 
@@ -125,9 +128,9 @@ type Config struct {
 func Build(env *mac.Env, top Topology, cfg Config) (*World, error) {
 	w := &World{Env: env}
 	for b, def := range top {
-		if len(def.Stations) > IDStride-StationOffset {
+		if len(def.Stations) > MaxStations {
 			return nil, fmt.Errorf("bss: BSS %d has %d stations, identifier window holds %d",
-				b, len(def.Stations), IDStride-StationOffset)
+				b, len(def.Stations), MaxStations)
 		}
 		name := def.Name
 		if name == "" {

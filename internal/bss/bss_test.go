@@ -17,7 +17,7 @@ func TestIDWindows(t *testing.T) {
 	// Windows of distinct BSSs never overlap.
 	seen := map[pkt.NodeID]bool{}
 	for b := 0; b < 16; b++ {
-		for _, id := range []pkt.NodeID{ServerID(b), APID(b), StationID(b, 0), StationID(b, IDStride-StationOffset-1)} {
+		for _, id := range []pkt.NodeID{ServerID(b), APID(b), StationID(b, 0), StationID(b, MaxStations-1)} {
 			if seen[id] {
 				t.Fatalf("BSS %d reuses node id %d", b, id)
 			}

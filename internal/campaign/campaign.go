@@ -59,56 +59,6 @@ type Scenario struct {
 	// safe for concurrent invocation (each call builds its own world) and
 	// must derive all randomness from ctx.Seed.
 	Run func(ctx Ctx) (*Metrics, error)
-
-	// Meta, if set, describes the scenario's composition — stations,
-	// workloads, probes and emitted metric names — for introspection
-	// (cmd/campaign describe). Scenarios built from declarative Specs
-	// fill it automatically; hand-written scenarios may leave it nil.
-	Meta *ScenarioMeta
-}
-
-// ScenarioMeta is the introspectable composition of a scenario at its
-// default grid point.
-type ScenarioMeta struct {
-	Stations  []string       `json:"stations"`
-	Workloads []WorkloadMeta `json:"workloads"`
-	Probes    []ProbeMeta    `json:"probes"`
-
-	// Topology describes multi-BSS scenarios; nil for the single-AP
-	// ones.
-	Topology *TopologyMeta `json:"topology,omitempty"`
-}
-
-// TopologyMeta describes a multi-BSS world: how many co-channel BSSs the
-// scenario builds and how its stations spread across them.
-type TopologyMeta struct {
-	BSSCount       int   `json:"bss_count"`
-	StationsPerBSS []int `json:"stations_per_bss"`
-	TotalStations  int   `json:"total_stations"`
-}
-
-// WorkloadMeta describes one traffic attachment of a scenario.
-type WorkloadMeta struct {
-	Kind    string `json:"kind"`    // e.g. "tcp-down", "voip"
-	Label   string `json:"label"`   // parameterised description
-	Phase   string `json:"phase"`   // "start" or "measure"
-	Targets string `json:"targets"` // station selector description
-}
-
-// ProbeMeta describes one metric collector of a scenario.
-type ProbeMeta struct {
-	Name    string   `json:"name"`
-	Metrics []string `json:"metrics"` // emitted metric names
-}
-
-// MetricNames flattens every probe's emitted metric names, in emission
-// order.
-func (m *ScenarioMeta) MetricNames() []string {
-	var out []string
-	for _, p := range m.Probes {
-		out = append(out, p.Metrics...)
-	}
-	return out
 }
 
 // Registry holds scenarios in registration order.
@@ -195,6 +145,19 @@ func (m *Metrics) AddSample(name string, s *stats.Sample) {
 	}
 	m.sampleIndex[name] = len(m.samples)
 	m.samples = append(m.samples, namedSample{name, s})
+}
+
+// Names lists the recorded names, scalars then distributions, each in
+// insertion order: the order an artifact cell lists them in.
+func (m *Metrics) Names() []string {
+	names := make([]string, 0, len(m.scalars)+len(m.samples))
+	for _, s := range m.scalars {
+		names = append(names, s.name)
+	}
+	for _, s := range m.samples {
+		names = append(names, s.name)
+	}
+	return names
 }
 
 // Scalar returns a recorded scalar and whether it exists.

@@ -225,6 +225,20 @@ func TestArtifactFormats(t *testing.T) {
 	}
 }
 
+// TestMetricsNames: Names lists scalars, then distributions, each in
+// insertion order, and a re-added name keeps its first place.
+func TestMetricsNames(t *testing.T) {
+	m := NewMetrics()
+	m.AddSample("rtt", new(stats.Sample))
+	m.Add("share", 0.5)
+	m.Add("jain", 1)
+	m.AddSample("plt", new(stats.Sample))
+	m.Add("share", 0.25)
+	if got := fmt.Sprint(m.Names()); got != "[share jain rtt plt]" {
+		t.Errorf("Names() = %s, want [share jain rtt plt]", got)
+	}
+}
+
 // TestMetricsCodecRoundTrip: the cache's blob encoding reproduces a
 // Metrics exactly — names, insertion order, float bits, samples — and
 // the decoder rejects damaged blobs and blobs the encoder never writes.

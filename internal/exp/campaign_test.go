@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/sim"
 )
@@ -107,6 +109,15 @@ func TestScenarioParamErrors(t *testing.T) {
 		{"weighted-udp", "slow-weight", "Inf"},
 		{"weighted-udp", "slow-weight", "1e30"},
 		{"weighted-udp", "slow-weight", "1e-7"},
+		// Numbers that passed Build and then panicked in the simulator:
+		// a datagram gap under 1 ns or past sim.Time's range, a wired
+		// delay that schedules events past it, and a BSS larger than its
+		// identifier window.
+		{"udp", "rate-mbps", "Inf"},
+		{"udp", "rate-mbps", "1e300"},
+		{"udp", "rate-mbps", "1e-300"},
+		{"voip", "delay-ms", "10000000000000"},
+		{"scale", "stations", "1048567"},
 	} {
 		_, err := NewRegistry().Execute(campaign.Plan{
 			Scenarios: []string{tc.scenario},
@@ -121,5 +132,29 @@ func TestScenarioParamErrors(t *testing.T) {
 		case !strings.Contains(err.Error(), tc.axis):
 			t.Errorf("%s %s=%s: error %q does not name the axis", tc.scenario, tc.axis, tc.value, err)
 		}
+	}
+}
+
+// TestNumericAxisBounds: the bounds behind TestScenarioParamErrors' last
+// rows sit at the simulator's limits, and dense checks its BSS size
+// before building any station list. Dense is tested here rather than as
+// a one-override row, whose bss=4 cells would build a million-station
+// world.
+func TestNumericAxisBounds(t *testing.T) {
+	for _, p := range []Params{
+		{"scheme": "FIFO", "rate-mbps": "1e7"},   // a 1 ns datagram gap
+		{"scheme": "FIFO", "rate-mbps": "2e-12"}, // a ~190-year gap
+	} {
+		if _, err := SpecUDP().Build(p); err != nil {
+			t.Errorf("udp %v: %v", p, err)
+		}
+	}
+	if _, err := SpecVoIP().Build(Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "60000"}); err != nil {
+		t.Errorf("voip delay-ms=60000: %v", err)
+	}
+	over := fmt.Sprint(bss.MaxStations + 1)
+	_, err := SpecDense().Build(Params{"scheme": "Airtime", "stations": over, "bss": "1"})
+	if err == nil || !strings.Contains(err.Error(), "stations") {
+		t.Errorf("dense stations=%s bss=1: error %v, want one naming stations", over, err)
 	}
 }

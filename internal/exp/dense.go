@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/phy"
 )
@@ -87,6 +88,10 @@ func SpecDense() *Spec {
 			if total < bsss {
 				return nil, fmt.Errorf("stations = %d, want at least one per BSS (%d)", total, bsss)
 			}
+			if total > bsss*bss.MaxStations {
+				return nil, fmt.Errorf("stations = %d, want at most %d per BSS (%d)",
+					total, bss.MaxStations, bsss)
+			}
 			return &Instance{
 				Net: NetConfig{Scheme: scheme, BSSs: DenseTopology(total, bsss)},
 				Workloads: []*Workload{
@@ -96,9 +101,9 @@ func SpecDense() *Spec {
 				Probes: []Probe{
 					SumRxMbps("total-mbps"),
 					OBSSJain("obss-jain"),
-					BSSShares("bss-share-%d", bsss),
-					PerBSSJain("jain-bss-%d", bsss),
-					PerBSSRTT("rtt-ms-bss-%d", bsss),
+					BSSShares("bss-share-%d"),
+					PerBSSJain("jain-bss-%d"),
+					PerBSSRTT("rtt-ms-bss-%d"),
 				},
 			}, nil
 		},

@@ -56,7 +56,7 @@ func TestNetConstruction(t *testing.T) {
 	if n.Stations[2].APView.Rate.Mbps() > 8 {
 		t.Fatal("slow station rate wrong")
 	}
-	if got := n.StationNames(); got[0] != "fast1" || got[2] != "slow" {
+	if got := n.World.StationNames(); got[0] != "fast1" || got[2] != "slow" {
 		t.Fatalf("names = %v", got)
 	}
 	// Flow ids are unique.

@@ -1,7 +1,8 @@
 // Package exp assembles the paper's testbed inside the simulator and
 // defines every table and figure of the evaluation (§4) as a declarative
 // Spec (see PaperSpecs). NewRegistry registers them as the campaign
-// scenarios cmd/campaign runs.
+// scenarios cmd/campaign runs, and Spec.Describe reads the metric names
+// one emits from a 1 ns run of its default grid point.
 //
 // The canonical setup mirrors §4: a wired server one Gigabit Ethernet hop
 // from the access point, two fast stations close to the AP (MCS15,
@@ -383,30 +384,6 @@ type AirtimeSnapshot struct {
 	tx, rx []sim.Time
 }
 
-// SnapshotAirtime records the current airtime counters.
-func (n *Net) SnapshotAirtime() AirtimeSnapshot {
-	snap := AirtimeSnapshot{
-		tx: make([]sim.Time, len(n.Stations)),
-		rx: make([]sim.Time, len(n.Stations)),
-	}
-	for i, st := range n.Stations {
-		snap.tx[i] = st.APView.TxAirtime
-		snap.rx[i] = st.APView.RxAirtime
-	}
-	return snap
-}
-
-// AirtimeSince returns each station's airtime accumulated since the
-// snapshot (TX + RX), in seconds.
-func (n *Net) AirtimeSince(snap AirtimeSnapshot) []float64 {
-	out := make([]float64, len(n.Stations))
-	for i, st := range n.Stations {
-		d := (st.APView.TxAirtime - snap.tx[i]) + (st.APView.RxAirtime - snap.rx[i])
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
 // SnapshotAirtime records the current airtime counters of every station
 // in the world.
 func (w *World) SnapshotAirtime() AirtimeSnapshot {
@@ -430,15 +407,6 @@ func (w *World) AirtimeSince(snap AirtimeSnapshot) []float64 {
 		out[i] = d.Seconds()
 	}
 	return out
-}
-
-// StationNames lists station names in creation order.
-func (n *Net) StationNames() []string {
-	names := make([]string, len(n.Stations))
-	for i, st := range n.Stations {
-		names[i] = st.Name
-	}
-	return names
 }
 
 // StationNames lists every cell's station names in flattened world

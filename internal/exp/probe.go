@@ -11,17 +11,14 @@ import (
 
 // A Probe is a declarative metric collector: it reads the measurement
 // surfaces workloads published into the run's Runtime and emits named
-// metrics into campaign.Metrics when the run ends. Probes declare the
-// metric names they emit, so a Spec's full output schema is
-// introspectable without running it (cmd/campaign describe).
+// metrics into campaign.Metrics when the run ends. Collect is the only
+// place a metric is named; Spec.Describe reads a scenario's schema from
+// what a short run of its default point emits.
 //
 // Emission order is significant — campaign artifacts preserve metric
 // insertion order — so a Spec's probe list (and, inside PerStation, its
 // column list) fixes the artifact layout.
 type Probe interface {
-	// Meta describes the probe and the metric names it will emit for
-	// the given station list.
-	Meta(stations []string) campaign.ProbeMeta
 	// Collect computes and emits the probe's metrics. It runs after the
 	// measured interval ends.
 	Collect(m *campaign.Metrics, rt *Runtime)
@@ -73,16 +70,6 @@ func PerStation(cols ...StationCol) Probe { return perStation{cols} }
 
 type perStation struct{ cols []StationCol }
 
-func (p perStation) Meta(stations []string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "per-station"}
-	for _, st := range stations {
-		for _, c := range p.cols {
-			meta.Metrics = append(meta.Metrics, c.Prefix+st)
-		}
-	}
-	return meta
-}
-
 func (p perStation) Collect(m *campaign.Metrics, rt *Runtime) {
 	for i, st := range rt.w.Stations {
 		for _, c := range p.cols {
@@ -99,10 +86,6 @@ func TotalGoodput(name string) Probe { return totalGoodput{name} }
 
 type totalGoodput struct{ name string }
 
-func (p totalGoodput) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "total-goodput", Metrics: []string{p.name}}
-}
-
 func (p totalGoodput) Collect(m *campaign.Metrics, rt *Runtime) {
 	var total float64
 	for _, gp := range rt.Goodputs() {
@@ -115,10 +98,6 @@ func (p totalGoodput) Collect(m *campaign.Metrics, rt *Runtime) {
 func AvgGoodput(name string) Probe { return avgGoodput{name} }
 
 type avgGoodput struct{ name string }
-
-func (p avgGoodput) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "avg-goodput", Metrics: []string{p.name}}
-}
 
 func (p avgGoodput) Collect(m *campaign.Metrics, rt *Runtime) {
 	gps := rt.Goodputs()
@@ -137,10 +116,6 @@ func SumRxMbps(name string) Probe { return sumRxMbps{name} }
 
 type sumRxMbps struct{ name string }
 
-func (p sumRxMbps) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "sum-rx", Metrics: []string{p.name}}
-}
-
 func (p sumRxMbps) Collect(m *campaign.Metrics, rt *Runtime) {
 	var total int64
 	for _, d := range rt.RxDeltas() {
@@ -154,10 +129,6 @@ func Jain(name string) Probe { return jainProbe{name} }
 
 type jainProbe struct{ name string }
 
-func (p jainProbe) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "jain", Metrics: []string{p.name}}
-}
-
 func (p jainProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 	m.Add(p.name, stats.JainIndex(rt.AirDeltas()))
 }
@@ -167,14 +138,6 @@ func (p jainProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 func IndexedShares(format string) Probe { return indexedShares{format} }
 
 type indexedShares struct{ format string }
-
-func (p indexedShares) Meta(stations []string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "airtime-shares"}
-	for i := range stations {
-		meta.Metrics = append(meta.Metrics, fmt.Sprintf(p.format, i))
-	}
-	return meta
-}
 
 func (p indexedShares) Collect(m *campaign.Metrics, rt *Runtime) {
 	for i, s := range rt.Shares() {
@@ -188,10 +151,6 @@ func ShareAt(idx int, name string) Probe { return shareAt{idx, name} }
 type shareAt struct {
 	idx  int
 	name string
-}
-
-func (p shareAt) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "airtime-share", Metrics: []string{p.name}}
 }
 
 func (p shareAt) Collect(m *campaign.Metrics, rt *Runtime) {
@@ -209,10 +168,6 @@ type sharesDist struct {
 	name   string
 }
 
-func (p sharesDist) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "share-dist", Metrics: []string{p.name}}
-}
-
 func (p sharesDist) Collect(m *campaign.Metrics, rt *Runtime) {
 	shares := rt.Shares()
 	lo, hi := resolveIdx(p.lo, len(shares)), resolveIdx(p.hi, len(shares))
@@ -228,35 +183,18 @@ func (p sharesDist) Collect(m *campaign.Metrics, rt *Runtime) {
 // Multi-BSS worlds measure two fairness layers: how evenly the medium
 // splits between co-channel BSSs (OBSS occupancy, a medium property) and
 // how fair each AP's scheduler is to its own stations (intra-BSS
-// airtime, the paper's metric). The probes below emit both; they take
-// the BSS count explicitly so their metric schema is introspectable
-// without building a world.
+// airtime, the paper's metric). The probes below emit both, one metric
+// per BSS of the world they read.
 
 // BSSShares emits each BSS's share of the medium busy time consumed over
 // the window, under fmt.Sprintf(format, b) names (e.g. "bss-share-%d").
-func BSSShares(format string, bssCount int) Probe { return bssShares{format, bssCount} }
+func BSSShares(format string) Probe { return bssShares{format} }
 
-type bssShares struct {
-	format string
-	n      int
-}
-
-func (p bssShares) Meta([]string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "bss-shares"}
-	for b := 0; b < p.n; b++ {
-		meta.Metrics = append(meta.Metrics, fmt.Sprintf(p.format, b))
-	}
-	return meta
-}
+type bssShares struct{ format string }
 
 func (p bssShares) Collect(m *campaign.Metrics, rt *Runtime) {
-	shares := stats.Shares(rt.BSSBusyDeltas())
-	for b := 0; b < p.n; b++ {
-		v := 0.0
-		if b < len(shares) {
-			v = shares[b]
-		}
-		m.Add(fmt.Sprintf(p.format, b), v)
+	for b, s := range stats.Shares(rt.BSSBusyDeltas()) {
+		m.Add(fmt.Sprintf(p.format, b), s)
 	}
 }
 
@@ -266,10 +204,6 @@ func OBSSJain(name string) Probe { return obssJain{name} }
 
 type obssJain struct{ name string }
 
-func (p obssJain) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "obss-jain", Metrics: []string{p.name}}
-}
-
 func (p obssJain) Collect(m *campaign.Metrics, rt *Runtime) {
 	m.Add(p.name, stats.JainIndex(rt.BSSBusyDeltas()))
 }
@@ -277,24 +211,13 @@ func (p obssJain) Collect(m *campaign.Metrics, rt *Runtime) {
 // PerBSSJain emits Jain's fairness index over each BSS's own stations'
 // window airtime, under fmt.Sprintf(format, b) names — the paper's
 // fairness metric applied inside every cell.
-func PerBSSJain(format string, bssCount int) Probe { return perBSSJain{format, bssCount} }
+func PerBSSJain(format string) Probe { return perBSSJain{format} }
 
-type perBSSJain struct {
-	format string
-	n      int
-}
-
-func (p perBSSJain) Meta([]string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "per-bss-jain"}
-	for b := 0; b < p.n; b++ {
-		meta.Metrics = append(meta.Metrics, fmt.Sprintf(p.format, b))
-	}
-	return meta
-}
+type perBSSJain struct{ format string }
 
 func (p perBSSJain) Collect(m *campaign.Metrics, rt *Runtime) {
 	air := rt.AirDeltas()
-	for b := 0; b < p.n; b++ {
+	for b := 0; b < rt.World().BSSCount(); b++ {
 		lo, hi := rt.World().BSSRange(b)
 		m.Add(fmt.Sprintf(p.format, b), stats.JainIndex(air[lo:hi]))
 	}
@@ -302,23 +225,12 @@ func (p perBSSJain) Collect(m *campaign.Metrics, rt *Runtime) {
 
 // PerBSSRTT merges each BSS's stations' ping RTT samples into one
 // distribution per BSS, under fmt.Sprintf(format, b) names.
-func PerBSSRTT(format string, bssCount int) Probe { return perBSSRTT{format, bssCount} }
+func PerBSSRTT(format string) Probe { return perBSSRTT{format} }
 
-type perBSSRTT struct {
-	format string
-	n      int
-}
-
-func (p perBSSRTT) Meta([]string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "per-bss-rtt"}
-	for b := 0; b < p.n; b++ {
-		meta.Metrics = append(meta.Metrics, fmt.Sprintf(p.format, b))
-	}
-	return meta
-}
+type perBSSRTT struct{ format string }
 
 func (p perBSSRTT) Collect(m *campaign.Metrics, rt *Runtime) {
-	for b := 0; b < p.n; b++ {
+	for b := 0; b < rt.World().BSSCount(); b++ {
 		lo, hi := rt.World().BSSRange(b)
 		s := new(stats.Sample)
 		for i := lo; i < hi; i++ {
@@ -343,14 +255,6 @@ type RTTGroup struct {
 func RTTByGroup(groups ...RTTGroup) Probe { return rttByGroup{groups} }
 
 type rttByGroup struct{ groups []RTTGroup }
-
-func (p rttByGroup) Meta([]string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "rtt"}
-	for _, g := range p.groups {
-		meta.Metrics = append(meta.Metrics, g.Name)
-	}
-	return meta
-}
 
 func (p rttByGroup) Collect(m *campaign.Metrics, rt *Runtime) {
 	merged := make([]*stats.Sample, len(p.groups))
@@ -389,10 +293,6 @@ type rttAt struct {
 	name string
 }
 
-func (p rttAt) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "rtt", Metrics: []string{p.name}}
-}
-
 func (p rttAt) Collect(m *campaign.Metrics, rt *Runtime) {
 	s := new(stats.Sample)
 	rt.RTT(resolveIdx(p.idx, len(rt.w.Stations)), s)
@@ -405,10 +305,6 @@ func MOS(name string) Probe { return mosProbe{name} }
 
 type mosProbe struct{ name string }
 
-func (p mosProbe) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "mos", Metrics: []string{p.name}}
-}
-
 func (p mosProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 	mos, _ := rt.MOS()
 	m.Add(p.name, mos)
@@ -419,10 +315,6 @@ func (p mosProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 func PLT(name string) Probe { return pltProbe{name} }
 
 type pltProbe struct{ name string }
-
-func (p pltProbe) Meta([]string) campaign.ProbeMeta {
-	return campaign.ProbeMeta{Name: "plt", Metrics: []string{p.name}}
-}
 
 func (p pltProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 	s := new(stats.Sample)
@@ -441,16 +333,6 @@ func (p pltProbe) Collect(m *campaign.Metrics, rt *Runtime) {
 func Table1(fair bool) Probe { return table1Probe{fair} }
 
 type table1Probe struct{ fair bool }
-
-func (p table1Probe) Meta(stations []string) campaign.ProbeMeta {
-	meta := campaign.ProbeMeta{Name: "table1-model"}
-	for _, st := range stations {
-		meta.Metrics = append(meta.Metrics, "aggr-"+st, "model-share-"+st,
-			"base-mbps-"+st, "model-mbps-"+st, "measured-mbps-"+st)
-	}
-	meta.Metrics = append(meta.Metrics, "model-total-mbps", "measured-total-mbps")
-	return meta
-}
 
 func (p table1Probe) Collect(m *campaign.Metrics, rt *Runtime) {
 	gps := rt.Goodputs()

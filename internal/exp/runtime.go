@@ -60,10 +60,6 @@ func NewWorldRuntime(w *World) *Runtime {
 	return &Runtime{w: w, taps: make([]stationTaps, len(w.Stations))}
 }
 
-// Net returns the underlying testbed's first cell (the whole testbed in
-// single-BSS worlds).
-func (rt *Runtime) Net() *Net { return rt.w.Cells[0] }
-
 // World returns the underlying testbed world.
 func (rt *Runtime) World() *World { return rt.w }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -65,6 +66,10 @@ func SpecScale() *Spec {
 			}
 			if count < 4 {
 				return nil, fmt.Errorf("stations = %d, want at least 4 (slow, two fast, ping-only)", count)
+			}
+			if count > bss.MaxStations {
+				return nil, fmt.Errorf("stations = %d, want at most %d (one BSS's identifier window)",
+					count, bss.MaxStations)
 			}
 			return scaleInstance(scheme, count), nil
 		},

@@ -11,7 +11,7 @@ import (
 // Every paper experiment is a declarative Spec — stations × workloads ×
 // probes over a parameter grid — executed by the one generic runner
 // (Instance.Execute) on the campaign engine. NewRegistry registers them
-// all, with introspectable metadata, as named campaign scenarios.
+// all as named campaign scenarios.
 
 // ParseScheme resolves a scheme's registered name ("FIFO", "FQ-CoDel",
 // "FQ-MAC", "Airtime", "DTT", plus anything added via

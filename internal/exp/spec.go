@@ -17,8 +17,8 @@ import (
 // composing existing workloads and probes, not writing a runner.
 //
 // Every paper experiment is a Spec (see PaperSpecs); NewRegistry
-// registers them all as campaign scenarios with introspectable
-// metadata.
+// registers them all as campaign scenarios, and Describe reports what
+// one builds and emits.
 type Spec struct {
 	Name string
 	Desc string
@@ -38,46 +38,6 @@ type Instance struct {
 	Workloads []*Workload
 	// Probes emit metrics in list order when the run ends.
 	Probes []Probe
-}
-
-// stationNames flattens the config's station names, whichever topology
-// form it uses.
-func (cfg *NetConfig) stationNames() []string {
-	if len(cfg.BSSs) == 0 {
-		names := make([]string, len(cfg.Stations))
-		for i, st := range cfg.Stations {
-			names[i] = st.Name
-		}
-		return names
-	}
-	var names []string
-	for _, b := range cfg.BSSs {
-		for _, st := range b.Stations {
-			names = append(names, st.Name)
-		}
-	}
-	return names
-}
-
-// Meta builds the instance's introspection record.
-func (inst *Instance) Meta() *campaign.ScenarioMeta {
-	names := inst.Net.stationNames()
-	meta := &campaign.ScenarioMeta{Stations: names}
-	if n := len(inst.Net.BSSs); n > 0 {
-		top := &campaign.TopologyMeta{BSSCount: n}
-		for _, b := range inst.Net.BSSs {
-			top.StationsPerBSS = append(top.StationsPerBSS, len(b.Stations))
-			top.TotalStations += len(b.Stations)
-		}
-		meta.Topology = top
-	}
-	for _, w := range inst.Workloads {
-		meta.Workloads = append(meta.Workloads, w.Meta())
-	}
-	for _, p := range inst.Probes {
-		meta.Probes = append(meta.Probes, p.Meta(names))
-	}
-	return meta
 }
 
 // Execute runs one repetition of the instance on its own simulator
@@ -120,10 +80,10 @@ func (s *Spec) Defaults() Params {
 	return p
 }
 
-// Scenario wraps the Spec into a campaign scenario: the generic runner
-// as Run, plus metadata introspected from the default grid point.
+// Scenario wraps the Spec into a campaign scenario running the generic
+// runner.
 func (s *Spec) Scenario() *campaign.Scenario {
-	sc := &campaign.Scenario{
+	return &campaign.Scenario{
 		Name: s.Name,
 		Desc: s.Desc,
 		Axes: s.Axes,
@@ -139,10 +99,38 @@ func (s *Spec) Scenario() *campaign.Scenario {
 			return m, nil
 		},
 	}
-	if inst, err := s.Build(s.Defaults()); err == nil {
-		sc.Meta = inst.Meta()
+}
+
+// Description is what a Spec's default grid point builds and emits.
+type Description struct {
+	// Stations lists the world's station names in world order.
+	Stations []string
+	// PerBSS counts each BSS's stations; nil for the single-BSS
+	// Stations form.
+	PerBSS []int
+	// Workloads are the instance's traffic attachments.
+	Workloads []*Workload
+	// Metrics lists the emitted metric names in artifact order.
+	Metrics []string
+}
+
+// Describe builds the Spec's default grid point and runs it through
+// Execute for a 1 ns window, so the schema it reports is what the
+// probes emit rather than a second, declared copy of it.
+func (s *Spec) Describe() (*Description, error) {
+	inst, err := s.Build(s.Defaults())
+	if err != nil {
+		return nil, err
 	}
-	return sc
+	m, rt := inst.Execute(campaign.Ctx{Seed: 1, Duration: 1})
+	w := rt.World()
+	d := &Description{Stations: w.StationNames(), Workloads: inst.Workloads, Metrics: m.Names()}
+	if len(inst.Net.BSSs) > 0 {
+		for _, cell := range w.Cells {
+			d.PerBSS = append(d.PerBSS, len(cell.Stations))
+		}
+	}
+	return d, nil
 }
 
 // Register adds the Spec to a campaign registry.

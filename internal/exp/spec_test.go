@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -144,42 +145,47 @@ func TestMixedWorkloadMetrics(t *testing.T) {
 	}
 }
 
-// TestScenarioMetadata: every Spec-built scenario carries introspectable
-// metadata — stations, workloads with phase and target, probes with the
-// exact metric names the scenario emits.
-func TestScenarioMetadata(t *testing.T) {
-	for _, sc := range NewRegistry().Scenarios() {
-		if sc.Meta == nil {
-			t.Errorf("scenario %q has no metadata", sc.Name)
-			continue
-		}
-		if len(sc.Meta.Stations) == 0 || len(sc.Meta.Workloads) == 0 || len(sc.Meta.Probes) == 0 {
-			t.Errorf("scenario %q metadata incomplete: %+v", sc.Name, sc.Meta)
-		}
-		if len(sc.Meta.MetricNames()) == 0 {
-			t.Errorf("scenario %q declares no metrics", sc.Name)
-		}
-	}
+// TestDescribeMatchesArtifact: every paper Spec describes its default point
+// (stations, workloads, metrics), and the metric names Describe reads
+// from its 1 ns run are exactly the scalar then distribution names of
+// that point's artifact cell from a real campaign run, in order.
+func TestDescribeMatchesArtifact(t *testing.T) {
+	for _, s := range PaperSpecs() {
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			d, err := s.Describe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Stations) == 0 || len(d.Workloads) == 0 || len(d.Metrics) == 0 {
+				t.Errorf("description incomplete: %+v", d)
+			}
 
-	// The declared metric names match what a run actually emits.
-	sc := NewRegistry().Get("udp")
-	want := map[string]bool{}
-	for _, name := range sc.Meta.MetricNames() {
-		want[name] = true
-	}
-	inst, err := SpecUDP().Build(Params{"scheme": "FIFO", "rate-mbps": "20"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := inst.Execute(campaign.Ctx{Seed: 2, Duration: sim.Second, Warmup: sim.Second / 2})
-	for _, name := range []string{"share-fast1", "share-slow", "goodput-mbps-fast2",
-		"aggr-slow", "total-mbps"} {
-		if !want[name] {
-			t.Errorf("metadata missing declared metric %q (have %v)", name, sc.Meta.MetricNames())
-		}
-		if _, ok := m.Scalar(name); !ok {
-			t.Errorf("run did not emit declared metric %q", name)
-		}
+			reg := campaign.NewRegistry()
+			s.Register(reg)
+			point := map[string][]string{}
+			for name, v := range s.Defaults() {
+				point[name] = []string{v}
+			}
+			res, err := reg.Execute(campaign.Plan{
+				Scenarios: []string{s.Name}, Overrides: point,
+				Reps: 1, Duration: sim.Second, Warmup: sim.Second / 2, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cell []string
+			for _, m := range res.Cells[0].Metrics {
+				cell = append(cell, m.Name)
+			}
+			for _, m := range res.Cells[0].Dists {
+				cell = append(cell, m.Name)
+			}
+			if !slices.Equal(d.Metrics, cell) {
+				t.Errorf("Describe().Metrics = %v\nartifact cell names = %v", d.Metrics, cell)
+			}
+		})
 	}
 }
 

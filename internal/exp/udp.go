@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
@@ -44,8 +45,11 @@ func SpecUDP() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			if !(rate > 0) {
-				return nil, fmt.Errorf("rate-mbps must be positive, got %v", rate)
+			// The flood sends a 1500-byte datagram every 12000/rate
+			// µs, truncated to whole nanoseconds, which must be a
+			// positive sim.Time; !(x) also rejects NaN.
+			if gap := 1500 * 8 / (rate * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
+				return nil, fmt.Errorf("rate-mbps must lie in (1.3e-12, 1.2e7], got %v", rate)
 			}
 			return udpInstance(scheme, rate*1e6, nil), nil
 		},

@@ -29,6 +29,11 @@ func voipInstance(scheme mac.Scheme, ac pkt.AC, wiredDelay sim.Time) *Instance {
 	}
 }
 
+// maxWiredDelayMs bounds the voip scenario's one-way wired delay. The
+// paper uses 5 and 50 ms; a delay near sim.Time's range schedules
+// events past it.
+const maxWiredDelayMs = 60000
+
 // SpecVoIP is the declarative form of the experiment. The qos axis
 // marks the voice packets best-effort (BE) or voice (VO).
 func SpecVoIP() *Spec {
@@ -53,8 +58,8 @@ func SpecVoIP() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			if delay <= 0 {
-				return nil, fmt.Errorf("delay-ms must be positive, got %d", delay)
+			if delay <= 0 || delay > maxWiredDelayMs {
+				return nil, fmt.Errorf("delay-ms must lie in 1-%d, got %d", maxWiredDelayMs, delay)
 			}
 			ac := pkt.ACBE
 			if qos == "VO" {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/campaign"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -65,21 +64,13 @@ func (w *Workload) At(p Phase) *Workload {
 	return w
 }
 
-// Meta returns the workload's introspection record.
-func (w *Workload) Meta() campaign.WorkloadMeta {
-	return campaign.WorkloadMeta{
-		Kind: w.Kind, Label: w.Label,
-		Phase: w.Phase.String(), Targets: w.Target.Describe(),
-	}
-}
-
 // Target selects the stations a workload attaches to.
 type Target struct {
 	desc  string
 	match func(i, n int, name string) bool
 }
 
-// Describe renders the selector for metadata.
+// Describe renders the selector for cmd/campaign describe.
 func (t Target) Describe() string {
 	if t.match == nil {
 		return "all stations"

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -122,30 +124,47 @@ func TestDenseDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDenseProbeColumns: the dense scenario's emitted metric set matches
-// its declared Meta exactly — per-BSS columns are stable in both name
-// and order, including the RTT distributions of BSSs whose pings see no
-// replies.
+// TestDenseProbeColumns: the dense scenario emits one column per BSS of
+// the world it runs, stable in name and order, including the RTT
+// distributions of BSSs whose pings see no reply: in a 1 ns run, as
+// Describe makes, no ping is answered.
 func TestDenseProbeColumns(t *testing.T) {
 	spec := SpecDense()
-	inst, err := spec.Build(Params{"scheme": "Airtime", "stations": "24", "bss": "4"})
+	spec.Axes = []campaign.Axis{
+		{Name: "scheme", Values: []string{"Airtime"}},
+		{Name: "stations", Values: []string{"24"}},
+		{Name: "bss", Values: []string{"4"}},
+	}
+	d, err := spec.Describe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := inst.Meta()
-	if meta.Topology == nil {
-		t.Fatal("dense instance has no topology metadata")
+	if !slices.Equal(d.PerBSS, []int{6, 6, 6, 6}) || len(d.Stations) != 24 {
+		t.Fatalf("topology = %v BSS sizes, %d stations; want 4 BSS of 6", d.PerBSS, len(d.Stations))
 	}
-	if meta.Topology.BSSCount != 4 || meta.Topology.TotalStations != 24 {
-		t.Fatalf("topology = %d BSS / %d stations, want 4/24", meta.Topology.BSSCount, meta.Topology.TotalStations)
+	want := []string{"total-mbps", "obss-jain"}
+	for _, format := range []string{"bss-share-%d", "jain-bss-%d", "rtt-ms-bss-%d"} {
+		for b := 0; b < 4; b++ {
+			want = append(want, fmt.Sprintf(format, b))
+		}
+	}
+	if !slices.Equal(d.Metrics, want) {
+		t.Fatalf("Describe().Metrics = %v, want %v", d.Metrics, want)
 	}
 
-	m, _ := inst.Execute(campaign.Ctx{Seed: 5, Duration: sim.Second, Warmup: sim.Second / 2})
-	for _, want := range meta.MetricNames() {
-		_, isScalar := m.Scalar(want)
-		if !isScalar && m.Sample(want) == nil {
-			t.Errorf("declared metric %q was not emitted", want)
+	inst, err := spec.Build(spec.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, _ := inst.Execute(campaign.Ctx{Seed: 5, Duration: 1})
+	for b := 0; b < 4; b++ {
+		if s := quiet.Sample(fmt.Sprintf("rtt-ms-bss-%d", b)); s == nil || s.N() != 0 {
+			t.Errorf("1 ns run: rtt-ms-bss-%d = %v, want an empty distribution", b, s)
 		}
+	}
+	m, _ := inst.Execute(campaign.Ctx{Seed: 5, Duration: sim.Second, Warmup: sim.Second / 2})
+	if got := m.Names(); !slices.Equal(got, want) {
+		t.Errorf("1 s run emitted %v, want %v", got, want)
 	}
 }
 

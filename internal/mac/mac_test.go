@@ -440,21 +440,16 @@ func TestConservationAcrossSchemes(t *testing.T) {
 	}
 }
 
-// TestStationChurn: stations joining and leaving mid-run must not wedge
-// the scheduler or leak queued packets.
-func TestStationChurn(t *testing.T) {
+// TestLateJoiner: a station that associates mid-flood gets traffic, and
+// neither it nor the stations already served wedge the scheduler or
+// leave packets queued.
+func TestLateJoiner(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeFIFO, SchemeAirtimeFQ} {
 		r := newRig(t, Config{Scheme: scheme}, phy.MCS(15, true), phy.MCS(0, true))
 		stop1 := r.s.Ticker(300*sim.Microsecond, func() { r.ap.Input(dataPkt(10, 1500, 1)) })
 		stop2 := r.s.Ticker(300*sim.Microsecond, func() { r.ap.Input(dataPkt(11, 1500, 2)) })
 		r.s.RunUntil(1 * sim.Second)
 
-		// Station 11 leaves mid-flood; its traffic keeps arriving briefly.
-		r.ap.RemoveStation(r.ap.Station(11))
-		r.s.RunUntil(1100 * sim.Millisecond)
-		stop2()
-
-		// A new station joins and gets traffic.
 		id := pkt.NodeID(30)
 		sta := mustNode(t, r.env, id, "late", Config{Scheme: SchemeFIFO})
 		sta.Deliver = func(p *pkt.Packet) { r.received[id] = append(r.received[id], p) }
@@ -463,17 +458,16 @@ func TestStationChurn(t *testing.T) {
 		stop3 := r.s.Ticker(300*sim.Microsecond, func() { r.ap.Input(dataPkt(30, 1500, 3)) })
 		r.s.RunUntil(2 * sim.Second)
 		stop1()
+		stop2()
 		stop3()
-		r.s.RunUntil(3 * sim.Second)
+		// The MCS0 station's backlog takes seconds of airtime to clear.
+		r.s.RunUntil(20 * sim.Second)
 
 		if len(r.received[30]) == 0 {
 			t.Errorf("%v: late joiner received nothing", scheme)
 		}
-		if len(r.received[10]) == 0 {
-			t.Errorf("%v: surviving station starved", scheme)
-		}
-		if got := r.ap.Station(11); got != nil {
-			t.Errorf("%v: removed station still registered", scheme)
+		if len(r.received[10]) == 0 || len(r.received[11]) == 0 {
+			t.Errorf("%v: an early station starved", scheme)
 		}
 		if q := r.ap.QueuedPackets(); q != 0 {
 			t.Errorf("%v: %d packets stuck after drain", scheme, q)
@@ -481,16 +475,13 @@ func TestStationChurn(t *testing.T) {
 	}
 }
 
-// TestRemoveDefaultPeer: removing a client's only peer (the AP) must not
-// panic; subsequent sends are dropped.
-func TestRemoveDefaultPeer(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFIFO}, phy.MCS(7, true))
-	sta := r.stas[0]
-	sta.RemoveStation(sta.Station(r.ap.ID))
-	drops := sta.InputDrops
-	sta.Input(&pkt.Packet{Size: 100, Proto: pkt.ProtoUDP, Src: 10, Dst: 1, AC: pkt.ACBE})
-	if sta.InputDrops != drops+1 {
-		t.Fatal("packet to nowhere not counted as drop")
+// TestInputWithoutPeerDrops: a node with no peer has no route, so a
+// packet it is handed counts as an input drop instead of panicking.
+func TestInputWithoutPeerDrops(t *testing.T) {
+	r := newRig(t, Config{Scheme: SchemeFIFO})
+	r.ap.Input(&pkt.Packet{Size: 100, Proto: pkt.ProtoUDP, Src: 1, Dst: 10, AC: pkt.ACBE})
+	if r.ap.InputDrops != 1 {
+		t.Fatalf("InputDrops = %d, want the unroutable packet counted", r.ap.InputDrops)
 	}
 }
 

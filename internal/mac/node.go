@@ -166,7 +166,7 @@ type Node struct {
 
 	// staLow/staSlice index stations by identifier offset for the
 	// per-packet route/receive lookups: one bounds check and a load
-	// instead of a map probe. Rebuilt on Add/RemoveStation; empty when
+	// instead of a map probe. Rebuilt on AddStation; empty when
 	// the identifier range is too sparse (the map stays authoritative).
 	staLow   pkt.NodeID
 	staSlice []*Station
@@ -178,7 +178,7 @@ type Node struct {
 	reorder map[reorderKey]*reorderState
 
 	// pool is the world's packet pool; the node releases packets it
-	// terminates (drops at enqueue, retry-limit drops, purges) into it.
+	// terminates (drops at enqueue, retry-limit drops) into it.
 	pool *pkt.Pool
 	// tabs interns one phy.Tab per rate the node has transmitted at, so
 	// rate-control sampling does not rebuild duration tables.
@@ -370,59 +370,11 @@ func (n *Node) EnableAutoRate(s *Station, ch *channel.Model, startMCS int) *mins
 	return s.RC
 }
 
-// RemoveStation disassociates a peer: every queued packet for it is
-// purged, its scheduler state retires naturally (its backlog probe goes
-// false) and subsequent packets routed to it are dropped.
-func (n *Node) RemoveStation(s *Station) {
-	if n.stations[s.Peer.ID] != s {
-		return
-	}
-	delete(n.stations, s.Peer.ID)
-	for i, st := range n.stationOrder {
-		if st == s {
-			n.stationOrder = append(n.stationOrder[:i], n.stationOrder[i+1:]...)
-			break
-		}
-	}
-	n.rebuildStationIndex()
-	if n.defaultPeer == s {
-		n.defaultPeer = nil
-		if len(n.stationOrder) > 0 {
-			n.defaultPeer = n.stationOrder[0]
-		}
-	}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		t := s.tids[ac]
-		// Remove from the round-robin service list.
-		for i, rr := range n.rr[ac] {
-			if rr == t {
-				n.rr[ac] = append(n.rr[ac][:i], n.rr[ac][i+1:]...)
-				if n.rrIdx[ac] > i {
-					n.rrIdx[ac]--
-				}
-				if len(n.rr[ac]) > 0 {
-					n.rrIdx[ac] %= len(n.rr[ac])
-				} else {
-					n.rrIdx[ac] = 0
-				}
-				break
-			}
-		}
-		// Drop everything queued for the station.
-		t.retryq.Drain(n.freePkt)
-		t.q.Purge()
-	}
-}
-
 // rebuildStationIndex refreshes the dense lookup slice. Station
 // identifiers cluster inside one BSS window, so the span is small; a
 // pathological spread falls back to the map.
 func (n *Node) rebuildStationIndex() {
 	n.staSlice = n.staSlice[:0]
-	if len(n.stationOrder) == 0 {
-		n.staLow = 0
-		return
-	}
 	lo, hi := n.stationOrder[0].Peer.ID, n.stationOrder[0].Peer.ID
 	for _, s := range n.stationOrder[1:] {
 		if id := s.Peer.ID; id < lo {

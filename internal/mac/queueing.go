@@ -21,8 +21,6 @@ type TIDQueue interface {
 	// Pop removes the next packet under the station's CoDel parameters
 	// (substrates without AQM ignore them), or returns nil.
 	Pop(now sim.Time, pa codel.Params) *pkt.Packet
-	// Purge drops everything held (station removal).
-	Purge()
 }
 
 // TxQueueing is the queue substrate of a node's transmit path — the
@@ -184,11 +182,6 @@ func (q *fifoTIDQueue) Pop(sim.Time, codel.Params) *pkt.Packet {
 	return p
 }
 
-func (q *fifoTIDQueue) Purge() {
-	q.s.driverLen -= q.bufq.Len()
-	q.bufq.Drain(q.s.n.freePkt)
-}
-
 // --- Integrated per-TID FQ-CoDel substrate -------------------------------
 
 // integratedQueueing is the paper's §3.1 structure: the qdisc layer is
@@ -242,5 +235,3 @@ func (q *fqTIDQueue) Len() int { return q.tid.Len() }
 func (q *fqTIDQueue) Pop(now sim.Time, pa codel.Params) *pkt.Packet {
 	return q.tid.Dequeue(now, pa)
 }
-
-func (q *fqTIDQueue) Purge() { q.tid.Purge() }

@@ -480,14 +480,3 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 		return p
 	}
 }
-
-// Purge drops every packet queued for this TID (station departure).
-func (t *TID) Purge() {
-	for t.len > 0 {
-		p := t.Dequeue(sim.Time(1<<62), codel.Params{Target: 1 << 62, Interval: 1 << 62})
-		if p == nil {
-			break
-		}
-		t.fq.drop(p)
-	}
-}

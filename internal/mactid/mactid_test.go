@@ -190,18 +190,6 @@ func TestCodelDropsCountedPerTID(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	fq := New(Config{})
-	tid := fq.NewTID()
-	for i := 0; i < 30; i++ {
-		tid.Enqueue(mkp(uint64(i%3), 1000), 0)
-	}
-	tid.Purge()
-	if tid.Len() != 0 || tid.Backlogged() {
-		t.Fatalf("purge left %d packets", tid.Len())
-	}
-}
-
 // TestConservation: packets either dequeue or drop; counters agree.
 func TestConservation(t *testing.T) {
 	dropped := 0
@@ -234,8 +222,8 @@ func TestConservation(t *testing.T) {
 }
 
 // TestFlowTableBuiltOnFirstEnqueue: a structure that only ever sees
-// Dequeue (and Purge) builds no flow table, and overflow queues are
-// numbered after the table either way.
+// Dequeue builds no flow table, and overflow queues are numbered after
+// the table either way.
 func TestFlowTableBuiltOnFirstEnqueue(t *testing.T) {
 	fq := New(Config{Flows: 64})
 	t1, t2 := fq.NewTID(), fq.NewTID()
@@ -244,7 +232,6 @@ func TestFlowTableBuiltOnFirstEnqueue(t *testing.T) {
 			t.Fatal("dequeued from an empty structure")
 		}
 	}
-	t2.Purge()
 	if fq.flows != nil {
 		t.Fatalf("Dequeue built a %d-queue flow table", len(fq.flows))
 	}

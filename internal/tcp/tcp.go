@@ -216,12 +216,6 @@ func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 // RTO reports the current retransmission timeout (for tests).
 func (e *Endpoint) RTO() sim.Time { return e.rto }
 
-// SRTT reports the smoothed RTT estimate.
-func (e *Endpoint) SRTT() sim.Time { return e.srtt }
-
-// InRecovery reports whether the sender is in loss recovery (for tests).
-func (e *Endpoint) InRecovery() bool { return e.inRec }
-
 // SendData queues n application bytes for transmission.
 func (e *Endpoint) SendData(n int64) {
 	if n <= 0 {
@@ -737,9 +731,3 @@ func clampT(v, lo, hi sim.Time) sim.Time {
 
 // DebugUna exposes the oldest unacknowledged byte (for debugging tests).
 func (e *Endpoint) DebugUna() int64 { return e.una }
-
-// DebugNextSeq exposes the next new sequence (for debugging tests).
-func (e *Endpoint) DebugNextSeq() int64 { return e.nextSeq }
-
-// DebugRtoRec reports whether the endpoint is in RTO recovery.
-func (e *Endpoint) DebugRtoRec() bool { return e.rtoRec }

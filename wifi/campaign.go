@@ -26,10 +26,6 @@ type (
 	Registry = campaign.Registry
 	// Metrics is the scalar/distribution result set of a single run.
 	Metrics = campaign.Metrics
-	// ScenarioMeta is a scenario's introspectable composition (stations,
-	// workloads, probes, metric names), filled automatically for
-	// Spec-built scenarios.
-	ScenarioMeta = campaign.ScenarioMeta
 )
 
 // NewMetrics returns an empty metric set (for custom probes).

@@ -10,9 +10,10 @@
 // server, an access point with a selectable queueing Scheme, and a set of
 // wireless stations) and exposes traffic generators and measurement
 // helpers. Every table and figure of the paper's evaluation is a
-// registered campaign scenario: NewScenarioRegistry returns them, and a
-// Plan passed to its Execute runs them (EXPERIMENTS.md maps each figure
-// to its scenario).
+// registered campaign scenario: NewScenarioRegistry returns them, a Plan
+// passed to its Execute runs them, and a Spec's Describe lists what its
+// default grid point emits (EXPERIMENTS.md maps each figure to its
+// scenario).
 //
 //	tb := wifi.NewTestbed(wifi.TestbedConfig{
 //	    Scheme:   wifi.SchemeAirtimeFQ,

@@ -35,6 +35,7 @@ import (
 //	}
 //	reg := wifi.NewScenarioRegistry()
 //	spec.Register(reg)
+//	d, err := spec.Describe() // d.Metrics: "mos", "jain"
 //
 // Workloads also attach imperatively to a live Testbed via
 // Testbed.Attach.
@@ -57,6 +58,9 @@ type (
 	Spec = exp.Spec
 	// SpecInstance is one resolved composition, ready to run.
 	SpecInstance = exp.Instance
+	// SpecDescription is what Spec.Describe reports: the default grid
+	// point's stations, workloads and emitted metric names.
+	SpecDescription = exp.Description
 	// SpecParams is a resolved grid-point parameter assignment.
 	SpecParams = exp.Params
 	// TestbedRuntime is the workload/probe fabric of one run.

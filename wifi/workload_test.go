@@ -1,6 +1,7 @@
 package wifi_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/wifi"
@@ -77,8 +78,16 @@ func TestSpecFacade(t *testing.T) {
 	}
 	reg := wifi.NewScenarioRegistry()
 	spec.Register(reg)
-	if sc := reg.Get("facade-spec"); sc == nil || sc.Meta == nil {
-		t.Fatal("facade spec not registered with metadata")
+	if reg.Get("facade-spec") == nil {
+		t.Fatal("facade spec not registered")
+	}
+	var d *wifi.SpecDescription
+	d, err := spec.Describe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Stations) != 3 || strings.Join(d.Metrics, ",") != "avg-mbps,idle-rtt-ms" {
+		t.Errorf("Describe() = %d stations, metrics %v", len(d.Stations), d.Metrics)
 	}
 	res, err := reg.Execute(wifi.Plan{
 		Scenarios: []string{"facade-spec"},
