@@ -154,7 +154,8 @@ func TestDropStateExitsWhenLoadClears(t *testing.T) {
 	if !v.Dropping {
 		t.Fatal("expected drop state under heavy load")
 	}
-	q.Drain(nil)
+	for q.Pop() != nil {
+	}
 	// Fresh traffic with low sojourn: drop state must end.
 	fill(&q, 1, now)
 	v.Dequeue(&q, pa, now+sim.Millisecond, func(*pkt.Packet) {})

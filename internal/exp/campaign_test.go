@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/sim"
 )
@@ -116,6 +115,9 @@ func TestScenarioParamErrors(t *testing.T) {
 		{"udp", "rate-mbps", "Inf"},
 		{"udp", "rate-mbps", "1e300"},
 		{"udp", "rate-mbps", "1e-300"},
+		// A total load over the wired link's rate queues without
+		// bound on the wire.
+		{"udp", "rate-mbps", "334"},
 		{"voip", "delay-ms", "10000000000000"},
 		{"scale", "stations", "1048567"},
 	} {
@@ -136,23 +138,29 @@ func TestScenarioParamErrors(t *testing.T) {
 }
 
 // TestNumericAxisBounds: the bounds behind TestScenarioParamErrors' last
-// rows sit at the simulator's limits, and dense checks its BSS size
-// before building any station list. Dense is tested here rather than as
-// a one-override row, whose bss=4 cells would build a million-station
-// world.
+// rows sit at the simulator's and the wired link's limits, and dense
+// checks its BSS size before building any station list. Dense is tested
+// here rather than as a one-override row, whose bss=4 cells would build
+// a million-station world.
 func TestNumericAxisBounds(t *testing.T) {
 	for _, p := range []Params{
-		{"scheme": "FIFO", "rate-mbps": "1e7"},   // a 1 ns datagram gap
+		{"scheme": "FIFO", "rate-mbps": "333"},   // 999 Mbps over three stations
 		{"scheme": "FIFO", "rate-mbps": "2e-12"}, // a ~190-year gap
 	} {
 		if _, err := SpecUDP().Build(p); err != nil {
 			t.Errorf("udp %v: %v", p, err)
 		}
 	}
+	for _, rate := range []string{"334", "1e7"} { // over the 1 Gbps wired link
+		_, err := SpecUDP().Build(Params{"scheme": "FIFO", "rate-mbps": rate})
+		if err == nil || !strings.Contains(err.Error(), "rate-mbps") {
+			t.Errorf("udp rate-mbps=%s: error %v, want one naming rate-mbps", rate, err)
+		}
+	}
 	if _, err := SpecVoIP().Build(Params{"scheme": "FIFO", "qos": "BE", "delay-ms": "60000"}); err != nil {
 		t.Errorf("voip delay-ms=60000: %v", err)
 	}
-	over := fmt.Sprint(bss.MaxStations + 1)
+	over := fmt.Sprint(MaxStations + 1)
 	_, err := SpecDense().Build(Params{"scheme": "Airtime", "stations": over, "bss": "1"})
 	if err == nil || !strings.Contains(err.Error(), "stations") {
 		t.Errorf("dense stations=%s bss=1: error %v, want one naming stations", over, err)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/phy"
 )
@@ -88,9 +87,9 @@ func SpecDense() *Spec {
 			if total < bsss {
 				return nil, fmt.Errorf("stations = %d, want at least one per BSS (%d)", total, bsss)
 			}
-			if total > bsss*bss.MaxStations {
+			if total > bsss*MaxStations {
 				return nil, fmt.Errorf("stations = %d, want at most %d per BSS (%d)",
-					total, bss.MaxStations, bsss)
+					total, MaxStations, bsss)
 			}
 			return &Instance{
 				Net: NetConfig{Scheme: scheme, BSSs: DenseTopology(total, bsss)},

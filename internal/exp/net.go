@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bss"
 	"repro/internal/ether"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -27,14 +26,23 @@ import (
 	"repro/internal/traffic"
 )
 
-// Node identifiers of the single-BSS (legacy) topology. Multi-BSS worlds
-// allocate per-BSS identifier windows through internal/bss; BSS 0's
-// window reproduces these values exactly.
+// Node identifiers of the single-BSS (legacy) topology. BuildWorld gives
+// BSS b the identifier window [b*idStride, (b+1)*idStride) with these
+// offsets inside it, so BSS 0 reproduces them exactly.
 const (
-	ServerID  pkt.NodeID = bss.ServerOffset
-	APID      pkt.NodeID = bss.APOffset
-	StationID pkt.NodeID = bss.StationOffset // stations are StationID, StationID+1, ...
+	ServerID  pkt.NodeID = 1
+	APID      pkt.NodeID = 2
+	StationID pkt.NodeID = 10 // stations are StationID, StationID+1, ...
 )
+
+// idStride is the identifier window of one BSS.
+const idStride = 1 << 20
+
+// MaxStations is the most stations one BSS's identifier window holds.
+const MaxStations = idStride - int(StationID)
+
+// nodeID returns the identifier at offset id inside BSS b's window.
+func nodeID(b int, id pkt.NodeID) pkt.NodeID { return pkt.NodeID(b*idStride) + id }
 
 // FastRate and SlowRate are the paper's station rates: MCS15 HT20 SGI
 // (144.4 Mbps) and MCS0 HT20 SGI (7.2 Mbps).
@@ -126,7 +134,6 @@ type Net struct {
 type World struct {
 	Sim   *sim.Sim
 	Env   *mac.Env
-	MAC   *bss.World
 	Cells []*Net
 
 	// Stations flattens every cell's stations in cell-major order — the
@@ -180,34 +187,12 @@ func BuildWorld(cfg NetConfig) *World {
 	} else if len(cfg.Stations) > 0 {
 		panic("exp: NetConfig sets both Stations and BSSs; pick one topology form")
 	}
-	top := make(bss.Topology, len(specs))
-	for b, sp := range specs {
-		name := sp.Name
-		if name == "" {
-			name = fmt.Sprintf("bss%d", b)
-		}
-		defs := make([]bss.StationDef, len(sp.Stations))
-		for i, st := range sp.Stations {
-			defs[i] = bss.StationDef{Name: st.Name, Rate: st.Rate}
-		}
-		top[b] = bss.Def{Name: name, Stations: defs}
-	}
 
 	s := sim.New(cfg.Seed)
-	env := mac.NewEnv(s)
-	apCfg := cfg.AP
-	apCfg.Scheme = cfg.Scheme
-	staCfg := cfg.StationMAC
-	staCfg.Scheme = mac.SchemeFIFO
-	mw, err := bss.Build(env, top, bss.Config{AP: apCfg, Station: staCfg})
-	if err != nil {
-		panic(fmt.Sprintf("exp: building world: %v", err))
-	}
-
-	w := &World{Sim: s, Env: env, MAC: mw}
-	for _, cell := range mw.Cells {
+	w := &World{Sim: s, Env: mac.NewEnv(s)}
+	for b, sp := range specs {
 		w.cellStart = append(w.cellStart, len(w.Stations))
-		n := newCellNet(w, cell, cfg.WiredDelay)
+		n := newCellNet(w, b, sp, cfg)
 		w.Cells = append(w.Cells, n)
 		w.Stations = append(w.Stations, n.Stations...)
 	}
@@ -236,13 +221,25 @@ func NewNet(cfg NetConfig) *Net {
 	return BuildWorld(cfg).Cells[0]
 }
 
-// newCellNet wraps one MAC-level cell with its wired segment and
-// application hosts.
-func newCellNet(w *World, cell *bss.Cell, wiredDelay sim.Time) *Net {
+// newCellNet builds BSS b of the world: its AP, wired segment (link and
+// server) and stations, every node tagged with b so the shared medium
+// accounts its occupancy under that BSS.
+func newCellNet(w *World, b int, sp BSSSpec, cfg NetConfig) *Net {
+	if len(sp.Stations) > MaxStations {
+		panic(fmt.Sprintf("exp: BSS %d has %d stations, identifier window holds %d",
+			b, len(sp.Stations), MaxStations))
+	}
+	name := sp.Name
+	if name == "" {
+		name = fmt.Sprintf("bss%d", b)
+	}
 	s := w.Sim
-	n := &Net{Sim: s, Env: w.Env, AP: cell.AP, World: w, BSS: cell.Index}
-	serverID := bss.ServerID(cell.Index)
-	n.Link = ether.NewLink(s, ether.GigabitRate, wiredDelay)
+	apCfg := cfg.AP
+	apCfg.Scheme, apCfg.BSS = cfg.Scheme, b
+	ap := newNode(w.Env, nodeID(b, APID), name, apCfg)
+	n := &Net{Sim: s, Env: w.Env, AP: ap, World: w, BSS: b}
+	serverID := nodeID(b, ServerID)
+	n.Link = ether.NewLink(s, ether.GigabitRate, cfg.WiredDelay)
 	n.Server = traffic.NewHost(s, serverID, n.Link.SendAToB)
 	n.ServerTC = &tcp.Host{Sim: s, ID: serverID, Out: n.Server.Out}
 	n.Link.DeliverA = n.Server.Deliver
@@ -258,18 +255,31 @@ func newCellNet(w *World, cell *bss.Cell, wiredDelay sim.Time) *Net {
 		n.AP.Input(p)
 	}
 
-	for i, node := range cell.Stations {
+	staCfg := cfg.StationMAC
+	staCfg.Scheme, staCfg.BSS = mac.SchemeFIFO, b
+	for i, ss := range sp.Stations {
+		node := newNode(w.Env, nodeID(b, StationID+pkt.NodeID(i)), ss.Name, staCfg)
+		view := n.AP.AddStation(node, ss.Rate)
+		node.AddStation(n.AP, ss.Rate)
 		host := traffic.NewHost(s, node.ID, node.Input)
 		node.Deliver = host.Deliver
-		st := &Station{
-			Name: cell.Defs[i].Name, Node: node, Host: host,
+		n.Stations = append(n.Stations, &Station{
+			Name: ss.Name, Node: node, Host: host,
 			TCP:    &tcp.Host{Sim: s, ID: node.ID, Out: host.Out},
-			APView: cell.APViews[i], Rate: cell.Defs[i].Rate,
-			Cell: n, BSS: cell.Index,
-		}
-		n.Stations = append(n.Stations, st)
+			APView: view, Rate: ss.Rate,
+			Cell: n, BSS: b,
+		})
 	}
 	return n
+}
+
+// newNode builds one MAC node; an unregistered scheme panics.
+func newNode(env *mac.Env, id pkt.NodeID, name string, cfg mac.Config) *mac.Node {
+	node, err := mac.NewNode(env, id, name, cfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: building node %s of BSS %d: %v", name, cfg.BSS, err))
+	}
+	return node
 }
 
 // stationByName searches every cell's stations for the given name.

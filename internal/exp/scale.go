@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/bss"
 	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -67,9 +66,9 @@ func SpecScale() *Spec {
 			if count < 4 {
 				return nil, fmt.Errorf("stations = %d, want at least 4 (slow, two fast, ping-only)", count)
 			}
-			if count > bss.MaxStations {
+			if count > MaxStations {
 				return nil, fmt.Errorf("stations = %d, want at most %d (one BSS's identifier window)",
-					count, bss.MaxStations)
+					count, MaxStations)
 			}
 			return scaleInstance(scheme, count), nil
 		},

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/campaign"
+	"repro/internal/ether"
 	"repro/internal/mac"
 	"repro/internal/sched"
 )
@@ -50,6 +51,13 @@ func SpecUDP() *Spec {
 			// positive sim.Time; !(x) also rejects NaN.
 			if gap := 1500 * 8 / (rate * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
 				return nil, fmt.Errorf("rate-mbps must lie in (1.3e-12, 1.2e7], got %v", rate)
+			}
+			// Every station's flood crosses the one wired link, which
+			// queues without limit: a total above its rate grows
+			// memory for as long as the cell runs.
+			if n := float64(len(DefaultStations())); n*rate*1e6 > ether.GigabitRate {
+				return nil, fmt.Errorf("rate-mbps = %v over %v stations exceeds the %v Mbps wired link",
+					rate, n, ether.GigabitRate/1e6)
 			}
 			return udpInstance(scheme, rate*1e6, nil), nil
 		},

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/mac"
+	"repro/internal/phy"
+	"repro/internal/pkt"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -211,4 +214,85 @@ func TestBuildWorldRejectsBadWeights(t *testing.T) {
 	}
 	build(sched.MinWeight)
 	build(sched.MaxWeight)
+}
+
+// TestIDWindows: BSS 0 reproduces the historical single-AP identifiers
+// exactly, every BSS's nodes sit at their offsets inside its own window,
+// and no two windows overlap up to MaxStations.
+func TestIDWindows(t *testing.T) {
+	w := BuildWorld(NetConfig{Seed: 1, BSSs: DenseTopology(32, 16)})
+	c := w.Cells[0]
+	if c.Server.ID != 1 || c.AP.ID != 2 || c.Stations[0].Node.ID != 10 {
+		t.Fatalf("BSS 0 IDs = %d/%d/%d, want 1/2/10", c.Server.ID, c.AP.ID, c.Stations[0].Node.ID)
+	}
+	seen := map[pkt.NodeID]bool{}
+	for b, c := range w.Cells {
+		for i, st := range c.Stations {
+			if want := nodeID(b, StationID+pkt.NodeID(i)); st.Node.ID != want {
+				t.Errorf("BSS %d station %d id = %d, want %d", b, i, st.Node.ID, want)
+			}
+		}
+		last := nodeID(b, StationID+pkt.NodeID(MaxStations-1))
+		for _, id := range []pkt.NodeID{c.Server.ID, c.AP.ID, c.Stations[0].Node.ID, last} {
+			if seen[id] {
+				t.Fatalf("BSS %d reuses node id %d", b, id)
+			}
+			seen[id] = true
+		}
+		if next := nodeID(b+1, ServerID); last >= next {
+			t.Fatalf("BSS %d's last station id %d reaches BSS %d's server id %d", b, last, b+1, next)
+		}
+	}
+}
+
+// TestOBSSContention: two saturated co-channel BSSs split the medium
+// roughly evenly, and each gets well under the whole channel — the APs
+// really contend with each other rather than running on private media.
+func TestOBSSContention(t *testing.T) {
+	rate := phy.MCS(7, true)
+	w := BuildWorld(NetConfig{Seed: 3, Scheme: mac.SchemeFIFO, BSSs: []BSSSpec{
+		{Stations: []StationSpec{{Name: "sta0", Rate: rate}}},
+		{Stations: []StationSpec{{Name: "sta1", Rate: rate}}},
+	}})
+	// Saturate both downlinks.
+	for b, c := range w.Cells {
+		for i := 0; i < 4000; i++ {
+			c.AP.Input(&pkt.Packet{
+				Size: 1500, Proto: pkt.ProtoUDP,
+				Src: c.Server.ID, Dst: c.Stations[0].Node.ID,
+				Flow: uint64(b + 1), AC: pkt.ACBE,
+			})
+		}
+	}
+	w.Run(2 * sim.Second)
+
+	m := w.Env.Medium
+	share0 := float64(m.BSSBusyTime(0)) / float64(m.BusyTime)
+	share1 := float64(m.BSSBusyTime(1)) / float64(m.BusyTime)
+	if share0 < 0.4 || share0 > 0.6 || share1 < 0.4 || share1 > 0.6 {
+		t.Errorf("OBSS busy split = %.3f / %.3f, want ~0.5 each", share0, share1)
+	}
+	// Collisions charge every colliding BSS its own occupancy while the
+	// wall-clock BusyTime counts the overlap once, so the shares sum to
+	// slightly over 1.
+	if sum := share0 + share1; sum < 0.99 || sum > 1.2 {
+		t.Errorf("busy shares sum to %.3f, want ~1.0 (≤1.2 with collision double-charge)", sum)
+	}
+}
+
+// TestBuildTagsBSS: nodes carry their BSS index so the medium accounts
+// occupancy under the right BSS.
+func TestBuildTagsBSS(t *testing.T) {
+	w := BuildWorld(NetConfig{Seed: 1, Scheme: mac.SchemeAirtimeFQ, BSSs: DenseTopology(3, 3)})
+	for b, c := range w.Cells {
+		if c.AP.BSS() != b {
+			t.Errorf("BSS %d AP tagged BSS %d", b, c.AP.BSS())
+		}
+		if c.Stations[0].Node.BSS() != b {
+			t.Errorf("BSS %d station tagged BSS %d", b, c.Stations[0].Node.BSS())
+		}
+		if c.AP.ID != nodeID(b, APID) {
+			t.Errorf("BSS %d AP id = %d, want %d", b, c.AP.ID, nodeID(b, APID))
+		}
+	}
 }

@@ -69,28 +69,20 @@ type Config struct {
 	Scheme Scheme
 
 	// BSS tags the node with its basic-service-set index in a multi-BSS
-	// world (internal/bss): the shared medium accounts channel occupancy
-	// under this identity. Single-AP setups leave it 0.
+	// world (exp.BuildWorld): the shared medium accounts channel
+	// occupancy under this identity. Single-AP setups leave it 0.
 	BSS int
 
-	MaxAggrFrames int      // A-MPDU cap in MPDUs (default 32)
-	MaxAggrBytes  int      // A-MPDU cap in framed bytes (default 65535)
-	MaxAggrDur    sim.Time // A-MPDU cap in air time (default 4 ms, ath9k)
-	MaxAMSDU      int      // A-MSDU bundle size in bytes; 0 disables two-level aggregation
-	HWQueueDepth  int      // aggregates queued to hardware (default 2)
-	RetryLimit    int      // MPDU retransmission limit (default 10)
+	MaxAggrDur sim.Time // A-MPDU cap in air time (default 4 ms, ath9k)
+	MaxAMSDU   int      // A-MSDU bundle size in bytes; 0 disables two-level aggregation
+	RetryLimit int      // MPDU retransmission limit (default 10)
 
-	QdiscLimit int // PFIFO packet limit (default 1000)
-	DriverBuf  int // shared driver buffer budget in packets (default 128)
-
-	FQFlows int // flow queues in FQ-CoDel / FQ-MAC structures
-	FQLimit int // packet limit of those structures
+	FQLimit int // packet limit of the FQ-CoDel / FQ-MAC structures
 
 	AirtimeQuantum sim.Time // airtime scheduler quantum (default 300 µs)
 	DisableSparse  bool     // turn off the sparse-station optimisation
 
-	SlowRateThreshold float64  // bits/s under which CoDel relaxes (default 12 Mbps)
-	CodelHysteresis   sim.Time // min time between CoDel param changes (default 2 s)
+	SlowRateThreshold float64 // bits/s under which CoDel relaxes (default 12 Mbps)
 
 	// RTSThreshold protects transmissions longer than this with RTS/CTS
 	// (adds the exchange overhead, bounds the collision cost). Zero
@@ -101,36 +93,28 @@ type Config struct {
 	ReorderTimeout sim.Time // block-ack reorder hole timeout (default 10 ms)
 }
 
+// Fixed parameters of the modelled ath9k transmit path.
+const (
+	maxAggrFrames   = 32                      // A-MPDU cap in MPDUs
+	maxAggrBytes    = 65535                   // A-MPDU cap in framed bytes
+	hwQueueDepth    = 2                       // aggregates queued to hardware
+	qdiscLimit      = qdisc.DefaultPFIFOLimit // PFIFO packet limit
+	driverBuf       = 128                     // shared driver buffer budget in packets
+	codelHysteresis = 2 * sim.Second          // min time between CoDel param changes
+)
+
 func (c *Config) fill() {
-	if c.MaxAggrFrames <= 0 {
-		c.MaxAggrFrames = 32
-	}
-	if c.MaxAggrBytes <= 0 {
-		c.MaxAggrBytes = 65535
-	}
 	if c.MaxAggrDur <= 0 {
 		c.MaxAggrDur = 4 * sim.Millisecond
 	}
-	if c.HWQueueDepth <= 0 {
-		c.HWQueueDepth = 2
-	}
 	if c.RetryLimit <= 0 {
 		c.RetryLimit = 10
-	}
-	if c.QdiscLimit <= 0 {
-		c.QdiscLimit = qdisc.DefaultPFIFOLimit
-	}
-	if c.DriverBuf <= 0 {
-		c.DriverBuf = 128
 	}
 	if c.AirtimeQuantum <= 0 {
 		c.AirtimeQuantum = sched.DefaultQuantum
 	}
 	if c.SlowRateThreshold <= 0 {
 		c.SlowRateThreshold = 12e6
-	}
-	if c.CodelHysteresis <= 0 {
-		c.CodelHysteresis = 2 * sim.Second
 	}
 	if c.ReorderTimeout <= 0 {
 		c.ReorderTimeout = DefaultReorderTimeout
@@ -448,7 +432,7 @@ func (n *Node) Input(p *pkt.Packet) {
 // by the baseline schemes.
 func (n *Node) schedule(ac pkt.AC) {
 	q := n.txqs[ac]
-	for len(q.hwq) < n.cfg.HWQueueDepth {
+	for len(q.hwq) < hwQueueDepth {
 		agg := n.nextAggregate(ac)
 		if agg == nil {
 			break

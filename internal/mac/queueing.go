@@ -74,7 +74,7 @@ type qdiscQueueing struct {
 func NewFIFOQueueing(n *Node) TxQueueing {
 	s := &qdiscQueueing{n: n}
 	for ac := range s.qdiscs {
-		s.qdiscs[ac] = qdisc.NewPFIFO(n.cfg.QdiscLimit)
+		s.qdiscs[ac] = qdisc.NewPFIFO(qdiscLimit)
 	}
 	return s
 }
@@ -86,7 +86,7 @@ func NewFQCoDelQueueing(n *Node) TxQueueing {
 	s := &qdiscQueueing{n: n, hooked: true}
 	for ac := range s.qdiscs {
 		s.qdiscs[ac] = fqcodel.New(fqcodel.Config{
-			Flows: n.cfg.FQFlows, Limit: n.cfg.FQLimit,
+			Limit:    n.cfg.FQLimit,
 			Clock:    n.env.Sim.Now,
 			DropHook: n.freePkt,
 		})
@@ -126,7 +126,7 @@ func (s *qdiscQueueing) refillAC(ac pkt.AC) int {
 		return 0
 	}
 	pulled := 0
-	for s.driverLen < s.n.cfg.DriverBuf {
+	for s.driverLen < driverBuf {
 		p := q.Dequeue()
 		if p == nil {
 			break
@@ -198,7 +198,7 @@ func NewIntegratedQueueing(n *Node) TxQueueing {
 	return &integratedQueueing{
 		n: n,
 		fq: mactid.New(mactid.Config{
-			Flows: n.cfg.FQFlows, Limit: n.cfg.FQLimit,
+			Limit:    n.cfg.FQLimit,
 			DropHook: n.freePkt,
 		}),
 	}

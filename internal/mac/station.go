@@ -84,7 +84,7 @@ func (s *Station) updateCodelParams(now sim.Time) {
 		if slow == s.codelSlow {
 			return
 		}
-		if now-s.lastPaChange < cfg.CodelHysteresis {
+		if now-s.lastPaChange < codelHysteresis {
 			return
 		}
 	}
@@ -105,7 +105,7 @@ func expectedAggr(tab *phy.Tab, cfg *Config) int {
 		return 1
 	}
 	n := 1
-	for n < cfg.MaxAggrFrames {
+	for n < maxAggrFrames {
 		if tab.DataDur1500(n+1) > cfg.MaxAggrDur {
 			break
 		}
@@ -231,7 +231,7 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	if tab == nil || tab.R != rate {
 		tab = n.tabFor(rate)
 	}
-	maxFrames := cfg.MaxAggrFrames
+	maxFrames := maxAggrFrames
 	noAggr := EDCA(t.ac).NoAggr || rate.Legacy
 	if noAggr {
 		maxFrames = 1
@@ -239,7 +239,7 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	// The duration cap as a byte threshold: newBytes > maxBytes is the
 	// same decision as DataDurBytes(newBytes, rate) > MaxAggrDur, by
 	// monotonicity of the duration in the byte count (phy.Tab.FitBytes).
-	maxBytes := cfg.MaxAggrBytes
+	maxBytes := maxAggrBytes
 	if fb := tab.FitBytes(cfg.MaxAggrDur); fb < maxBytes {
 		maxBytes = fb
 	}

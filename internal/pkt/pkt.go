@@ -262,16 +262,3 @@ func (q *Queue) Pop() *Packet {
 
 // Peek returns the head without removing it.
 func (q *Queue) Peek() *Packet { return q.head }
-
-// Drain removes all packets, invoking fn (if non-nil) on each.
-func (q *Queue) Drain(fn func(*Packet)) {
-	for {
-		p := q.Pop()
-		if p == nil {
-			return
-		}
-		if fn != nil {
-			fn(p)
-		}
-	}
-}

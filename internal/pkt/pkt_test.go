@@ -60,11 +60,15 @@ func TestQueueDrain(t *testing.T) {
 		q.Push(mk(i + 1))
 	}
 	n := 0
-	q.Drain(func(*Packet) { n++ })
+	for q.Pop() != nil {
+		n++
+	}
 	if n != 5 || !q.Empty() || q.Bytes() != 0 {
 		t.Fatalf("drain left n=%d empty=%v bytes=%d", n, q.Empty(), q.Bytes())
 	}
-	q.Drain(nil) // no-op on empty
+	if q.Pop() != nil {
+		t.Fatal("Pop on an empty queue returned a packet")
+	}
 }
 
 // TestQueueAccounting checks Len/Bytes stay consistent under arbitrary

@@ -18,17 +18,18 @@ func newCounting(seed uint64, delay sim.Time) *countingPipe {
 }
 
 func (p *countingPipe) connectCounting(c *Conn) {
+	pool := pkt.PoolOf(p.s)
 	p.a.Out = func(q *pkt.Packet) {
 		if q.Size > HeaderLen {
 			p.dataSegs++
 		}
-		p.s.After(p.delay, func() { c.Server().Input(q) })
+		p.s.After(p.delay, func() { c.Server().Input(q); pool.Put(q) })
 	}
 	p.b.Out = func(q *pkt.Packet) {
 		if q.Size == HeaderLen {
 			p.acks++
 		}
-		p.s.After(p.delay, func() { c.Client().Input(q) })
+		p.s.After(p.delay, func() { c.Client().Input(q); pool.Put(q) })
 	}
 }
 
@@ -154,6 +155,12 @@ func TestCubicReachesHighBDP(t *testing.T) {
 	// Unconstrained path: the only limits are rcvwnd and growth speed.
 	if got := c.Server().TotalReceived(); got < 100<<20 {
 		t.Errorf("only %d MB in 30 s on a clean 20 ms path", got>>20)
+	}
+	// The pipe releases every packet it delivers, so what the world
+	// holds stays bounded by the windows in flight.
+	if live := pkt.PoolOf(p.s).Stats().Live(); live > 2*DefaultWnd/MSS {
+		t.Errorf("%d packets live after 30 s, want at most %d (two windows of segments)",
+			live, 2*DefaultWnd/MSS)
 	}
 }
 

@@ -27,20 +27,23 @@ func newPipe(seed uint64, delay sim.Time) *pipeNet {
 	return p
 }
 
-// connect wires a connection's endpoints through the pipe.
+// connect wires a connection's endpoints through the pipe. The pipe is
+// every packet's final owner, as traffic.Host.Deliver is in a testbed:
+// it releases a packet once the far endpoint has processed it, or when
+// the drop script discards it.
 func (p *pipeNet) connect(c *Conn) {
-	p.a.Out = func(q *pkt.Packet) {
-		if p.drop != nil && p.drop(q) {
-			return
+	pool := pkt.PoolOf(p.s)
+	to := func(e *Endpoint) func(*pkt.Packet) {
+		return func(q *pkt.Packet) {
+			if p.drop != nil && p.drop(q) {
+				pool.Put(q)
+				return
+			}
+			p.s.After(p.delay, func() { p.delivered++; e.Input(q); pool.Put(q) })
 		}
-		p.s.After(p.delay, func() { p.delivered++; c.Server().Input(q) })
 	}
-	p.b.Out = func(q *pkt.Packet) {
-		if p.drop != nil && p.drop(q) {
-			return
-		}
-		p.s.After(p.delay, func() { p.delivered++; c.Client().Input(q) })
-	}
+	p.a.Out = to(c.Server())
+	p.b.Out = to(c.Client())
 }
 
 func TestBulkTransferNoLoss(t *testing.T) {
