@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -59,76 +60,86 @@ func workloads(kind string, udpRateBps float64) ([]*exp.Workload, error) {
 	return append(ws, exp.Pings(0)), nil
 }
 
+// options holds the command-line flags.
+type options struct {
+	scheme, traffic    string
+	fast, fastMCS      int
+	slow, slowMCS      int
+	udpMbps, dur, warm float64
+	seed               uint64
+	loss, slowWeight   float64
+	amsdu, traceEvents int
+}
+
 func main() {
-	schemeFlag := flag.String("scheme", "airtime",
+	var o options
+	flag.StringVar(&o.scheme, "scheme", "airtime",
 		"queueing scheme: fifo|fqcodel|fqmac|airtime|dtt|airtime-rr|weighted-airtime (any registered scheme)")
-	fast := flag.Int("fast", 2, "number of fast stations")
-	fastMCS := flag.Int("fast-mcs", 15, "MCS index of fast stations")
-	slow := flag.Int("slow", 1, "number of slow stations")
-	slowMCS := flag.Int("slow-mcs", 0, "MCS index of slow stations (-1 = 1 Mbps legacy)")
-	trafficKind := flag.String("traffic", "udp", "traffic: udp|tcp|bidir")
-	rate := flag.Float64("udp-mbps", 50, "offered UDP load per station")
-	dur := flag.Float64("dur", 15, "measured seconds")
-	warm := flag.Float64("warmup", 3, "warmup seconds")
-	seed := flag.Uint64("seed", 1, "random seed")
-	loss := flag.Float64("mpdu-loss", 0, "per-MPDU random loss probability")
-	slowWeight := flag.Float64("slow-weight", 0, "airtime weight of slow stations, in [1/256, 256] (weighted schemes only; 0 = default 1)")
-	amsdu := flag.Int("amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
-	traceN := flag.Int("trace", 0, "dump the last N AP trace events")
+	flag.IntVar(&o.fast, "fast", 2, "number of fast stations")
+	flag.IntVar(&o.fastMCS, "fast-mcs", 15, "MCS index of fast stations, in [0, 15]")
+	flag.IntVar(&o.slow, "slow", 1, "number of slow stations")
+	flag.IntVar(&o.slowMCS, "slow-mcs", 0, "MCS index of slow stations, in [0, 15] (-1 = 1 Mbps legacy)")
+	flag.StringVar(&o.traffic, "traffic", "udp", "traffic: udp|tcp|bidir")
+	flag.Float64Var(&o.udpMbps, "udp-mbps", 50, "offered UDP load per station")
+	flag.Float64Var(&o.dur, "dur", 15, "measured seconds")
+	flag.Float64Var(&o.warm, "warmup", 3, "warmup seconds")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
+	flag.Float64Var(&o.loss, "mpdu-loss", 0, "per-MPDU random loss probability")
+	flag.Float64Var(&o.slowWeight, "slow-weight", 0, "airtime weight of slow stations, in [1/256, 256] (weighted schemes only; 0 = default 1)")
+	flag.IntVar(&o.amsdu, "amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
+	flag.IntVar(&o.traceEvents, "trace", 0, "dump the last N AP trace events")
 	flag.Parse()
 
-	scheme, err := parseScheme(*schemeFlag)
+	scheme, err := parseScheme(o.scheme)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	ws, err := workloads(*trafficKind, *rate*1e6)
+	ws, err := workloads(o.traffic, o.udpMbps*1e6)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *slowWeight != 0 {
-		if err := sched.CheckWeight(*slowWeight); err != nil {
-			fmt.Fprintln(os.Stderr, "-slow-weight:", err)
-			os.Exit(2)
-		}
+	if err := checkRanges(&o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var specs []exp.StationSpec
-	for i := 0; i < *fast; i++ {
+	for i := 0; i < o.fast; i++ {
 		specs = append(specs, exp.StationSpec{
-			Name: fmt.Sprintf("fast%d", i+1), Rate: phy.MCS(*fastMCS, true),
+			Name: fmt.Sprintf("fast%d", i+1), Rate: phy.MCS(o.fastMCS, true),
 		})
 	}
 	slowRate := phy.Legacy(1)
-	if *slowMCS >= 0 {
-		slowRate = phy.MCS(*slowMCS, true)
+	if o.slowMCS >= 0 {
+		slowRate = phy.MCS(o.slowMCS, true)
 	}
 	weights := make(map[string]float64)
-	for i := 0; i < *slow; i++ {
+	for i := 0; i < o.slow; i++ {
 		name := fmt.Sprintf("slow%d", i+1)
 		specs = append(specs, exp.StationSpec{Name: name, Rate: slowRate})
-		if *slowWeight != 0 {
-			weights[name] = *slowWeight
+		if o.slowWeight != 0 {
+			weights[name] = o.slowWeight
 		}
 	}
 
 	n := exp.NewNet(exp.NetConfig{
-		Seed: *seed, Scheme: scheme, Stations: specs,
-		AP:      mac.Config{PerMPDULoss: *loss, MaxAMSDU: *amsdu},
+		Seed: o.seed, Scheme: scheme, Stations: specs,
+		AP:      mac.Config{PerMPDULoss: o.loss, MaxAMSDU: o.amsdu},
 		Weights: weights,
 	})
 	var tl *trace.Log
-	if *traceN > 0 {
-		tl = trace.NewLog(*traceN)
+	if o.traceEvents > 0 {
+		tl = trace.NewLog(o.traceEvents)
 		n.AP.Trace = tl
 	}
 
 	// The bulk mix attaches from t=0; pings once the load has settled.
-	rt := exp.NewRuntime(n)
+	rt := exp.NewRuntime(n.World)
 	rt.AttachPhase(ws, exp.PhaseStart)
-	warmT := sim.Time(*warm * float64(sim.Second))
-	endT := warmT + sim.Time(*dur*float64(sim.Second))
+	warmT := sim.Time(o.warm * float64(sim.Second))
+	endT := warmT + sim.Time(o.dur*float64(sim.Second))
 	n.Run(warmT)
 	rt.AttachPhase(ws, exp.PhaseMeasure)
 	rt.Arm()
@@ -155,12 +166,57 @@ func main() {
 			fmt.Sprintf("%.1f", rtt.Quantile(0.95)),
 		)
 	}
-	fmt.Printf("scheme=%s traffic=%s dur=%.0fs\n\n", scheme, *trafficKind, *dur)
+	fmt.Printf("scheme=%s traffic=%s dur=%.0fs\n\n", scheme, o.traffic, o.dur)
 	fmt.Print(tbl.String())
 	fmt.Printf("\ntotal goodput: %.1f Mbps   Jain(airtime): %.3f   medium collisions: %d\n",
 		total, stats.JainIndex(rt.AirDeltas()), n.Env.Medium.Collisions)
 	if tl != nil {
 		fmt.Println()
-		fmt.Print(tl.Dump(*traceN))
+		fmt.Print(tl.Dump(o.traceEvents))
 	}
+}
+
+// checkRanges rejects, before the world is built, the numeric flag
+// values the simulator would panic on (an MCS index outside phy's table,
+// a UDP datagram gap outside sim.Time), run silently wrong with (an
+// empty or negative window, a loss probability outside [0, 1], negative
+// counts or sizes) or never finish (a UDP load over the wired link).
+// !(x) also rejects NaN.
+func checkRanges(o *options) error {
+	switch {
+	case o.fastMCS < 0 || o.fastMCS > 15:
+		return fmt.Errorf("-fast-mcs must be an MCS index in [0, 15], got %d", o.fastMCS)
+	case o.slowMCS < -1 || o.slowMCS > 15:
+		return fmt.Errorf("-slow-mcs must be an MCS index in [0, 15] or -1, got %d", o.slowMCS)
+	case o.fast < 0:
+		return fmt.Errorf("-fast must be 0 or more, got %d", o.fast)
+	case o.slow < 0:
+		return fmt.Errorf("-slow must be 0 or more, got %d", o.slow)
+	case o.fast+o.slow < 1 || o.fast+o.slow > exp.MaxStations:
+		return fmt.Errorf("-fast %d plus -slow %d must total 1 to %d stations",
+			o.fast, o.slow, exp.MaxStations)
+	case !(o.dur > 0):
+		return fmt.Errorf("-dur must be a positive number of seconds, got %v", o.dur)
+	case !(o.warm >= 0):
+		return fmt.Errorf("-warmup must be 0 or more seconds, got %v", o.warm)
+	case (o.dur+o.warm)*float64(sim.Second) >= math.MaxInt64:
+		return fmt.Errorf("-dur %v plus -warmup %v seconds overflow simulated time", o.dur, o.warm)
+	case !(o.loss >= 0 && o.loss <= 1):
+		return fmt.Errorf("-mpdu-loss must be a probability in [0, 1], got %v", o.loss)
+	case o.amsdu < 0:
+		return fmt.Errorf("-amsdu must be 0 (off) or a size in bytes, got %d", o.amsdu)
+	case o.traceEvents < 0:
+		return fmt.Errorf("-trace must be 0 (off) or a number of events, got %d", o.traceEvents)
+	}
+	if o.slowWeight != 0 {
+		if err := sched.CheckWeight(o.slowWeight); err != nil {
+			return fmt.Errorf("-slow-weight: %w", err)
+		}
+	}
+	if o.traffic == "udp" {
+		if err := exp.CheckUDPRate(o.udpMbps, o.fast+o.slow); err != nil {
+			return fmt.Errorf("-udp-mbps %w", err)
+		}
+	}
+	return nil
 }

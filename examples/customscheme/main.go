@@ -12,48 +12,57 @@ package main
 import (
 	"fmt"
 
-	"repro/wifi"
+	"repro/internal/exp"
+	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() {
-	custom := wifi.RegisterScheme("Example-RR", wifi.Composition{
+	custom := mac.RegisterScheme("Example-RR", mac.Composition{
 		Desc:     "integrated queueing + hand-rolled round-robin scheduler",
-		Queueing: wifi.NewIntegratedQueueing,
-		Scheduler: func(_ *wifi.Node, _ wifi.AC) wifi.StationScheduler {
-			return wifi.NewRoundRobinScheduler()
+		Queueing: mac.NewIntegratedQueueing,
+		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
+			return sched.NewRoundRobin()
 		},
 	})
 
-	run := func(scheme wifi.Scheme, weights map[string]float64) {
-		tb := wifi.NewTestbed(wifi.TestbedConfig{
+	run := func(scheme mac.Scheme, weights map[string]float64) {
+		n := exp.NewNet(exp.NetConfig{
 			Seed:     1,
 			Scheme:   scheme,
-			Stations: wifi.DefaultStations(),
+			Stations: exp.DefaultStations(),
 			Weights:  weights,
 		})
-		for _, st := range tb.Stations() {
-			tb.DownloadUDP(st, 50e6)
+		for _, st := range n.Stations {
+			n.DownloadUDP(st, 50e6, pkt.ACBE)
 		}
-		tb.Run(10 * wifi.Second)
-		shares := tb.AirtimeShares()
+		n.Run(10 * sim.Second)
+		airtime := make([]float64, len(n.Stations))
+		for i, st := range n.Stations {
+			airtime[i] = st.APView.Airtime().Seconds()
+		}
+		shares := stats.Shares(airtime)
 		fmt.Printf("%-18s", scheme)
-		for i, st := range tb.Stations() {
+		for i, st := range n.Stations {
 			fmt.Printf("  %s=%5.1f%%", st.Name, 100*shares[i])
 		}
-		fmt.Printf("  Jain=%.3f\n", tb.JainIndex())
+		fmt.Printf("  Jain=%.3f\n", stats.JainIndex(airtime))
 	}
 
 	fmt.Println("Airtime shares under saturating UDP downloads:")
-	run(wifi.SchemeFIFO, nil)
-	run(wifi.SchemeAirtimeFQ, nil)
+	run(mac.SchemeFIFO, nil)
+	run(mac.SchemeAirtimeFQ, nil)
 	run(custom, nil)
-	run(wifi.SchemeWeightedAirtime, map[string]float64{"slow": 0.5})
+	run(exp.SchemeWeightedAirtime, map[string]float64{"slow": 0.5})
 
 	fmt.Println("\nThe registered scheme slots in by value or by name:")
-	if s, ok := wifi.SchemeByName("example-rr"); ok {
+	if s, ok := mac.SchemeByName("example-rr"); ok {
 		fmt.Printf("  SchemeByName(\"example-rr\") = %v\n", s)
 	}
-	fmt.Printf("  registered: %v\n", wifi.SchemeNames())
+	fmt.Printf("  registered: %v\n", mac.SchemeNames())
 	fmt.Println("\nRound-robin fixes scheduling but not accounting: the slow")
 	fmt.Println("station still out-consumes the fast ones. Deficit accounting")
 	fmt.Println("(Airtime) equalises shares; weights skew them deliberately.")

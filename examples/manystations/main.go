@@ -15,7 +15,9 @@ import (
 	"os"
 	"strconv"
 
-	"repro/wifi"
+	"repro/internal/campaign"
+	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -23,12 +25,12 @@ func main() {
 	dur := flag.Int("dur", 20, "measured seconds per scheme")
 	flag.Parse()
 
-	res, err := wifi.NewScenarioRegistry().Execute(wifi.Plan{
+	res, err := exp.NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"scale"},
 		Overrides: map[string][]string{"stations": {strconv.Itoa(*stations)}},
 		Reps:      1,
-		Duration:  wifi.Time(*dur) * wifi.Second,
-		Warmup:    5 * wifi.Second,
+		Duration:  sim.Time(*dur) * sim.Second,
+		Warmup:    5 * sim.Second,
 		BaseSeed:  1,
 	})
 	if err != nil {

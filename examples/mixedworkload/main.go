@@ -7,29 +7,34 @@
 //  1. registered as a campaign Spec and swept over schemes through the
 //     parallel engine (deterministic artifacts; Spec.Describe lists what
 //     it emits), and
-//  2. attached imperatively to a live Testbed via Testbed.Attach.
+//  2. attached imperatively to a live testbed via Runtime.Attach.
 package main
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/wifi"
+	"repro/internal/campaign"
+	"repro/internal/exp"
+	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // spec declares the scenario: four stations, a VO-marked call to the
 // slow station, a browser on fast1, bulk downloads with a doubled
 // airtime weight for the browsing station, and probes for call quality,
 // page loads, shares and fairness.
-func spec() *wifi.Spec {
-	return &wifi.Spec{
+func spec() *exp.Spec {
+	return &exp.Spec{
 		Name: "voip-web-bulk",
 		Desc: "VoIP + web browsing + weighted bulk downloads in one cell",
-		Axes: []wifi.Axis{
+		Axes: []campaign.Axis{
 			{Name: "scheme", Values: []string{"FIFO", "Airtime", "Weighted-Airtime"}},
 			{Name: "browser-weight", Values: []string{"2"}},
 		},
-		Build: func(p wifi.SpecParams) (*wifi.SpecInstance, error) {
+		Build: func(p exp.Params) (*exp.Instance, error) {
 			scheme, err := p.Scheme()
 			if err != nil {
 				return nil, err
@@ -38,22 +43,22 @@ func spec() *wifi.Spec {
 			if err != nil {
 				return nil, err
 			}
-			return &wifi.SpecInstance{
-				Net: wifi.TestbedConfig{
+			return &exp.Instance{
+				Net: exp.NetConfig{
 					Scheme:   scheme,
-					Stations: wifi.FourStations(), // fast1 fast2 slow fast3
+					Stations: exp.FourStations(), // fast1 fast2 slow fast3
 					Weights:  map[string]float64{"fast1": w},
 				},
-				Workloads: []*wifi.Workload{
-					wifi.TCPDownload().On(wifi.StationsNamed("fast1", "fast2", "fast3")),
-					wifi.VoIPCall(true).On(wifi.StationsNamed("slow")),
-					wifi.WebBrowsing(wifi.SmallPage).On(wifi.StationsNamed("fast1")),
+				Workloads: []*exp.Workload{
+					exp.TCPDown().On(exp.StationsNamed("fast1", "fast2", "fast3")),
+					exp.VoIPCall(pkt.ACVO).On(exp.StationsNamed("slow")),
+					exp.WebBrowse(traffic.SmallPage).On(exp.StationsNamed("fast1")),
 				},
-				Probes: []wifi.Probe{
-					wifi.MOSProbe("mos"),
-					wifi.PLTProbe("plt-ms"),
-					wifi.ProbePerStation(wifi.ShareCol("share-")),
-					wifi.JainProbe("jain"),
+				Probes: []exp.Probe{
+					exp.MOS("mos"),
+					exp.PLT("plt-ms"),
+					exp.PerStation(exp.ShareCol("share-")),
+					exp.Jain("jain"),
 				},
 			}, nil
 		},
@@ -63,7 +68,7 @@ func spec() *wifi.Spec {
 func main() {
 	// --- 1. The Spec through the campaign engine --------------------------
 	s := spec()
-	reg := wifi.NewScenarioRegistry()
+	reg := exp.NewRegistry()
 	s.Register(reg)
 
 	d, err := s.Describe()
@@ -73,11 +78,11 @@ func main() {
 	fmt.Printf("registered scenario %q\n  stations: %s\n  metrics:  %s\n\n",
 		s.Name, strings.Join(d.Stations, ", "), strings.Join(d.Metrics, ", "))
 
-	res, err := reg.Execute(wifi.Plan{
+	res, err := reg.Execute(campaign.Plan{
 		Scenarios: []string{"voip-web-bulk"},
 		Reps:      2,
-		Duration:  4 * wifi.Second,
-		Warmup:    2 * wifi.Second,
+		Duration:  4 * sim.Second,
+		Warmup:    2 * sim.Second,
 		BaseSeed:  7,
 	})
 	if err != nil {
@@ -86,17 +91,21 @@ func main() {
 	fmt.Print(res.Render())
 
 	// --- 2. The same workloads on a live testbed --------------------------
-	fmt.Println("\nimperative form (Testbed.Attach, Airtime scheme):")
-	tb := wifi.NewTestbed(wifi.TestbedConfig{
-		Seed: 7, Scheme: wifi.SchemeAirtimeFQ, Stations: wifi.FourStations(),
+	fmt.Println("\nimperative form (Runtime.Attach, Airtime scheme):")
+	n := exp.NewNet(exp.NetConfig{
+		Seed: 7, Scheme: mac.SchemeAirtimeFQ, Stations: exp.FourStations(),
 	})
-	tb.Attach(wifi.TCPDownload().On(wifi.StationsNamed("fast2", "fast3")))
-	tb.Run(2 * wifi.Second) // let the bulk flows settle first
-	tb.Attach(wifi.VoIPCall(true).On(wifi.StationsNamed("slow")))
-	tb.Attach(wifi.WebBrowsing(wifi.SmallPage).On(wifi.StationsNamed("fast1")))
-	tb.Arm()
-	tb.Run(6 * wifi.Second)
-	m := tb.Collect(wifi.MOSProbe("mos"), wifi.PLTProbe("plt-ms"), wifi.JainProbe("jain"))
+	rt := exp.NewRuntime(n.World)
+	rt.Attach(exp.TCPDown().On(exp.StationsNamed("fast2", "fast3")))
+	n.Run(2 * sim.Second) // let the bulk flows settle first
+	rt.Attach(exp.VoIPCall(pkt.ACVO).On(exp.StationsNamed("slow")))
+	rt.Attach(exp.WebBrowse(traffic.SmallPage).On(exp.StationsNamed("fast1")))
+	rt.Arm()
+	n.Run(6 * sim.Second)
+	m := campaign.NewMetrics()
+	for _, p := range []exp.Probe{exp.MOS("mos"), exp.PLT("plt-ms"), exp.Jain("jain")} {
+		p.Collect(m, rt)
+	}
 
 	mos, _ := m.Scalar("mos")
 	jain, _ := m.Scalar("jain")

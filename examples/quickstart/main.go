@@ -7,30 +7,40 @@ package main
 import (
 	"fmt"
 
-	"repro/wifi"
+	"repro/internal/exp"
+	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 func main() {
-	for _, scheme := range []wifi.Scheme{wifi.SchemeFIFO, wifi.SchemeAirtimeFQ} {
-		tb := wifi.NewTestbed(wifi.TestbedConfig{
+	for _, scheme := range []mac.Scheme{mac.SchemeFIFO, mac.SchemeAirtimeFQ} {
+		n := exp.NewNet(exp.NetConfig{
 			Seed:     1,
 			Scheme:   scheme,
-			Stations: wifi.DefaultStations(),
+			Stations: exp.DefaultStations(),
 		})
-		sinks := make(map[string]interface{ GoodputBps() float64 })
-		for _, st := range tb.Stations() {
-			sinks[st.Name] = tb.DownloadUDP(st, 50e6)
+		sinks := make([]*traffic.UDPSink, len(n.Stations))
+		for i, st := range n.Stations {
+			_, sinks[i] = n.DownloadUDP(st, 50e6, pkt.ACBE)
 		}
-		tb.Run(10 * wifi.Second)
+		n.Run(10 * sim.Second)
 
+		// Airtime as the AP accounts it (TX + RX) since t = 0.
+		airtime := make([]float64, len(n.Stations))
+		for i, st := range n.Stations {
+			airtime[i] = st.APView.Airtime().Seconds()
+		}
+		shares := stats.Shares(airtime)
 		fmt.Printf("%s:\n", scheme)
-		shares := tb.AirtimeShares()
-		for i, st := range tb.Stations() {
+		for i, st := range n.Stations {
 			fmt.Printf("  %-6s airtime %5.1f%%  goodput %6.1f Mbps  mean A-MPDU %5.2f pkts\n",
-				st.Name, 100*shares[i], sinks[st.Name].GoodputBps()/1e6,
+				st.Name, 100*shares[i], sinks[i].GoodputBps()/1e6,
 				st.APView.MeanAggregation())
 		}
-		fmt.Printf("  Jain's fairness index: %.3f\n\n", tb.JainIndex())
+		fmt.Printf("  Jain's fairness index: %.3f\n\n", stats.JainIndex(airtime))
 	}
 	fmt.Println("The slow station hogs the air under FIFO (the anomaly);")
 	fmt.Println("the deficit scheduler splits airtime exactly three ways.")

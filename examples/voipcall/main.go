@@ -13,32 +13,35 @@ package main
 import (
 	"fmt"
 
-	"repro/wifi"
+	"repro/internal/exp"
+	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sim"
 )
 
 func main() {
 	fmt.Println("VoIP call to the slow station, bulk TCP everywhere (10 s):")
 	fmt.Printf("%-10s %6s %6s\n", "scheme", "BE-MOS", "VO-MOS")
-	for _, scheme := range wifi.Schemes {
+	for _, scheme := range mac.Schemes {
 		var mos [2]float64
-		for i, vo := range []bool{false, true} {
-			tb := wifi.NewTestbed(wifi.TestbedConfig{
+		for i, ac := range []pkt.AC{pkt.ACBE, pkt.ACVO} {
+			n := exp.NewNet(exp.NetConfig{
 				Seed:       1,
 				Scheme:     scheme,
-				Stations:   wifi.FourStations(),
-				WiredDelay: 5 * wifi.Millisecond,
+				Stations:   exp.FourStations(),
+				WiredDelay: 5 * sim.Millisecond,
 			})
-			var slow *wifi.Station
-			for _, st := range tb.Stations() {
-				tb.DownloadTCP(st)
+			var slow *exp.Station
+			for _, st := range n.Stations {
+				n.DownloadTCP(st, pkt.ACBE)
 				if st.Name == "slow" {
 					slow = st
 				}
 			}
 			// Let the bulk flows fill the queues before the call starts.
-			tb.Run(3 * wifi.Second)
-			sink := tb.VoIP(slow, vo)
-			tb.Run(13 * wifi.Second)
+			n.Run(3 * sim.Second)
+			_, sink := n.VoIPDown(slow, ac)
+			n.Run(13 * sim.Second)
 			mos[i] = sink.MOS()
 		}
 		fmt.Printf("%-10s %6.2f %6.2f\n", scheme, mos[0], mos[1])

@@ -7,29 +7,29 @@ package main
 import (
 	"fmt"
 
-	"repro/wifi"
+	"repro/internal/exp"
+	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func main() {
 	fmt.Println("Web browsing on a fast station while the slow station bulk-downloads:")
 	fmt.Printf("%-10s %18s %18s\n", "scheme", "small page (56KB)", "large page (3MB)")
-	for _, scheme := range wifi.Schemes {
+	for _, scheme := range mac.Schemes {
 		var plt [2]float64
-		for i, pg := range []struct {
-			page wifi.WebPage
-		}{{wifi.SmallPage}, {wifi.LargePage}} {
-			pg := pg.page
-			tb := wifi.NewTestbed(wifi.TestbedConfig{
+		for i, page := range []traffic.WebPage{traffic.SmallPage, traffic.LargePage} {
+			n := exp.NewNet(exp.NetConfig{
 				Seed:     1,
 				Scheme:   scheme,
-				Stations: wifi.DefaultStations(),
+				Stations: exp.DefaultStations(),
 			})
-			stations := tb.Stations()
-			tb.DownloadTCP(stations[2]) // slow station bulk transfer
-			tb.Run(3 * wifi.Second)
-			wc := tb.Web(stations[0], pg)
+			n.DownloadTCP(n.Stations[2], pkt.ACBE) // slow station bulk transfer
+			n.Run(3 * sim.Second)
+			wc := n.Web(n.Stations[0], page)
 			wc.Start()
-			tb.Run(33 * wifi.Second)
+			n.Run(33 * sim.Second)
 			wc.Stop()
 			plt[i] = wc.PLT.Mean()
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -280,8 +281,8 @@ func TestDeterminism(t *testing.T) {
 func TestMixedWorkloadAllSchemes(t *testing.T) {
 	for _, scheme := range mac.Schemes {
 		n := NewNet(NetConfig{Seed: 3, Scheme: scheme, Stations: FourStations()})
-		n.DownloadTCP(n.Stations[0], pkt.ACBE)
-		n.UploadTCP(n.Stations[1], pkt.ACBE)
+		down := n.DownloadTCP(n.Stations[0], pkt.ACBE)
+		up := n.UploadTCP(n.Stations[1], pkt.ACBE)
 		_, usink := n.DownloadUDP(n.Stations[2], 5e6, pkt.ACBE)
 		_, vsink := n.VoIPDown(n.Stations[3], pkt.ACVO)
 		png := n.Ping(n.Stations[0], 0, 1)
@@ -289,6 +290,9 @@ func TestMixedWorkloadAllSchemes(t *testing.T) {
 		if usink.Received == 0 || vsink.Received == 0 || png.Received == 0 {
 			t.Errorf("%v: missing traffic: udp=%d voip=%d ping=%d",
 				scheme, usink.Received, vsink.Received, png.Received)
+		}
+		if down.Server().TotalReceived() == 0 || up.Server().TotalReceived() == 0 {
+			t.Errorf("%v: TCP transfers made no progress", scheme)
 		}
 	}
 }
@@ -331,7 +335,8 @@ func TestStationMACOverride(t *testing.T) {
 	}
 }
 
-// TestDTTInTestbed: the fifth scheme works through the full testbed.
+// TestDTTInTestbed: the fifth scheme works through the full testbed and,
+// with no uplink contention, splits downlink airtime near evenly.
 func TestDTTInTestbed(t *testing.T) {
 	n := NewNet(NetConfig{Seed: 5, Scheme: mac.SchemeDTT, Stations: DefaultStations()})
 	sinks := make([]*traffic.UDPSink, 0, 3)
@@ -340,9 +345,14 @@ func TestDTTInTestbed(t *testing.T) {
 		sinks = append(sinks, sink)
 	}
 	n.Run(5 * sim.Second)
+	airtime := make([]float64, len(n.Stations))
 	for i, s := range sinks {
 		if s.Received == 0 {
 			t.Errorf("station %d received nothing under DTT", i)
 		}
+		airtime[i] = n.Stations[i].APView.Airtime().Seconds()
+	}
+	if j := stats.JainIndex(airtime); j < 0.95 {
+		t.Errorf("DTT downlink Jain = %.3f, want near 1 without contention", j)
 	}
 }

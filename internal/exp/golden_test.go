@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/mac"
+	"repro/internal/pkt"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -93,8 +97,21 @@ func TestGoldenDeterminismAcrossRefactor(t *testing.T) {
 
 // TestAllRegisteredSchemesRun: a one-repetition campaign over every
 // registered scheme completes without error — a broken or unregistered
-// composition fails here (and in the CI step that mirrors this).
+// composition fails here (and in the CI step that mirrors this). One of
+// them is registered by this test, from outside the simulator as
+// examples/customscheme does: it resolves by name through the udp Spec
+// and moves traffic over a partition of the airtime.
 func TestAllRegisteredSchemesRun(t *testing.T) {
+	const custom = "test-exp-rr"
+	if _, ok := mac.SchemeByName(custom); !ok {
+		mac.RegisterScheme(custom, mac.Composition{
+			Desc:     "integrated queueing + round-robin scheduler, registered by a test",
+			Queueing: mac.NewIntegratedQueueing,
+			Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
+				return sched.NewRoundRobin()
+			},
+		})
+	}
 	res, err := NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"udp"},
 		Overrides: map[string][]string{
@@ -113,6 +130,28 @@ func TestAllRegisteredSchemesRun(t *testing.T) {
 	if want := len(mac.SchemeNames()); len(res.Cells) != want {
 		t.Fatalf("cells = %d, want one per registered scheme (%d)", len(res.Cells), want)
 	}
+	for _, c := range res.Cells {
+		if !slices.Contains(c.Params, campaign.Param{Name: "scheme", Value: custom}) {
+			continue
+		}
+		var total, shares float64
+		for _, m := range c.Metrics {
+			switch {
+			case m.Name == "total-mbps":
+				total = m.Mean
+			case strings.HasPrefix(m.Name, "share-"):
+				shares += m.Mean
+			}
+		}
+		if total < 10 {
+			t.Errorf("%s moved only %.1f Mbps, want a working transmit path", custom, total)
+		}
+		if shares < 0.99 || shares > 1.01 {
+			t.Errorf("%s airtime shares sum to %.3f, want a partition of 1", custom, shares)
+		}
+		return
+	}
+	t.Fatalf("no cell for the registered scheme %s", custom)
 }
 
 // TestWeightedUDPScenario: the weighted-udp scenario skews the slow

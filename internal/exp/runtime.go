@@ -10,9 +10,10 @@ import (
 // they attach, Arm snapshots every counter at the start of the measured
 // interval, and probes read measurement-window deltas out of it when the
 // run ends. The campaign-facing Spec runner drives it automatically;
-// imperative users (the wifi facade, cmd/airtime-sim) drive it by hand:
+// imperative users (cmd/airtime-sim, examples/mixedworkload) drive it by
+// hand:
 //
-//	rt := exp.NewRuntime(n)
+//	rt := exp.NewRuntime(n.World)
 //	rt.AttachPhase(workloads, exp.PhaseStart)
 //	n.Run(warmup)
 //	rt.AttachPhase(workloads, exp.PhaseMeasure)
@@ -50,13 +51,9 @@ type stationTaps struct {
 	plt []*stats.Sample
 }
 
-// NewRuntime wraps a single-BSS testbed for workload attachment and
-// probing.
-func NewRuntime(n *Net) *Runtime { return NewWorldRuntime(n.World) }
-
-// NewWorldRuntime wraps a testbed world; stations are addressed in
-// flattened cell-major order.
-func NewWorldRuntime(w *World) *Runtime {
+// NewRuntime wraps a testbed world for workload attachment and probing;
+// stations are addressed in flattened cell-major order.
+func NewRuntime(w *World) *Runtime {
 	return &Runtime{w: w, taps: make([]stationTaps, len(w.Stations))}
 }
 

@@ -55,7 +55,7 @@ func (inst *Instance) Execute(ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
 
 // run is Execute on a world already built from inst.Net with ctx.Seed.
 func (inst *Instance) run(w *World, ctx campaign.Ctx) (*campaign.Metrics, *Runtime) {
-	rt := NewWorldRuntime(w)
+	rt := NewRuntime(w)
 	rt.AttachPhase(inst.Workloads, PhaseStart)
 	w.Run(ctx.Warmup)
 	rt.AttachPhase(inst.Workloads, PhaseMeasure)

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/mac"
+	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
@@ -142,6 +144,50 @@ func TestMixedWorkloadMetrics(t *testing.T) {
 	gps := rt.Goodputs()
 	if gps[0] <= 0 || gps[3] <= 0 {
 		t.Errorf("goodputs = %v, want traffic at fast1 and fast3", gps)
+	}
+}
+
+// TestRuntimeAttachCollect drives workloads and probes imperatively on a
+// live world: attach, warm up, arm, run, collect.
+func TestRuntimeAttachCollect(t *testing.T) {
+	n := NewNet(NetConfig{Seed: 11, Scheme: mac.SchemeAirtimeFQ, Stations: DefaultStations()})
+	rt := NewRuntime(n.World)
+	rt.Attach(UDPFlood(40e6))
+	rt.Attach(VoIPCall(pkt.ACVO).On(StationsNamed("slow")))
+	rt.Attach(Pings(0).On(StationAt(0)))
+	n.Run(1 * sim.Second)
+	rt.Arm()
+	n.Run(5 * sim.Second)
+
+	m := campaign.NewMetrics()
+	for _, p := range []Probe{
+		PerStation(ShareCol("share-"), GoodputCol("goodput-mbps-")),
+		Jain("jain"),
+		MOS("mos"),
+		RTTAt(0, "rtt-ms"),
+	} {
+		p.Collect(m, rt)
+	}
+	for _, name := range []string{"share-fast1", "share-fast2", "share-slow"} {
+		if v, ok := m.Scalar(name); !ok || v <= 0.2 || v >= 0.5 {
+			t.Errorf("%s = %v (ok=%v), want ~1/3 under Airtime", name, v, ok)
+		}
+	}
+	if gp, ok := m.Scalar("goodput-mbps-fast1"); !ok || gp <= 1 {
+		t.Errorf("goodput-mbps-fast1 = %v (ok=%v)", gp, ok)
+	}
+	if jain, ok := m.Scalar("jain"); !ok || jain < 0.95 {
+		t.Errorf("jain = %v (ok=%v), want near 1", jain, ok)
+	}
+	if mos, ok := m.Scalar("mos"); !ok || mos < 3 {
+		t.Errorf("mos = %v (ok=%v), want a healthy VO call", mos, ok)
+	}
+	if s := m.Sample("rtt-ms"); s == nil || s.N() == 0 {
+		t.Error("no RTT samples collected")
+	}
+	// Raw window readings through the runtime.
+	if gps := rt.Goodputs(); len(gps) != 3 || gps[0] <= 0 {
+		t.Errorf("runtime goodputs = %v", gps)
 	}
 }
 

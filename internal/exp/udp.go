@@ -28,6 +28,25 @@ func udpInstance(scheme mac.Scheme, rateBps float64, weights map[string]float64)
 	}
 }
 
+// CheckUDPRate reports whether a UDPFlood of mbps to each of stations
+// stations can run. The flood sends a 1500-byte datagram every
+// 12000/mbps µs, truncated to whole nanoseconds, which must be a
+// positive sim.Time; !(x) also rejects NaN. Every station's flood
+// crosses the one wired link, which queues without limit: a total above
+// its rate grows memory for as long as the world runs. The error's text
+// follows the name of the axis or flag that carries the rate, as in
+// "rate-mbps must lie in …".
+func CheckUDPRate(mbps float64, stations int) error {
+	if gap := 1500 * 8 / (mbps * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
+		return fmt.Errorf("must lie in (1.3e-12, 1.2e7], got %v", mbps)
+	}
+	if n := float64(stations); n*mbps*1e6 > ether.GigabitRate {
+		return fmt.Errorf("= %v over %v stations exceeds the %v Mbps wired link",
+			mbps, n, ether.GigabitRate/1e6)
+	}
+	return nil
+}
+
 // SpecUDP is the declarative form of the experiment.
 func SpecUDP() *Spec {
 	return &Spec{
@@ -46,18 +65,8 @@ func SpecUDP() *Spec {
 			if err != nil {
 				return nil, err
 			}
-			// The flood sends a 1500-byte datagram every 12000/rate
-			// µs, truncated to whole nanoseconds, which must be a
-			// positive sim.Time; !(x) also rejects NaN.
-			if gap := 1500 * 8 / (rate * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
-				return nil, fmt.Errorf("rate-mbps must lie in (1.3e-12, 1.2e7], got %v", rate)
-			}
-			// Every station's flood crosses the one wired link, which
-			// queues without limit: a total above its rate grows
-			// memory for as long as the cell runs.
-			if n := float64(len(DefaultStations())); n*rate*1e6 > ether.GigabitRate {
-				return nil, fmt.Errorf("rate-mbps = %v over %v stations exceeds the %v Mbps wired link",
-					rate, n, ether.GigabitRate/1e6)
+			if err := CheckUDPRate(rate, len(DefaultStations())); err != nil {
+				return nil, fmt.Errorf("rate-mbps %w", err)
 			}
 			return udpInstance(scheme, rate*1e6, nil), nil
 		},

@@ -89,8 +89,7 @@ type Config struct {
 	// disables protection.
 	RTSThreshold sim.Time
 
-	PerMPDULoss    float64  // independent MPDU loss probability on the air
-	ReorderTimeout sim.Time // block-ack reorder hole timeout (default 10 ms)
+	PerMPDULoss float64 // independent MPDU loss probability on the air
 }
 
 // Fixed parameters of the modelled ath9k transmit path.
@@ -101,6 +100,12 @@ const (
 	qdiscLimit      = qdisc.DefaultPFIFOLimit // PFIFO packet limit
 	driverBuf       = 128                     // shared driver buffer budget in packets
 	codelHysteresis = 2 * sim.Second          // min time between CoDel param changes
+
+	// reorderTimeout bounds how long the receive-side reorder buffer
+	// holds a given hole before releasing, matching mac80211's 100 ms
+	// block-ack reorder-buffer timeout. It must exceed the worst-case
+	// time for a retried MPDU to rejoin a later aggregate and transmit.
+	reorderTimeout = 100 * sim.Millisecond
 )
 
 func (c *Config) fill() {
@@ -115,9 +120,6 @@ func (c *Config) fill() {
 	}
 	if c.SlowRateThreshold <= 0 {
 		c.SlowRateThreshold = 12e6
-	}
-	if c.ReorderTimeout <= 0 {
-		c.ReorderTimeout = DefaultReorderTimeout
 	}
 }
 

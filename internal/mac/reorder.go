@@ -5,12 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultReorderTimeout bounds how long the receive-side reorder buffer
-// holds a given hole before releasing, matching mac80211's 100 ms
-// block-ack reorder-buffer timeout. It must exceed the worst-case time for
-// a retried MPDU to rejoin a later aggregate and transmit.
-const DefaultReorderTimeout = 100 * sim.Millisecond
-
 // reorderKey identifies one block-ack reorder session.
 type reorderKey struct {
 	src pkt.NodeID
@@ -71,7 +65,7 @@ func (n *Node) reorderFlush(rs *reorderState) {
 }
 
 // reorderArm manages the per-hole timeout: when the buffer is blocked on a
-// missing sequence number for longer than ReorderTimeout, the hole is
+// missing sequence number for longer than reorderTimeout, the hole is
 // skipped (its transmitter exhausted its retries).
 func (n *Node) reorderArm(rs *reorderState) {
 	if len(rs.buf) == 0 {
@@ -95,7 +89,7 @@ func (n *Node) reorderArm(rs *reorderState) {
 	if rs.timer.Valid() {
 		return
 	}
-	deadline := rs.holeAt + n.cfg.ReorderTimeout
+	deadline := rs.holeAt + reorderTimeout
 	wait := deadline - now
 	if wait < 0 {
 		wait = 0

@@ -69,7 +69,7 @@ func TestReorderTimeoutSkipsPermanentHole(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("buffered packets leaked: %v", got)
 	}
-	s.RunUntil(ap.cfg.ReorderTimeout * 2)
+	s.RunUntil(reorderTimeout * 2)
 	if len(got) != 4 || got[2] != 4 || got[3] != 5 {
 		t.Fatalf("hole not skipped: %v", got)
 	}
