@@ -13,6 +13,8 @@ import (
 	"repro/internal/pkt"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 // The golden hashes below were captured from the pre-registry transmit
@@ -95,23 +97,31 @@ func TestGoldenDeterminismAcrossRefactor(t *testing.T) {
 	}
 }
 
+// testRR is the name of a round-robin scheme that tests register from
+// outside the simulator, as examples/customscheme does.
+const testRR = "test-exp-rr"
+
+// registerTestRR registers testRR once per test binary and returns it.
+func registerTestRR() mac.Scheme {
+	if s, ok := mac.SchemeByName(testRR); ok {
+		return s
+	}
+	return mac.RegisterScheme(testRR, mac.Composition{
+		Desc:     "integrated queueing + round-robin scheduler, registered by a test",
+		Queueing: mac.NewIntegratedQueueing,
+		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
+			return sched.NewRoundRobin()
+		},
+	})
+}
+
 // TestAllRegisteredSchemesRun: a one-repetition campaign over every
 // registered scheme completes without error — a broken or unregistered
 // composition fails here (and in the CI step that mirrors this). One of
-// them is registered by this test, from outside the simulator as
-// examples/customscheme does: it resolves by name through the udp Spec
-// and moves traffic over a partition of the airtime.
+// them is testRR: it resolves by name through the udp Spec and moves
+// traffic over a partition of the airtime.
 func TestAllRegisteredSchemesRun(t *testing.T) {
-	const custom = "test-exp-rr"
-	if _, ok := mac.SchemeByName(custom); !ok {
-		mac.RegisterScheme(custom, mac.Composition{
-			Desc:     "integrated queueing + round-robin scheduler, registered by a test",
-			Queueing: mac.NewIntegratedQueueing,
-			Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
-				return sched.NewRoundRobin()
-			},
-		})
-	}
+	registerTestRR()
 	res, err := NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"udp"},
 		Overrides: map[string][]string{
@@ -131,7 +141,7 @@ func TestAllRegisteredSchemesRun(t *testing.T) {
 		t.Fatalf("cells = %d, want one per registered scheme (%d)", len(res.Cells), want)
 	}
 	for _, c := range res.Cells {
-		if !slices.Contains(c.Params, campaign.Param{Name: "scheme", Value: custom}) {
+		if !slices.Contains(c.Params, campaign.Param{Name: "scheme", Value: testRR}) {
 			continue
 		}
 		var total, shares float64
@@ -144,14 +154,57 @@ func TestAllRegisteredSchemesRun(t *testing.T) {
 			}
 		}
 		if total < 10 {
-			t.Errorf("%s moved only %.1f Mbps, want a working transmit path", custom, total)
+			t.Errorf("%s moved only %.1f Mbps, want a working transmit path", testRR, total)
 		}
 		if shares < 0.99 || shares > 1.01 {
-			t.Errorf("%s airtime shares sum to %.3f, want a partition of 1", custom, shares)
+			t.Errorf("%s airtime shares sum to %.3f, want a partition of 1", testRR, shares)
 		}
 		return
 	}
-	t.Fatalf("no cell for the registered scheme %s", custom)
+	t.Fatalf("no cell for the registered scheme %s", testRR)
+}
+
+// TestCustomSchemeEndToEnd: testRR resolves by name in any case and
+// through ParseScheme, is listed by AllSchemes, and runs a full
+// three-station Net that moves traffic over a partition of the airtime.
+func TestCustomSchemeEndToEnd(t *testing.T) {
+	scheme := registerTestRR()
+	if got, ok := mac.SchemeByName("TEST-EXP-RR"); !ok || got != scheme {
+		t.Fatalf("SchemeByName = %v, %v; want %v, true", got, ok, scheme)
+	}
+	if got, err := ParseScheme(testRR); err != nil || got != scheme {
+		t.Fatalf("ParseScheme = %v, %v; want %v, nil", got, err, scheme)
+	}
+	if !slices.Contains(mac.AllSchemes(), scheme) {
+		t.Fatal("registered scheme missing from AllSchemes")
+	}
+
+	n := NewNet(NetConfig{Seed: 3, Scheme: scheme, Stations: DefaultStations()})
+	sinks := make([]*traffic.UDPSink, 0, len(n.Stations))
+	for _, st := range n.Stations {
+		_, sink := n.DownloadUDP(st, 30e6, pkt.ACBE)
+		sinks = append(sinks, sink)
+	}
+	n.Run(5 * sim.Second)
+	var goodput float64
+	for _, s := range sinks {
+		goodput += s.GoodputBps()
+	}
+	if goodput < 10e6 {
+		t.Fatalf("%s moved only %.1f Mbps, want a working transmit path", testRR, goodput/1e6)
+	}
+	airtime := make([]float64, len(n.Stations))
+	for i, st := range n.Stations {
+		airtime[i] = st.APView.Airtime().Seconds()
+	}
+	shares := stats.Shares(airtime)
+	var sum float64
+	for _, s := range shares {
+		sum += s
+	}
+	if sum < 0.99 || sum > 1.01 {
+		t.Fatalf("airtime shares = %v, want a partition of 1", shares)
+	}
 }
 
 // TestWeightedUDPScenario: the weighted-udp scenario skews the slow
