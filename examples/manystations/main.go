@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
@@ -20,17 +21,26 @@ import (
 	"repro/internal/sim"
 )
 
+const warmup = 5 * sim.Second
+
 func main() {
 	stations := flag.Int("stations", 30, "total number of clients (at least 4)")
 	dur := flag.Int("dur", 20, "measured seconds per scheme")
 	flag.Parse()
+	// campaign.Plan would replace a non-positive duration with its
+	// default, and sim.Time cannot hold a longer run than maxDur.
+	const maxDur = (math.MaxInt64 - warmup) / sim.Second
+	if *dur < 1 || sim.Time(*dur) > maxDur {
+		fmt.Fprintf(os.Stderr, "manystations: -dur must be 1 to %d seconds, got %d\n", int64(maxDur), *dur)
+		os.Exit(2)
+	}
 
 	res, err := exp.NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"scale"},
 		Overrides: map[string][]string{"stations": {strconv.Itoa(*stations)}},
 		Reps:      1,
 		Duration:  sim.Time(*dur) * sim.Second,
-		Warmup:    5 * sim.Second,
+		Warmup:    warmup,
 		BaseSeed:  1,
 	})
 	if err != nil {

@@ -92,11 +92,20 @@ func TestAllSchemesCoversPaperSchemes(t *testing.T) {
 	}
 }
 
+// registerOnce registers a test scheme once per test binary, so the
+// tests that register one pass under -count=2 too, and returns it.
+func registerOnce(name string, comp Composition) Scheme {
+	if s, ok := SchemeByName(name); ok {
+		return s
+	}
+	return RegisterScheme(name, comp)
+}
+
 // TestRegisterSchemeComposition: a scheme registered at runtime builds
 // nodes whose transmit path delivers traffic, without internal/mac
 // knowing the composition.
 func TestRegisterSchemeComposition(t *testing.T) {
-	scheme := RegisterScheme("test-registry-rr", Composition{
+	scheme := registerOnce("test-registry-rr", Composition{
 		Desc:     "FIFO qdisc substrate + round-robin station scheduler",
 		Queueing: NewFIFOQueueing,
 		Scheduler: func(_ *Node, _ pkt.AC) sched.StationScheduler {
@@ -151,7 +160,7 @@ func TestRegisterSchemeValidation(t *testing.T) {
 	mustPanic("nil queueing", func() {
 		RegisterScheme("test-registry-noqueue", Composition{})
 	})
-	RegisterScheme("test-registry-dup", Composition{Queueing: NewFIFOQueueing})
+	registerOnce("test-registry-dup", Composition{Queueing: NewFIFOQueueing})
 	mustPanic("duplicate", func() {
 		RegisterScheme("test-registry-dup", Composition{Queueing: NewFIFOQueueing})
 	})
@@ -165,7 +174,7 @@ func TestRegisterSchemeValidation(t *testing.T) {
 // TestWeightedStationScheme: under a runtime-registered weighted-airtime
 // composition, SetStationWeight skews the airtime split accordingly.
 func TestWeightedStationScheme(t *testing.T) {
-	scheme := RegisterScheme("test-registry-weighted", Composition{
+	scheme := registerOnce("test-registry-weighted", Composition{
 		Queueing: NewIntegratedQueueing,
 		Scheduler: func(n *Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewWeightedAirtime(n.Config().AirtimeQuantum, true)

@@ -52,10 +52,10 @@ func TestCancelThenRescheduleStaleRef(t *testing.T) {
 	}
 }
 
-// TestCancelInNowQueue: an event scheduled for the instant being drained
-// (so it rides the FIFO side queue, not the heap) must still be
-// cancellable by an earlier event of the same instant.
-func TestCancelInNowQueue(t *testing.T) {
+// TestCancelSameInstantContinuation: an event scheduled for the instant
+// being drained must still be cancellable by an earlier event of the
+// same instant.
+func TestCancelSameInstantContinuation(t *testing.T) {
 	s := New(1)
 	var doomed EventRef
 	fired := false
@@ -234,10 +234,10 @@ func TestRunMaxEventsMidInstant(t *testing.T) {
 	}
 }
 
-// TestRunMaxEventsMidNowQueue: the budget can also expire while draining
-// the same-instant side queue; the spilled remainder must still fire in
-// order on resume.
-func TestRunMaxEventsMidNowQueue(t *testing.T) {
+// TestRunMaxEventsMidContinuations: the budget can also expire among the
+// zero-delay continuations a callback scheduled for the instant being
+// drained; the remainder must still fire in order on resume.
+func TestRunMaxEventsMidContinuations(t *testing.T) {
 	s := New(1)
 	var got []int
 	s.At(5, func() {
@@ -247,7 +247,7 @@ func TestRunMaxEventsMidNowQueue(t *testing.T) {
 			s.After(0, func() { got = append(got, i) })
 		}
 	})
-	s.Run(3) // budget expires inside the nowQ drain
+	s.Run(3) // budget expires among the continuations
 	if len(got) != 3 {
 		t.Fatalf("ran %d events under budget 3", len(got))
 	}

@@ -15,8 +15,9 @@
 // Cancellation is lazy: Cancel marks the event dead in O(1) instead of
 // unlinking it from the heap, and dead events are skipped (and recycled)
 // when they surface at the top. The run loop drains all events of one
-// instant as a batch; events that callbacks schedule for the very instant
-// being drained bypass the heap entirely on a FIFO side queue.
+// instant as a batch; an event a callback schedules for the very instant
+// being drained carries a larger seq than every event already queued for
+// it, so it fires after them within the same instant.
 package sim
 
 import (
@@ -120,13 +121,6 @@ type Sim struct {
 	rng    *Rand
 	nRun   uint64 // events executed
 	live   int    // scheduled events not yet fired or cancelled
-
-	// nowQ holds events scheduled for the instant currently being
-	// drained: they are guaranteed to sort after everything at that
-	// instant already in the heap, so a FIFO append is both cheaper
-	// than a heap push and order-exact.
-	nowQ     []*Event
-	draining bool // inside runInstant; at == now schedules divert to nowQ
 
 	// wh is the hierarchical timing wheel fronting the heap (wheel.go):
 	// bounded-horizon events wait in O(1) buckets and are flushed into
@@ -273,12 +267,7 @@ func (s *Sim) schedule(e *Event, at Time) EventRef {
 	e.seq = s.seq
 	s.seq++
 	s.live++
-	if s.draining && at == s.now {
-		// Scheduled for the instant being drained: every event of this
-		// instant already queued carries a smaller seq, so FIFO order on
-		// the side queue is exactly (at, seq) order — no heap traffic.
-		s.nowQ = append(s.nowQ, e)
-	} else if !s.wheelInsert(e) {
+	if !s.wheelInsert(e) {
 		s.push(e)
 	}
 	return EventRef{e: e, gen: e.gen}
@@ -363,14 +352,14 @@ func (s *Sim) exec(e *Event) {
 }
 
 // next reports the time of the next live event, discarding dead events
-// that have surfaced at the heap top and flushing wheel slots whose
-// window could contain it. ok is false when no live events remain.
+// that have surfaced at the heap top and moving wheel slots toward the
+// heap as their windows come due. ok is false when no live events remain.
 //
-// The flush loop maintains the ordering invariant: no wheel event can
-// fire before every event at or ahead of it is in the heap. A slot is
-// flushed whenever the heap top does not come strictly before the
-// slot's window start, so by the time a candidate time is returned,
-// every remaining wheel event is strictly later than it.
+// The loop maintains the ordering invariant: no wheel event can fire
+// before every event at or ahead of it is in the heap. A heap top is
+// returned only when it comes strictly before the wheel's bound wh.lo,
+// which no wheel window starts before, or, after a scan, strictly
+// before the earliest window; otherwise that window cascades or flushes.
 //
 //hj17:hotpath
 func (s *Sim) next() (t Time, ok bool) {
@@ -383,20 +372,16 @@ func (s *Sim) next() (t Time, ok bool) {
 			}
 			break
 		}
+		if len(s.events) > 0 && s.events[0].at < s.wh.lo {
+			return s.events[0].at, true
+		}
 		if s.wheelEmpty() {
 			if len(s.events) == 0 {
 				return 0, false
 			}
 			return s.events[0].at, true
 		}
-		slot, start, wok := s.wheelEarliest()
-		if !wok {
-			continue // the wheel drained its last (cancelled) events
-		}
-		if len(s.events) > 0 && s.events[0].at < start {
-			return s.events[0].at, true
-		}
-		s.wheelFlush(slot)
+		s.wheelStep()
 	}
 }
 
@@ -415,17 +400,17 @@ func (s *Sim) Step() bool {
 }
 
 // runInstant advances the clock to t and fires, in schedule order, every
-// event of that instant: first the events already heaped at t (a batched
-// same-instant pop — the heap top is re-examined, not re-built, between
-// pops), then the nowQ side queue of events the callbacks themselves
-// scheduled for t. It returns false when maxEvents (if non-zero) was
-// exhausted mid-instant; the un-fired remainder is pushed back onto the
-// heap so a later run resumes in exact order.
+// heaped event of that instant (a batched same-instant pop: the heap top
+// is re-examined, not re-built, between pops). Events the callbacks
+// schedule for t itself either join the heap behind them or wait in the
+// wheel's current slot, which next flushes before the clock moves. It
+// returns false when maxEvents (if non-zero) was exhausted mid-instant;
+// the un-fired remainder stays queued, so a later run resumes in exact
+// order.
 //
 //hj17:hotpath
 func (s *Sim) runInstant(t Time, maxEvents uint64) bool {
 	s.now = t
-	s.draining = true
 	for len(s.events) > 0 && s.events[0].at == t {
 		e := s.pop()
 		if e.dead {
@@ -434,44 +419,10 @@ func (s *Sim) runInstant(t Time, maxEvents uint64) bool {
 		}
 		s.exec(e)
 		if maxEvents > 0 && s.nRun >= maxEvents {
-			s.stopDraining()
 			return false
 		}
 	}
-	for i := 0; i < len(s.nowQ); i++ {
-		e := s.nowQ[i]
-		s.nowQ[i] = nil
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		s.exec(e)
-		if maxEvents > 0 && s.nRun >= maxEvents {
-			s.nowQ = s.nowQ[:copy(s.nowQ, s.nowQ[i+1:])]
-			s.stopDraining()
-			return false
-		}
-	}
-	s.nowQ = s.nowQ[:0]
-	s.draining = false
 	return true
-}
-
-// stopDraining ends an instant drain early, spilling any unfired nowQ
-// events back into the heap (their original seq keeps them ordered).
-func (s *Sim) stopDraining() {
-	for _, e := range s.nowQ {
-		if e == nil {
-			continue
-		}
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		s.push(e)
-	}
-	s.nowQ = s.nowQ[:0]
-	s.draining = false
 }
 
 // RunUntil executes events until the clock would pass end or the queue

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file implements the hierarchical timing wheel that fronts the
 // event heap. The bounded-horizon event classes that dominate scheduling
@@ -16,9 +19,11 @@ import "math/bits"
 // Two levels of 256 slots cover the horizon: level 0 at 4.096 µs per
 // slot (~1.05 ms), level 1 at ~1.05 ms per slot (~268 ms). Events
 // beyond the level-1 horizon, or behind an already-flushed slot, go
-// straight to the heap. Level-1 slots cascade into level 0 when their
-// window approaches; each event therefore sees at most two O(1) bucket
-// hops, one push into a near-empty heap, and one pop.
+// straight to the heap. A level-1 slot cascades into level 0 only when
+// its window is the next thing due, so a nearer heap event never drags
+// the level-0 position ahead of the clock; each event therefore sees at
+// most two O(1) bucket hops, one push into a near-empty heap, and one
+// pop.
 
 const (
 	wheelSlotBits = 8
@@ -48,6 +53,12 @@ type wheel struct {
 	pos1   int64 // absolute level-1 index of the next uncascaded slot
 	cnt0   int
 	cnt1   int
+
+	// lo is a lower bound on the window start of every wheel event: a
+	// heap top strictly before it is due without scanning the bitmaps.
+	// A scan makes it exact, an insert into an earlier window lowers
+	// it, and a flush of slot a0 raises it to the end of a0's window.
+	lo Time
 }
 
 // insert parks e in a wheel bucket, reporting false when the event is
@@ -72,6 +83,9 @@ func (s *Sim) wheelInsert(e *Event) bool {
 		w.slots0[i] = e
 		w.bits0[i>>6] |= 1 << (uint(i) & 63)
 		w.cnt0++
+		if st := Time(idx0) << wheelShift0; st < w.lo {
+			w.lo = st
+		}
 		return true
 	}
 	idx1 := int64(e.at) >> wheelShift1
@@ -89,42 +103,52 @@ func (s *Sim) wheelInsert(e *Event) bool {
 	w.slots1[i] = e
 	w.bits1[i>>6] |= 1 << (uint(i) & 63)
 	w.cnt1++
+	if st := Time(idx1) << wheelShift1; st < w.lo {
+		w.lo = st
+	}
 	return true
 }
 
 // wheelEmpty reports whether the wheel holds no events.
 func (s *Sim) wheelEmpty() bool { return s.wh.cnt0 == 0 && s.wh.cnt1 == 0 }
 
-// wheelEarliest returns the absolute index and window-start time of the
-// earliest non-empty level-0 slot, cascading level-1 slots down first
-// whenever their window opens at or before it — a level-1 slot loaded
-// long ago can cover earlier times than a level-0 slot filled just now.
-// ok is false when the wheel turned out to hold only cancelled events
-// (they are recycled on the way) and is now empty.
-func (s *Sim) wheelEarliest() (slot int64, start Time, ok bool) {
+// wheelStep scans both levels for the earliest occupied window and
+// makes wh.lo its start. Unless the heap top comes strictly before that
+// window, it then moves the window one step toward the heap: a level-1
+// slot opening at or before the earliest level-0 slot cascades into
+// level 0 (a level-1 slot loaded long ago can cover earlier times than
+// a level-0 slot filled just now), otherwise the level-0 slot flushes.
+// The wheel must not be empty.
+func (s *Sim) wheelStep() {
 	w := &s.wh
-	for {
-		a0 := int64(-1)
-		if w.cnt0 > 0 {
-			a0 = findSlot(&w.bits0, w.pos0)
-		}
-		if w.cnt1 > 0 {
-			a1 := findSlot(&w.bits1, w.pos1)
-			if a0 < 0 || a1<<wheelSlotBits <= a0 {
-				s.wheelCascade(a1)
-				continue
-			}
-		}
-		if a0 < 0 {
-			return 0, 0, false
-		}
-		return a0, Time(a0) << wheelShift0, true
+	start0, start1 := Time(math.MaxInt64), Time(math.MaxInt64)
+	var a0, a1 int64
+	if w.cnt0 > 0 {
+		a0 = findSlot(&w.bits0, w.pos0)
+		start0 = Time(a0) << wheelShift0
 	}
+	if w.cnt1 > 0 {
+		a1 = findSlot(&w.bits1, w.pos1)
+		start1 = Time(a1) << wheelShift1
+	}
+	w.lo = min(start0, start1)
+	if len(s.events) > 0 && s.events[0].at < w.lo {
+		return
+	}
+	if start1 <= start0 {
+		s.wheelCascade(a1)
+		return
+	}
+	s.wheelFlush(a0)
+	// a0 was the earliest window of both levels, and level-1 windows
+	// are whole multiples of a level-0 slot.
+	w.lo = Time(a0+1) << wheelShift0
 }
 
-// wheelCascade redistributes level-1 slot a1 into level 0 (or, for
-// events whose level-0 slot has already been flushed, into the heap)
-// and advances past it.
+// wheelCascade redistributes level-1 slot a1 into level 0 and advances
+// past it. Cascading only when a1's window is the earliest due keeps
+// pos0 and the clock at or before a1's window, so every event of the
+// slot lands at or past pos0.
 func (s *Sim) wheelCascade(a1 int64) {
 	w := &s.wh
 	i := a1 & wheelMask
@@ -141,10 +165,8 @@ func (s *Sim) wheelCascade(a1 int64) {
 		w.cnt1--
 		if e.dead {
 			s.recycle(e)
-		} else if idx0 := int64(e.at) >> wheelShift0; idx0 < w.pos0 {
-			s.push(e)
 		} else {
-			j := idx0 & wheelMask
+			j := (int64(e.at) >> wheelShift0) & wheelMask
 			e.wnext = w.slots0[j]
 			w.slots0[j] = e
 			w.bits0[j>>6] |= 1 << (uint(j) & 63)

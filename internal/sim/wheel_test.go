@@ -53,8 +53,8 @@ func (h *refHeap) Pop() any {
 }
 
 // refQueue is the pop-order reference for the Sim: one binary heap on
-// (time, seq), no wheel, no same-instant side queue. Cancel marks an
-// event dead, and RunUntil leaves the clock at end.
+// (time, seq), no wheel. Cancel marks an event dead, and RunUntil leaves
+// the clock at end.
 type refQueue struct {
 	now Time
 	seq uint64
@@ -104,7 +104,8 @@ func (q *refQueue) Drain() {
 // continuations, sub-slot delays, level-0 and level-1 horizons,
 // beyond-horizon delays that overflow into the heap, lazy cancellations
 // of pending events at all horizons, and RunUntil stepping (which snaps
-// the clock forward across quiet gaps).
+// the clock forward across quiet gaps). A second, sparse phase of as
+// many events follows; see sparseFlows.
 func wheelTrace(q timerQueue, seed uint64, events int) []string {
 	r := NewRand(seed ^ 0x9e3779b97f4a7c15)
 	var order []string
@@ -147,7 +148,64 @@ func wheelTrace(q timerQueue, seed uint64, events int) []string {
 		q.RunUntil(end)
 	}
 	q.Drain()
+	sparseFlows(q, r, &order, n+1, events)
 	return order
+}
+
+// sparseFlows is wheelTrace's TCP-like phase. It sends the segments
+// with ids first to first+events-1 and appends to order as wheelTrace
+// does. A few flows send short ACK-clocked bursts (zero, sub-slot and
+// sub-millisecond gaps) separated by 1–20 ms of silence, and every
+// segment cancels its flow's retransmission timer and re-arms it
+// 200 ms–3 s ahead, so level 1 and the heap hold later events while
+// level 0 drains between bursts. Now and then a flow stalls until that
+// timer fires and sends its next segment. The RunUntil windows end at
+// arbitrary nanoseconds, inside slots.
+func sparseFlows(q timerQueue, r *Rand, order *[]string, first, events int) {
+	const flows = 4
+	last := first + events
+	sent := 0
+	rto := make([]func(), flows)
+	var segment func(f, id int)
+	segment = func(f, id int) {
+		*order = append(*order, fmt.Sprintf("%d@%d", id, q.Now()))
+		sent++
+		rto[f]()
+		if id >= last {
+			return
+		}
+		next := id + flows
+		rto[f] = q.After(200*Millisecond+Time(r.Intn(int(2800*Millisecond))), func() {
+			*order = append(*order, fmt.Sprintf("rto%d@%d", f, q.Now()))
+			segment(f, next)
+		})
+		var gap Time
+		switch r.Intn(8) {
+		case 0:
+			gap = 0
+		case 1:
+			gap = Time(r.Intn(1 << wheelShift0))
+		case 2, 3, 4:
+			gap = Time(r.Intn(int(200 * Microsecond)))
+		case 5, 6:
+			gap = Millisecond + Time(r.Intn(int(19*Millisecond)))
+		case 7:
+			if r.Intn(32) == 0 {
+				return // stall until the retransmission timer fires
+			}
+			gap = Millisecond + Time(r.Intn(int(19*Millisecond)))
+		}
+		q.After(gap, func() { segment(f, next) })
+	}
+	for f := range rto {
+		f := f
+		rto[f] = func() {}
+		q.After(Time(r.Intn(int(Millisecond))), func() { segment(f, first+f) })
+	}
+	for sent < events {
+		q.RunUntil(q.Now() + Time(1+r.Intn(20))*Millisecond + Time(r.Intn(1<<wheelShift0)))
+	}
+	q.Drain()
 }
 
 // TestWheelPopOrderIdentity: across randomized cancel/reschedule storms,
@@ -168,6 +226,60 @@ func TestWheelPopOrderIdentity(t *testing.T) {
 					seed, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// TestWheelCascadeWaitsForHeap: a level-1 slot cascades only when its
+// window is the next thing due. With level 0 empty, the heap holding the
+// next event and level 1 holding one at least 1 ms later, an event
+// scheduled a few hundred µs ahead must land in the wheel. A cascade
+// that ran ahead of the heap would move level 0 to the far slot's window
+// and send every nearer schedule to the heap until the clock got there.
+func TestWheelCascadeWaitsForHeap(t *testing.T) {
+	// probe is the heap event's callback.
+	probe := func(s *Sim, name string) func() {
+		return func() {
+			s.After(300*Microsecond, func() {})
+			if n := len(s.events); n != 0 {
+				t.Errorf("%s: an event 300µs ahead went to the heap (%d heaped), not the wheel", name, n)
+			}
+		}
+	}
+
+	// Two events share a level-0 slot, so once the first has fired,
+	// level 0 is empty and the second waits in the heap.
+	s := New(1)
+	s.At(10*Millisecond, func() {})
+	s.At(100*Microsecond, func() {})
+	s.At(100*Microsecond+1, probe(s, "flushed slot"))
+	s.Run(0)
+
+	// A timer beyond the level-1 horizon waits in the heap from the
+	// start; the level-1 event is scheduled later, 10 ms behind it.
+	s = New(1)
+	s.At(300*Millisecond, probe(s, "beyond horizon"))
+	s.At(100*Millisecond, func() { s.After(210*Millisecond, func() {}) })
+	s.Run(0)
+}
+
+// TestWheelFlushBound: flushing a slot raises the wheel's bound only to
+// the end of that slot. A timer waiting in the heap must not overtake an
+// earlier wheel event of the next slot once the slot before it flushes.
+func TestWheelFlushBound(t *testing.T) {
+	s := New(1)
+	var got []string
+	slot := Time(1) << wheelShift0
+	h := 300*Millisecond/slot*slot + 200 // beyond the level-1 horizon
+	s.At(h, func() { got = append(got, "heap") })
+	s.At(100*Millisecond, func() {
+		s.At(h-300*Microsecond, func() {
+			s.At(h-slot, func() { got = append(got, "prev") })
+			s.At(h-100, func() { got = append(got, "wheel") })
+		})
+	})
+	s.Run(0)
+	if fmt.Sprint(got) != "[prev wheel heap]" {
+		t.Fatalf("fired %v, want [prev wheel heap]", got)
 	}
 }
 
@@ -237,6 +349,39 @@ func BenchmarkWheelPushPop(b *testing.B) {
 		s.After(Time(1+r.Intn(1<<22)), nop)
 		s.Step()
 	}
+}
+
+// BenchmarkSparseRearm: the ACK-clocked TCP pattern. Four flows send
+// bursts of closely spaced segments with 1–20 ms gaps between bursts;
+// each segment comes with an ACK due at the same instant, and cancels
+// and re-arms its flow's retransmission timer about 200 ms ahead. So
+// level 0 often drains while the heap holds the ACK and level 1 holds
+// the timers.
+func BenchmarkSparseRearm(b *testing.B) {
+	s := New(1)
+	r := NewRand(7)
+	nop := func() {}
+	const flows = 4
+	var rto [flows]EventRef
+	for f := 0; f < flows; f++ {
+		f := f
+		var seg func()
+		seg = func() {
+			s.Cancel(rto[f])
+			rto[f] = s.After(200*Millisecond+Time(r.Intn(int(50*Millisecond))), nop)
+			gap := Time(r.Intn(int(100 * Microsecond)))
+			if r.Intn(8) == 0 {
+				gap = Millisecond + Time(r.Intn(int(19*Millisecond)))
+			}
+			s.After(gap, seg)
+			s.After(gap, nop)
+		}
+		s.After(Time(f)*Millisecond, seg)
+	}
+	s.RunUntil(Second) // fill level 1 with timers
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(s.EventsRun() + uint64(b.N))
 }
 
 // BenchmarkSameInstantDrain: cost of bursts of same-instant events, the
