@@ -68,7 +68,7 @@ type options struct {
 	udpMbps, dur, warm float64
 	seed               uint64
 	loss, slowWeight   float64
-	amsdu, traceEvents int
+	traceEvents        int
 }
 
 func main() {
@@ -86,7 +86,6 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.Float64Var(&o.loss, "mpdu-loss", 0, "per-MPDU random loss probability")
 	flag.Float64Var(&o.slowWeight, "slow-weight", 0, "airtime weight of slow stations, in [1/256, 256] (weighted schemes only; 0 = default 1)")
-	flag.IntVar(&o.amsdu, "amsdu", 0, "A-MSDU bundle size in bytes (0 disables two-level aggregation)")
 	flag.IntVar(&o.traceEvents, "trace", 0, "dump the last N AP trace events")
 	flag.Parse()
 
@@ -126,7 +125,7 @@ func main() {
 
 	n := exp.NewNet(exp.NetConfig{
 		Seed: o.seed, Scheme: scheme, Stations: specs,
-		AP:      mac.Config{PerMPDULoss: o.loss, MaxAMSDU: o.amsdu},
+		AP:      mac.Config{PerMPDULoss: o.loss},
 		Weights: weights,
 	})
 	var tl *trace.Log
@@ -203,8 +202,6 @@ func checkRanges(o *options) error {
 		return fmt.Errorf("-dur %v plus -warmup %v seconds overflow simulated time", o.dur, o.warm)
 	case !(o.loss >= 0 && o.loss <= 1):
 		return fmt.Errorf("-mpdu-loss must be a probability in [0, 1], got %v", o.loss)
-	case o.amsdu < 0:
-		return fmt.Errorf("-amsdu must be 0 (off) or a size in bytes, got %d", o.amsdu)
 	case o.traceEvents < 0:
 		return fmt.Errorf("-trace must be 0 (off) or a number of events, got %d", o.traceEvents)
 	}

@@ -82,10 +82,9 @@ func TestFlagBounds(t *testing.T) {
 		{"-slow", "-1", nil, false},
 		{"-mpdu-loss", "2", nil, false},
 		{"-mpdu-loss", "-0.1", nil, false},
-		{"-amsdu", "-5", nil, false},
 		{"-trace", "-1", nil, false},
 		{"-slow-weight", "1e30", nil, false},
-		{"-mpdu-loss", "1", []string{"-amsdu", "0", "-trace", "0"}, true},
+		{"-mpdu-loss", "1", []string{"-trace", "0"}, true},
 	} {
 		args := append(append([]string{}, r.with...), r.flag, r.value)
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

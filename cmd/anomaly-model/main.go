@@ -12,6 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -24,6 +27,12 @@ type staList []model.StationParams
 
 func (l *staList) String() string { return fmt.Sprint(len(*l)) }
 
+// Set parses one station spec. It rejects what the model would panic on
+// (an MCS index outside phy's table) or answer with zeros, NaNs and
+// negative rates (a rate or an aggregation level that is not a finite
+// positive number). An aggregate carries at least one MPDU, the floor
+// the Table 1 probe clamps a measured level to as well. !(x) also
+// rejects NaN.
 func (l *staList) Set(s string) error {
 	parts := strings.SplitN(s, ":", 2)
 	if len(parts) != 2 {
@@ -33,6 +42,9 @@ func (l *staList) Set(s string) error {
 	if err != nil {
 		return fmt.Errorf("bad aggregation %q: %v", parts[1], err)
 	}
+	if !(agg >= 1) || math.IsInf(agg, 1) {
+		return fmt.Errorf("aggregation must be a finite number of MPDUs, at least 1, got %v", agg)
+	}
 	var rate phy.Rate
 	switch {
 	case strings.HasPrefix(parts[0], "mcs"):
@@ -40,11 +52,17 @@ func (l *staList) Set(s string) error {
 		if err != nil {
 			return fmt.Errorf("bad MCS %q: %v", parts[0], err)
 		}
+		if idx < 0 || idx > 15 {
+			return fmt.Errorf("MCS index must be in [0, 15], got %d", idx)
+		}
 		rate = phy.MCS(idx, true)
 	case strings.HasPrefix(parts[0], "legacy"):
 		mbps, err := strconv.ParseFloat(parts[0][6:], 64)
 		if err != nil {
 			return fmt.Errorf("bad legacy rate %q: %v", parts[0], err)
+		}
+		if !(mbps > 0) || math.IsInf(mbps, 1) {
+			return fmt.Errorf("legacy rate must be a finite number of Mbps above 0, got %v", mbps)
 		}
 		rate = phy.Legacy(mbps)
 	default:
@@ -61,9 +79,23 @@ func (l *staList) Set(s string) error {
 
 func main() {
 	var stas staList
-	flag.Var(&stas, "sta", "station spec rate:aggr (repeatable), e.g. mcs15:18.44")
-	pktLen := flag.Int("pktlen", 1500, "packet size in bytes")
-	flag.Parse()
+	fs := flag.NewFlagSet("anomaly-model", flag.ContinueOnError)
+	fs.Var(&stas, "sta", "station spec rate:aggr (repeatable), rate mcs0-mcs15 or legacy<Mbps>, e.g. mcs15:18.44")
+	pktLen := fs.Int("pktlen", 1500, "packet size in bytes, in [1, 65535]")
+	// A bad value exits 2 with one line naming the flag, not the usage.
+	fs.SetOutput(io.Discard)
+	switch err := fs.Parse(os.Args[1:]); {
+	case err == flag.ErrHelp:
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		return
+	case err != nil:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	case *pktLen < 1 || *pktLen > 65535:
+		fmt.Fprintf(os.Stderr, "-pktlen must be a packet size in [1, 65535] bytes, got %d\n", *pktLen)
+		os.Exit(2)
+	}
 	if len(stas) == 0 {
 		// Default: the paper's Table 1 airtime-fairness block.
 		_ = stas.Set("mcs15:18.44")

@@ -52,21 +52,21 @@ func DecodeMetrics(blob []byte) (*Metrics, error) {
 	if len(blob) < len(metricsMagic) || string(blob[:len(metricsMagic)]) != string(metricsMagic) {
 		return nil, fmt.Errorf("campaign: metrics blob has no %s header", metricsMagic)
 	}
-	d := blobReader{buf: blob[len(metricsMagic):]}
+	d := stats.NewDecoder(blob[len(metricsMagic):])
 	m := NewMetrics()
-	nScalars := d.uvarint()
-	for i := uint64(0); i < nScalars && d.err == nil; i++ {
-		name := d.str()
+	nScalars := d.Uvarint()
+	for i := uint64(0); i < nScalars && d.Err() == nil; i++ {
+		name := string(d.Bytes())
 		if _, dup := m.scalarIndex[name]; dup {
 			return nil, fmt.Errorf("campaign: metrics blob repeats scalar %q", name)
 		}
-		m.Add(name, d.float64())
+		m.Add(name, d.Float64())
 	}
-	nSamples := d.uvarint()
-	for i := uint64(0); i < nSamples && d.err == nil; i++ {
-		name := d.str()
-		sb := d.bytes()
-		if d.err != nil {
+	nSamples := d.Uvarint()
+	for i := uint64(0); i < nSamples && d.Err() == nil; i++ {
+		name := string(d.Bytes())
+		sb := d.Bytes()
+		if d.Err() != nil {
 			break
 		}
 		if _, dup := m.sampleIndex[name]; dup {
@@ -78,72 +78,11 @@ func DecodeMetrics(blob []byte) (*Metrics, error) {
 		}
 		m.AddSample(name, &s)
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("campaign: decoding metrics: %w", d.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: decoding metrics: %w", err)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("campaign: metrics blob has %d trailing bytes", len(d.buf))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("campaign: metrics blob has %d trailing bytes", d.Len())
 	}
 	return m, nil
-}
-
-// blobReader is a cursor over a binary blob that latches the first
-// error, mirroring the stats decoder. Like it, it accepts only minimal
-// varints: binary.AppendUvarint never ends a multi-byte encoding in a
-// zero byte.
-type blobReader struct {
-	buf []byte
-	err error
-}
-
-func (d *blobReader) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *blobReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail(fmt.Errorf("truncated varint"))
-		return 0
-	}
-	if n > 1 && d.buf[n-1] == 0 {
-		d.fail(fmt.Errorf("non-minimal varint"))
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *blobReader) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail(fmt.Errorf("field of %d bytes in %d remaining", n, len(d.buf)))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *blobReader) str() string { return string(d.bytes()) }
-
-func (d *blobReader) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail(fmt.Errorf("truncated float64"))
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
 }

@@ -8,28 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestBatchedGrantAccounting: the single-pass grant completion must
-// charge exactly what per-MPDU accounting would. The medium observer
-// and the receivers' Deliver hooks collect per-transmission and
-// per-packet ground truth independently of the station counters; every
-// aggregate number the batched path maintains has to match those sums.
+// TestBatchedGrantAccounting: the single completion pass must charge
+// exactly what the receivers saw. Each receiver's Deliver hook and its
+// own RxAirtime counter, and the medium's grant count, are ground truth
+// kept outside the transmitter's station counters; every number the
+// completion pass maintains has to match them.
 func TestBatchedGrantAccounting(t *testing.T) {
 	for _, scheme := range Schemes {
 		r := newRig(t, Config{Scheme: scheme}, phy.MCS(15, true), phy.MCS(3, true))
-
-		// Per-station ground truth from the medium: airtime, frames and
-		// grants, accumulated one transmission at a time.
-		airtime := map[pkt.NodeID]sim.Time{}
-		frames := map[pkt.NodeID]int64{}
-		grants := map[pkt.NodeID]int64{}
-		r.env.Medium.Observer = func(ev TxEvent) {
-			if ev.Collided {
-				return
-			}
-			airtime[ev.Rx] += ev.Dur
-			frames[ev.Rx] += int64(ev.Frames)
-			grants[ev.Rx]++
-		}
 
 		const n = 400
 		for i := 0; i < n; i++ {
@@ -40,43 +26,52 @@ func TestBatchedGrantAccounting(t *testing.T) {
 		}
 		r.s.RunUntil(3 * sim.Second)
 
-		for _, dst := range []pkt.NodeID{10, 11} {
+		var aggs int64
+		var air sim.Time
+		for i, dst := range []pkt.NodeID{10, 11} {
 			sta := r.ap.Station(dst)
+			got := r.received[dst]
 			var gotBytes int64
-			for _, p := range r.received[dst] {
+			for _, p := range got {
 				gotBytes += int64(p.Size)
 			}
-			if len(r.received[dst]) < n/2 {
+			if len(got) < n/2 {
 				t.Errorf("%v sta %d: only %d of %d delivered; workload too light to exercise batching",
-					scheme, dst, len(r.received[dst]), n)
+					scheme, dst, len(got), n)
 			}
-			if sta.TxPackets != int64(len(r.received[dst])) {
+			if sta.TxPackets != int64(len(got)) {
 				t.Errorf("%v sta %d: TxPackets %d != delivered %d",
-					scheme, dst, sta.TxPackets, len(r.received[dst]))
+					scheme, dst, sta.TxPackets, len(got))
 			}
 			if sta.TxBytes != gotBytes {
 				t.Errorf("%v sta %d: TxBytes %d != delivered bytes %d",
 					scheme, dst, sta.TxBytes, gotBytes)
 			}
-			if sta.TxAirtime != airtime[dst] {
-				t.Errorf("%v sta %d: TxAirtime %v != observed air %v",
-					scheme, dst, sta.TxAirtime, airtime[dst])
+			// Nothing is lost, so every MPDU sent was delivered.
+			if sta.AggPackets != int64(len(got)) {
+				t.Errorf("%v sta %d: AggPackets %d != delivered %d",
+					scheme, dst, sta.AggPackets, len(got))
 			}
-			if sta.AggPackets != frames[dst] {
-				t.Errorf("%v sta %d: AggPackets %d != observed frames %d",
-					scheme, dst, sta.AggPackets, frames[dst])
+			if rx := r.stas[i].Station(1).RxAirtime; sta.TxAirtime != rx {
+				t.Errorf("%v sta %d: TxAirtime %v != receiver's RxAirtime %v",
+					scheme, dst, sta.TxAirtime, rx)
 			}
-			if sta.AggCount != grants[dst] {
-				t.Errorf("%v sta %d: AggCount %d != observed grants %d",
-					scheme, dst, sta.AggCount, grants[dst])
-			}
+			aggs += sta.AggCount
+			air += sta.TxAirtime
+		}
+		// The AP is the only transmitter and has drained, so every grant
+		// is one completed aggregate and the medium was busy exactly for
+		// the airtime charged.
+		if m := r.env.Medium; int64(m.Grants) != aggs || m.BusyTime != air {
+			t.Errorf("%v: medium granted %d for %v, stations count %d aggregates for %v",
+				scheme, m.Grants, m.BusyTime, aggs, air)
 		}
 	}
 }
 
-// TestBatchedGrantLossyParity: with loss the per-group path runs; its
-// counters must still reconcile with what the receivers actually got
-// plus the retry-limit drops.
+// TestBatchedGrantLossyParity: with loss the completion pass draws each
+// MPDU's fate; its counters must still reconcile with what the receiver
+// actually got plus the retry-limit drops, and with the medium.
 func TestBatchedGrantLossyParity(t *testing.T) {
 	cfg := Config{Scheme: SchemeAirtimeFQ, PerMPDULoss: 0.5, RetryLimit: 1}
 	r := newRig(t, cfg, phy.MCS(7, true))
@@ -89,14 +84,38 @@ func TestBatchedGrantLossyParity(t *testing.T) {
 	r.s.RunUntil(5 * sim.Second)
 	r.s.Run(0)
 	sta := r.ap.Station(10)
-	if got := int64(len(r.received[10])); sta.TxPackets != got {
-		t.Errorf("TxPackets %d != delivered %d", sta.TxPackets, got)
+	got := r.received[10]
+	var gotBytes int64
+	for _, p := range got {
+		gotBytes += int64(p.Size)
+	}
+	if sta.TxPackets != int64(len(got)) || sta.TxBytes != gotBytes {
+		t.Errorf("TxPackets %d, TxBytes %d != delivered %d, %d bytes",
+			sta.TxPackets, sta.TxBytes, len(got), gotBytes)
 	}
 	if total := sta.TxPackets + sta.DropPackets; total != n {
 		t.Errorf("delivered %d + dropped %d != offered %d",
 			sta.TxPackets, sta.DropPackets, n)
 	}
-	if sta.DropPackets == 0 {
-		t.Error("50% loss with retry limit 1 dropped nothing; loss path not exercised")
+	if sta.DropPackets == 0 || r.ap.RetryDrops != int(sta.DropPackets) {
+		t.Errorf("DropPackets %d, RetryDrops %d: want equal and nonzero under 50%% loss with retry limit 1",
+			sta.DropPackets, r.ap.RetryDrops)
+	}
+	// With retry limit 1 a dropped MPDU was lost twice and a delivered
+	// one at most once, so the MPDUs sent and not delivered number twice
+	// the drops plus at most one per delivered packet.
+	if lost := sta.AggPackets - sta.TxPackets; lost < 2*sta.DropPackets || lost > 2*sta.DropPackets+sta.TxPackets {
+		t.Errorf("AggPackets %d - delivered %d = %d lost, inconsistent with %d drops",
+			sta.AggPackets, sta.TxPackets, lost, sta.DropPackets)
+	}
+	// Aggregates with no MPDU through reach the receiver not at all, so
+	// its RxAirtime is a lower bound; the medium's busy time is exact.
+	m := r.env.Medium
+	if rx := r.stas[0].Station(1).RxAirtime; rx <= 0 || rx > sta.TxAirtime {
+		t.Errorf("receiver's RxAirtime %v outside (0, TxAirtime %v]", rx, sta.TxAirtime)
+	}
+	if int64(m.Grants) != sta.AggCount || m.BusyTime != sta.TxAirtime {
+		t.Errorf("medium granted %d for %v, station counts %d aggregates for %v",
+			m.Grants, m.BusyTime, sta.AggCount, sta.TxAirtime)
 	}
 }

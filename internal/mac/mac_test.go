@@ -257,6 +257,39 @@ func TestMediumUtilisation(t *testing.T) {
 	}
 }
 
+// TestNoOverlappingTransmissions: the medium never starts a transmission
+// while one is on the air. The grant trampoline is wrapped to check, at
+// every grant, that no transmission is active and the last one's end has
+// passed. Traffic runs both ways, so stations contend and collide.
+func TestNoOverlappingTransmissions(t *testing.T) {
+	r := newRig(t, Config{Scheme: SchemeFIFO},
+		phy.MCS(15, true), phy.MCS(7, true), phy.MCS(0, true))
+	m := r.env.Medium
+	grant := m.grantCall
+	fired := 0
+	m.grantCall = func() {
+		fired++
+		if m.txActive || r.s.Now() < m.busyUntil {
+			t.Fatalf("grant %d at %v while the medium is busy until %v (active %v)",
+				fired, r.s.Now(), m.busyUntil, m.txActive)
+		}
+		grant()
+	}
+	stop := r.s.Ticker(500*sim.Microsecond, func() {
+		for _, sta := range r.stas {
+			r.ap.Input(dataPkt(sta.ID, 1500, 1))
+			up := dataPkt(1, 1500, 2)
+			up.Src = sta.ID
+			sta.Input(up)
+		}
+	})
+	r.s.RunUntil(2 * sim.Second)
+	stop()
+	if m.Grants < 100 || m.Collisions == 0 {
+		t.Fatalf("%d grants, %d collisions: the stations did not contend", m.Grants, m.Collisions)
+	}
+}
+
 // TestCodelParamsPerStation: slow stations get the relaxed CoDel
 // parameters, fast stations the defaults (§3.1.1).
 func TestCodelParamsPerStation(t *testing.T) {

@@ -85,10 +85,6 @@ type Medium struct {
 	virtLosers   []*txq
 	real         []*txq
 
-	// Observer, when non-nil, is invoked for every completed air
-	// transmission — the hook monitor-mode capture devices attach to.
-	Observer func(TxEvent)
-
 	// Stats.
 	BusyTime   sim.Time // total time the channel carried transmissions
 	Collisions int      // collision events (two or more nodes)
@@ -98,18 +94,6 @@ type Medium struct {
 	// txq's BSS identity), grown on demand. In a multi-BSS world this is
 	// the OBSS occupancy split; single-AP worlds only ever touch entry 0.
 	bssBusy []sim.Time
-}
-
-// TxEvent describes one completed air transmission, as visible to a
-// monitor-mode capture device.
-type TxEvent struct {
-	Tx, Rx   pkt.NodeID
-	AC       pkt.AC
-	Start    sim.Time
-	Dur      sim.Time
-	Frames   int
-	Bytes    int // framed body bytes
-	Collided bool
 }
 
 type grantEntry struct {
@@ -429,17 +413,6 @@ func (m *Medium) complete() {
 	m.idleStart = m.sim.Now()
 	for i := range m.inFlight {
 		g := &m.inFlight[i]
-		if m.Observer != nil {
-			var bytes int
-			for _, p := range g.agg.Pkts {
-				bytes += p.Size
-			}
-			m.Observer(TxEvent{
-				Tx: g.q.node.ID, Rx: g.agg.TID.sta.Peer.ID, AC: g.q.ac,
-				Start: g.agg.Started, Dur: g.occupied,
-				Frames: len(g.agg.Pkts), Bytes: bytes, Collided: g.collided,
-			})
-		}
 		g.q.node.txComplete(g.q, g.agg, g.collided, g.occupied)
 		g.agg = nil // the aggregate may be recycled now
 	}

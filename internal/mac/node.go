@@ -74,7 +74,6 @@ type Config struct {
 	BSS int
 
 	MaxAggrDur sim.Time // A-MPDU cap in air time (default 4 ms, ath9k)
-	MaxAMSDU   int      // A-MSDU bundle size in bytes; 0 disables two-level aggregation
 	RetryLimit int      // MPDU retransmission limit (default 10)
 
 	FQLimit int // packet limit of the FQ-CoDel / FQ-MAC structures
@@ -169,10 +168,8 @@ type Node struct {
 	// tabs interns one phy.Tab per rate the node has transmitted at, so
 	// rate-control sampling does not rebuild duration tables.
 	tabs map[phy.Rate]*phy.Tab
-	// aggFree recycles Aggregate shells, and deliveredScratch is the
-	// reusable buffer txComplete collects successful MPDUs into.
-	aggFree          []*Aggregate
-	deliveredScratch []*pkt.Packet
+	// aggFree recycles Aggregate shells.
+	aggFree []*Aggregate
 
 	// Deliver receives every packet that arrives over the air for this
 	// node's upper layers. Must be set before traffic flows.
@@ -511,19 +508,16 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 
 	if collided {
 		q.bumpCW()
-		dropped := false
 		keep := agg.Pkts[:0]
 		for _, p := range agg.Pkts {
 			p.Retries++
 			if p.Retries > n.cfg.RetryLimit {
-				n.RetryDrops++
-				sta.DropPackets++
-				dropped = true
-				n.freePkt(p)
+				n.dropMPDU(sta, p)
 				continue
 			}
 			keep = append(keep, p)
 		}
+		dropped := len(keep) < len(agg.Pkts)
 		for i := len(keep); i < len(agg.Pkts); i++ {
 			agg.Pkts[i] = nil
 		}
@@ -531,13 +525,11 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 		if len(agg.Pkts) > 0 {
 			// Retry in place, staying at the head of the hardware queue.
 			// Only if the retry limit removed packets does the frame need
-			// recomputing (conservatively, as singleton MPDUs).
+			// recomputing.
 			if dropped {
 				agg.FrameBytes = 0
-				agg.groupEnd = agg.groupEnd[:0]
-				for i, p := range agg.Pkts {
+				for _, p := range agg.Pkts {
 					agg.FrameBytes += mpduLen(p.Size, agg.Rate)
-					agg.groupEnd = append(agg.groupEnd, i+1)
 				}
 				agg.DataDur = phy.DataDurBytes(agg.FrameBytes, agg.Rate)
 				agg.TotalDur = agg.DataDur + phy.AckDur(agg.Rate)
@@ -553,93 +545,72 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 
 	q.popHW()
 	// Per-MPDU success: the flat configured loss probability plus, when a
-	// channel model is attached, rate-dependent link errors. With A-MSDU
-	// bundling, an MPDU (group) succeeds or fails as a unit.
+	// channel model is attached, rate-dependent link errors. One pass
+	// draws each MPDU's fate in aggregate order (no draw when nothing can
+	// be lost) and compacts the delivered MPDUs in place at the front of
+	// agg.Pkts; the lost ones go to the retry queue or are dropped.
 	succProb := 1 - n.cfg.PerMPDULoss
 	if sta.Channel != nil {
 		succProb *= sta.Channel.SuccessProb(agg.Rate)
 	}
-	if succProb >= 1 {
-		// Lossless grant: every MPDU is delivered, so the per-group
-		// draw loop collapses to one pass — one stats flush and a
-		// zero-copy handoff of the aggregate's own packet slice. The
-		// shell is recycled only after delivery returns, so nothing
-		// downstream can reuse it mid-flight.
-		var bytes int64
-		for _, p := range agg.Pkts {
+	rng := n.env.Sim.Rand()
+	delivered := agg.Pkts[:0]
+	var bytes int64
+	for _, p := range agg.Pkts {
+		if succProb >= 1 || rng.Float64() < succProb {
 			p.SentAir = agg.Started
 			bytes += int64(p.Size)
-		}
-		sta.TxBytes += bytes
-		sta.TxPackets += int64(len(agg.Pkts))
-		q.resetCW()
-		if rc := sta.RC; rc != nil {
-			rc.Report(agg.Rate, len(agg.Pkts), 0)
-			if rc.MaybeUpdate(n.env.Sim.Now()) {
-				n.SetRate(sta, rc.CurrentRate())
-			}
-		}
-		tid, totalDur := agg.TID, agg.TotalDur
-		if sc := n.sched[q.ac]; sc != nil && tid.backlogged() {
-			sc.Activate(tid.schedEntry)
-		}
-		if len(agg.Pkts) > 0 {
-			sta.Peer.receiveAggregate(n, q.ac, agg.Pkts, totalDur)
-		}
-		n.putAggregate(agg)
-		n.schedule(q.ac)
-		return
-	}
-
-	rng := n.env.Sim.Rand()
-	delivered := n.deliveredScratch[:0]
-	anyFailed := false
-	for gi := 0; gi < agg.NumGroups(); gi++ {
-		group := agg.Group(gi)
-		ok := succProb >= 1 || rng.Float64() < succProb
-		if ok {
-			for _, p := range group {
-				p.SentAir = agg.Started
-				sta.TxBytes += int64(p.Size)
-				sta.TxPackets++
-				delivered = append(delivered, p)
-			}
+			delivered = append(delivered, p)
 			continue
 		}
-		anyFailed = true
-		for _, p := range group {
-			p.Retries++
-			if p.Retries > n.cfg.RetryLimit {
-				n.RetryDrops++
-				sta.DropPackets++
-				n.freePkt(p)
-				continue
-			}
-			agg.TID.retryq.Push(p)
-		}
+		n.retryMPDU(agg.TID, p)
 	}
-	n.deliveredScratch = delivered // keep grown capacity for next time
-	if anyFailed {
+	lost := len(agg.Pkts) - len(delivered)
+	sta.TxBytes += bytes
+	sta.TxPackets += int64(len(delivered))
+	if lost > 0 {
 		q.bumpCW()
 	} else {
 		q.resetCW()
 	}
 	if rc := sta.RC; rc != nil {
-		rc.Report(agg.Rate, len(delivered), len(agg.Pkts)-len(delivered))
+		rc.Report(agg.Rate, len(delivered), lost)
 		if rc.MaybeUpdate(n.env.Sim.Now()) {
 			n.SetRate(sta, rc.CurrentRate())
 		}
 	}
-	tid, totalDur := agg.TID, agg.TotalDur
-	n.putAggregate(agg)
-	if sc := n.sched[q.ac]; sc != nil && tid.backlogged() {
-		sc.Activate(tid.schedEntry)
+	if sc := n.sched[q.ac]; sc != nil && agg.TID.backlogged() {
+		sc.Activate(agg.TID.schedEntry)
 	}
-
 	if len(delivered) > 0 {
-		sta.Peer.receiveAggregate(n, q.ac, delivered, totalDur)
+		sta.Peer.receiveAggregate(n, q.ac, delivered, agg.TotalDur)
 	}
+	// The receiver read the delivered MPDUs straight from agg.Pkts, so
+	// the shell is recycled only now that delivery has returned.
+	n.putAggregate(agg)
 	n.schedule(q.ac)
+}
+
+// retryMPDU requeues an MPDU lost on the air for the TID's next
+// aggregate, or drops it once it has exhausted the retry limit.
+//
+//hj17:owns
+func (n *Node) retryMPDU(t *tidState, p *pkt.Packet) {
+	p.Retries++
+	if p.Retries > n.cfg.RetryLimit {
+		n.dropMPDU(t.sta, p)
+		return
+	}
+	t.retryq.Push(p)
+}
+
+// dropMPDU releases an MPDU that exhausted its retry limit.
+//
+//hj17:owns
+func (n *Node) dropMPDU(sta *Station, p *pkt.Packet) {
+	n.RetryDrops++
+	sta.DropPackets++
+	n.freePkt(p)
 }
 
 // receiveAggregate handles an aggregate arriving over the air: received

@@ -145,12 +145,6 @@ func (t *tidState) backlogged() bool {
 	return !t.retryq.Empty() || t.q.Backlogged()
 }
 
-// queuedPackets reports the number of packets queued on this TID
-// (excluding the substrate's upper queues and other TIDs).
-func (t *tidState) queuedPackets() int {
-	return t.retryq.Len() + t.q.Len()
-}
-
 // pop removes the next packet for aggregation, consulting the retry queue
 // first, then the TID's substrate queue.
 func (t *tidState) pop(now sim.Time) *pkt.Packet {
@@ -161,17 +155,14 @@ func (t *tidState) pop(now sim.Time) *pkt.Packet {
 }
 
 // Aggregate is one built A-MPDU (or single MPDU for VO/legacy) awaiting
-// transmission in a hardware queue. When two-level (A-MSDU within A-MPDU)
-// aggregation is enabled, each MPDU may bundle several packets; the group
-// boundaries record the bundling, and loss applies per MPDU (per group).
+// transmission in a hardware queue. Each MPDU carries one packet, as in
+// the §2.2.1 model, and is lost or delivered on its own.
 //
 // Aggregates are recycled through a per-node free list (Node.getAggregate
 // / Node.putAggregate) and keep their slice capacity across reuses, so
-// steady-state aggregation allocates nothing. Group boundaries are end
-// offsets into Pkts rather than sub-slices for the same reason.
+// steady-state aggregation allocates nothing.
 type Aggregate struct {
 	Pkts       []*pkt.Packet
-	groupEnd   []int // group i is Pkts[groupEnd[i-1]:groupEnd[i]]
 	TID        *tidState
 	FrameBytes int      // framed body length (sum of MPDU lengths)
 	DataDur    sim.Time // Tphy + body air time
@@ -182,24 +173,12 @@ type Aggregate struct {
 	Started    sim.Time // when its (last) air transmission began
 }
 
-// NumGroups reports the number of MPDUs (A-MSDU groups) in the frame.
-func (a *Aggregate) NumGroups() int { return len(a.groupEnd) }
-
-// Group returns the packets of MPDU i.
-func (a *Aggregate) Group(i int) []*pkt.Packet {
-	start := 0
-	if i > 0 {
-		start = a.groupEnd[i-1]
-	}
-	return a.Pkts[start:a.groupEnd[i]]
-}
-
 // reset clears the aggregate for reuse, retaining slice capacity.
 func (a *Aggregate) reset() {
 	for i := range a.Pkts {
 		a.Pkts[i] = nil
 	}
-	*a = Aggregate{Pkts: a.Pkts[:0], groupEnd: a.groupEnd[:0]}
+	*a = Aggregate{Pkts: a.Pkts[:0]}
 }
 
 // CollisionCost is the channel time a failed transmission of this
@@ -216,10 +195,6 @@ func (a *Aggregate) CollisionCost() sim.Time {
 // frame-count, byte and air-duration caps. It returns nil if the TID had
 // nothing to send. The 4 ms duration cap is what limits a 6.5 Mbps station
 // to two-frame aggregates, matching Table 1's measured 1.89 mean.
-//
-// With Config.MaxAMSDU > 0, two-level aggregation (A-MSDU inside A-MPDU,
-// the mechanism of the paper's reference [16]) bundles consecutive small
-// packets into shared MPDUs before A-MPDU framing.
 func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	now := n.env.Sim.Now()
 	cfg := &n.cfg
@@ -232,8 +207,7 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 		tab = n.tabFor(rate)
 	}
 	maxFrames := maxAggrFrames
-	noAggr := EDCA(t.ac).NoAggr || rate.Legacy
-	if noAggr {
+	if EDCA(t.ac).NoAggr || rate.Legacy {
 		maxFrames = 1
 	}
 	// The duration cap as a byte threshold: newBytes > maxBytes is the
@@ -246,31 +220,22 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 
 	agg := n.getAggregate()
 	agg.TID, agg.Rate, agg.Built = t, rate, now
-	for agg.NumGroups() < maxFrames {
-		start := len(agg.Pkts)
-		glen := n.buildMPDU(t, agg, rate, noAggr, now)
-		if len(agg.Pkts) == start {
+	for len(agg.Pkts) < maxFrames {
+		p := t.pop(now)
+		if p == nil {
 			break
 		}
-		newBytes := agg.FrameBytes + glen
-		if agg.NumGroups() > 0 {
-			if newBytes > maxBytes {
-				// Does not fit: return the group for the next aggregate.
-				for i := len(agg.Pkts) - 1; i >= start; i-- {
-					t.retryq.PushFront(agg.Pkts[i])
-					agg.Pkts[i] = nil
-				}
-				agg.Pkts = agg.Pkts[:start]
-				break
-			}
+		newBytes := agg.FrameBytes + mpduLen(p.Size, rate)
+		if len(agg.Pkts) > 0 && newBytes > maxBytes {
+			// Does not fit: return it for the next aggregate.
+			t.retryq.PushFront(p)
+			break
 		}
-		for _, p := range agg.Pkts[start:] {
-			if p.MacSeq == 0 {
-				t.txSeq++
-				p.MacSeq = t.txSeq
-			}
+		if p.MacSeq == 0 {
+			t.txSeq++
+			p.MacSeq = t.txSeq
 		}
-		agg.groupEnd = append(agg.groupEnd, len(agg.Pkts))
+		agg.Pkts = append(agg.Pkts, p)
 		agg.FrameBytes = newBytes
 		// Under the qdisc substrates the driver refills its buffer as it
 		// drains, preserving the shared-space dynamics of Figure 2; the
@@ -288,69 +253,6 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 		agg.TotalDur += phy.RTSCTSOverhead
 	}
 	return agg
-}
-
-// amsduSubframe is the per-packet A-MSDU subframe header (DA/SA/length).
-const amsduSubframe = 14
-
-// buildMPDU assembles the next MPDU directly into agg.Pkts (without
-// recording a group boundary — the caller does that once the MPDU is
-// known to fit): a single packet normally, or an A-MSDU bundle of
-// consecutive packets up to Config.MaxAMSDU bytes when two-level
-// aggregation is on. Returns the framed MPDU length (0 when the TID had
-// nothing to send).
-func (n *Node) buildMPDU(t *tidState, agg *Aggregate, rate phy.Rate, noAggr bool, now sim.Time) int {
-	p := t.pop(now)
-	if p == nil {
-		return 0
-	}
-	agg.Pkts = append(agg.Pkts, p)
-	maxAMSDU := n.cfg.MaxAMSDU
-	if noAggr || maxAMSDU <= 0 {
-		return mpduLen(p.Size, rate)
-	}
-	bundled := 1
-	body := pad4(amsduSubframe + p.Size)
-	for {
-		q := t.peekNext()
-		if q == nil {
-			break
-		}
-		add := pad4(amsduSubframe + q.Size)
-		if body+add > maxAMSDU {
-			break
-		}
-		t.pop(now)
-		agg.Pkts = append(agg.Pkts, q)
-		bundled++
-		body += add
-	}
-	if bundled == 1 {
-		return mpduLen(p.Size, rate)
-	}
-	return mpduLen(body, rate)
-}
-
-// peekNext returns the TID's next packet without committing to it, or nil.
-// Only the retry queue can be peeked cheaply; for the main queues we pop
-// and push back to the retry queue head, which preserves order.
-func (t *tidState) peekNext() *pkt.Packet {
-	if p := t.retryq.Peek(); p != nil {
-		return p
-	}
-	p := t.pop(t.sta.owner.env.Sim.Now())
-	if p == nil {
-		return nil
-	}
-	t.retryq.PushFront(p)
-	return p
-}
-
-func pad4(n int) int {
-	if rem := n % 4; rem != 0 {
-		n += 4 - rem
-	}
-	return n
 }
 
 // mpduLen returns the framed length of one MPDU body at the given rate.

@@ -101,27 +101,6 @@ func (l *queueList) popHead() *queue {
 	return q
 }
 
-// remove unlinks q from l (O(n); lists are short).
-func (l *queueList) remove(q *queue) {
-	var prev *queue
-	for cur := l.head; cur != nil; cur = cur.next {
-		if cur == q {
-			if prev == nil {
-				l.head = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			if l.tail == cur {
-				l.tail = prev
-			}
-			q.next = nil
-			q.inList = listNone
-			return
-		}
-		prev = cur
-	}
-}
-
 // Fq is the interface-wide shared queueing structure. All TIDs of all
 // stations on one interface share a single Fq.
 type Fq struct {

@@ -64,26 +64,26 @@ func (s *Sample) UnmarshalBinary(data []byte) error {
 	if flags&^sampleFlagSpilled != 0 {
 		return fmt.Errorf("stats: unknown sample flags %#x", flags)
 	}
-	d := decoder{buf: data[2:]}
+	d := NewDecoder(data[2:])
 	*s = Sample{}
 	if flags&sampleFlagSpilled == 0 {
-		n := d.uvarint()
+		n := d.Uvarint()
 		if n > ExactCap {
 			return fmt.Errorf("stats: unspilled sample claims %d values, above ExactCap %d", n, ExactCap)
 		}
-		if n > uint64(len(d.buf)/8) {
-			return fmt.Errorf("stats: sample claims %d values in %d bytes", n, len(d.buf))
+		if n > uint64(d.Len()/8) {
+			return fmt.Errorf("stats: sample claims %d values in %d bytes", n, d.Len())
 		}
 		if n > 0 {
 			s.xs = make([]float64, n)
 			for i := range s.xs {
-				s.xs[i] = d.float64()
+				s.xs[i] = d.Float64()
 			}
 		}
 		return d.finish("sample")
 	}
 	s.str = &Stream{}
-	s.str.readBinary(&d)
+	s.str.readBinary(d)
 	return d.finish("sample")
 }
 
@@ -112,14 +112,14 @@ func (s *Stream) appendBinary(buf []byte) []byte {
 	return buf
 }
 
-func (s *Stream) readBinary(d *decoder) {
+func (s *Stream) readBinary(d *Decoder) {
 	s.w.n = d.count()
-	s.w.mean = d.float64()
-	s.w.m2 = d.float64()
-	s.min = d.float64()
-	s.max = d.float64()
+	s.w.mean = d.Float64()
+	s.w.m2 = d.Float64()
+	s.min = d.Float64()
+	s.max = d.Float64()
 	s.h.n = d.count()
-	nz := d.uvarint()
+	nz := d.Uvarint()
 	if d.err != nil {
 		return
 	}
@@ -138,7 +138,7 @@ func (s *Stream) readBinary(d *decoder) {
 	// Each count is at most n - sum, so the sum never overflows.
 	var sum int64
 	for i, prev := uint64(0), int64(-1); i < nz; i++ {
-		idx := d.uvarint()
+		idx := d.Uvarint()
 		cnt := d.count()
 		switch {
 		case d.err != nil:
@@ -165,21 +165,32 @@ func (s *Stream) readBinary(d *decoder) {
 	}
 }
 
-// decoder is a cursor over a binary blob that latches the first error.
+// Decoder is a cursor over a binary blob that latches the first error.
 // It accepts only minimal varints: binary.AppendUvarint never ends a
-// multi-byte encoding in a zero byte.
-type decoder struct {
+// multi-byte encoding in a zero byte. The Sample codec and the campaign
+// result codec both read through it.
+type Decoder struct {
 	buf []byte
 	err error
 }
 
-func (d *decoder) fail(err error) {
+// NewDecoder returns a decoder reading b.
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+// Err returns the first error met, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Len reports the bytes not read yet.
+func (d *Decoder) Len() int { return len(d.buf) }
+
+func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
+// Uvarint reads a minimal unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -197,8 +208,8 @@ func (d *decoder) uvarint() uint64 {
 }
 
 // count reads a uvarint that must fit an int64 count.
-func (d *decoder) count() int64 {
-	v := d.uvarint()
+func (d *Decoder) count() int64 {
+	v := d.Uvarint()
 	if v > math.MaxInt64 {
 		d.fail(fmt.Errorf("count %d overflows int64", v))
 		return 0
@@ -206,7 +217,8 @@ func (d *decoder) count() int64 {
 	return int64(v)
 }
 
-func (d *decoder) float64() float64 {
+// Float64 reads a little-endian IEEE-754 bit pattern.
+func (d *Decoder) Float64() float64 {
 	if d.err != nil {
 		return 0
 	}
@@ -219,7 +231,23 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-func (d *decoder) finish(what string) error {
+// Bytes reads a uvarint length and that many bytes, which alias the
+// blob.
+func (d *Decoder) Bytes() []byte {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)) {
+		d.fail(fmt.Errorf("field of %d bytes in %d remaining", n, len(d.buf)))
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *Decoder) finish(what string) error {
 	if d.err != nil {
 		return fmt.Errorf("stats: decoding %s: %w", what, d.err)
 	}

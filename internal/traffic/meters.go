@@ -2,41 +2,14 @@ package traffic
 
 import "repro/internal/stats"
 
-// The measurement surfaces of this package's generators and sinks, so
-// higher layers (the experiment Workload/Probe machinery) can subscribe
-// to any attachment uniformly instead of knowing each concrete type.
+// The measurement accessors the experiment layer's workloads read from
+// this package's sinks and clients.
 
-// ByteMeter reports cumulative application bytes received.
-type ByteMeter interface{ RxBytes() int64 }
-
-// RTTMeter exposes an accumulated round-trip-time distribution (ms).
-type RTTMeter interface{ RTTSample() *stats.Sample }
-
-// CallScorer scores a received media stream (MOS, 1.0-4.5).
-type CallScorer interface{ MOS() float64 }
-
-// PageTimer exposes an accumulated page-load-time distribution (ms).
-type PageTimer interface{ PLTSample() *stats.Sample }
-
-// Stopper halts a running generator.
-type Stopper interface{ Stop() }
-
-// RxBytes implements ByteMeter.
+// RxBytes reports cumulative application bytes received.
 func (s *UDPSink) RxBytes() int64 { return s.RcvdBytes }
 
-// RTTSample implements RTTMeter.
+// RTTSample exposes the accumulated round-trip-time distribution (ms).
 func (p *Pinger) RTTSample() *stats.Sample { return &p.RTT }
 
-// PLTSample implements PageTimer.
+// PLTSample exposes the accumulated page-load-time distribution (ms).
 func (w *WebClient) PLTSample() *stats.Sample { return &w.PLT }
-
-var (
-	_ ByteMeter  = (*UDPSink)(nil)
-	_ RTTMeter   = (*Pinger)(nil)
-	_ CallScorer = (*VoIPSink)(nil)
-	_ PageTimer  = (*WebClient)(nil)
-	_ Stopper    = (*UDPSource)(nil)
-	_ Stopper    = (*VoIPSource)(nil)
-	_ Stopper    = (*Pinger)(nil)
-	_ Stopper    = (*WebClient)(nil)
-)
