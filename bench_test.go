@@ -22,6 +22,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // benchCtx keeps per-iteration cost moderate; `campaign run` runs the
@@ -321,10 +322,13 @@ func BenchmarkAllocsPerPacket(b *testing.B) {
 // packet.
 //
 // The worlds are built and warmed up outside the timed window. Then each
-// round runs every world for one window, timed directly, and a point's
-// figure is its fastest window. Interleaving the points puts a slow
-// spell of a shared machine into one round of every point rather than
-// into every window of one point.
+// round runs every world for one window, timed directly. Interleaving
+// the points puts a slow spell of a shared machine into one round of
+// every point rather than into every window of one point. A point's
+// ns/pkt is its fastest window; the gated ratio is the median over
+// rounds of the point's window divided by the 30-station window of the
+// same round, so both sides of a ratio come from the same spell of the
+// machine.
 func BenchmarkDenseScaling(b *testing.B) {
 	const (
 		limit  = 1.5
@@ -338,6 +342,8 @@ func BenchmarkDenseScaling(b *testing.B) {
 	for j := range nsPerPkt {
 		nsPerPkt[j] = math.Inf(1)
 	}
+	ratios := make([]stats.Sample, len(points))
+	round := make([]float64, len(points))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		worlds := make([]*exp.World, len(points))
@@ -352,15 +358,22 @@ func BenchmarkDenseScaling(b *testing.B) {
 				start := time.Now()
 				w.Run(w.Sim.Now() + window)
 				ns := float64(time.Since(start).Nanoseconds())
-				nsPerPkt[j] = min(nsPerPkt[j], ns/float64(worldPackets(w)-p0))
+				round[j] = ns / float64(worldPackets(w)-p0)
+				nsPerPkt[j] = min(nsPerPkt[j], round[j])
+			}
+			for j := range points {
+				ratios[j].Add(round[j] / round[0])
 			}
 		}
 	}
 	for j, pt := range points {
-		r := nsPerPkt[j] / nsPerPkt[0]
+		r := ratios[j].Median()
 		b.ReportMetric(nsPerPkt[j], fmt.Sprintf("ns/pkt-%dsta-%dbss", pt.stations, pt.bsss))
+		if j > 0 {
+			b.ReportMetric(r, fmt.Sprintf("ratio-%dsta-%dbss", pt.stations, pt.bsss))
+		}
 		if pt.stations >= 1000 && r > limit {
-			b.Errorf("%d stations / %d BSS cost %.2fx the %d-station ns/pkt (limit %.1fx)",
+			b.Errorf("%d stations / %d BSS cost a median %.2fx the %d-station ns/pkt per round (limit %.1fx)",
 				pt.stations, pt.bsss, r, points[0].stations, limit)
 		}
 	}

@@ -553,6 +553,61 @@ func TestRTSCTSProtection(t *testing.T) {
 	}
 }
 
+// TestRTSRetimedOnInPlaceRetry: when the retry limit drops MPDUs from a
+// collided RTS-protected aggregate, the shortened frame that retries in
+// place is timed again, protection included. It carries the RTS/CTS
+// overhead exactly when it still exceeds the threshold.
+func TestRTSRetimedOnInPlaceRetry(t *testing.T) {
+	const thr = sim.Millisecond
+	rate := phy.MCS(7, true)
+	for _, tc := range []struct {
+		name          string
+		retried, kept int // MPDUs at the retry limit already, and fresh ones
+		wantRTS       bool
+	}{
+		{"still long", 2, 8, true},
+		{"now short", 8, 2, false},
+	} {
+		r := newRig(t, Config{Scheme: SchemeFQMAC, RetryLimit: 1, RTSThreshold: thr}, rate)
+		ap := r.ap
+		tid := ap.Station(10).tids[pkt.ACBE]
+		for i := 0; i < tc.retried+tc.kept; i++ {
+			p := dataPkt(10, 1500, 1)
+			if i < tc.retried {
+				p.Retries = 1
+			}
+			tid.retryq.Push(p)
+		}
+		agg := ap.buildAggregate(tid)
+		if len(agg.Pkts) != tc.retried+tc.kept || !agg.UseRTS {
+			t.Fatalf("%s: built %d MPDUs, UseRTS %v; want %d protected",
+				tc.name, len(agg.Pkts), agg.UseRTS, tc.retried+tc.kept)
+		}
+		q := ap.txqs[pkt.ACBE]
+		q.hwq = append(q.hwq, agg)
+		ap.txComplete(q, agg, true, agg.CollisionCost())
+
+		if len(q.hwq) == 0 || q.hwq[0] != agg || len(agg.Pkts) != tc.kept {
+			t.Fatalf("%s: the collided aggregate did not retry in place with %d MPDUs", tc.name, tc.kept)
+		}
+		if ap.RetryDrops != tc.retried {
+			t.Fatalf("%s: RetryDrops = %d, want %d", tc.name, ap.RetryDrops, tc.retried)
+		}
+		bare := phy.DataDurBytes(tc.kept*mpduLen(1500, rate), rate) + phy.AckDur(rate)
+		if (bare > thr) != tc.wantRTS {
+			t.Fatalf("%s: a %v frame does not exercise the case", tc.name, bare)
+		}
+		want := bare
+		if tc.wantRTS {
+			want += phy.RTSCTSOverhead
+		}
+		if agg.UseRTS != tc.wantRTS || agg.TotalDur != want {
+			t.Errorf("%s: retried frame UseRTS %v TotalDur %v, want %v and %v",
+				tc.name, agg.UseRTS, agg.TotalDur, tc.wantRTS, want)
+		}
+	}
+}
+
 // TestRTSOnlyForLongFrames: short frames below the threshold must not pay
 // the RTS overhead.
 func TestRTSOnlyForLongFrames(t *testing.T) {

@@ -341,7 +341,6 @@ func (m *Medium) grant() {
 			continue
 		}
 		agg := w.hwq[0]
-		agg.Started = now
 		occupied := agg.TotalDur
 		if collided {
 			// RTS-protected frames abort after the failed handshake.

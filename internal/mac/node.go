@@ -414,7 +414,6 @@ func (n *Node) Input(p *pkt.Packet) {
 	}
 	n.trace(trace.Enqueue, p.Dst, p.AC, p.Size, "")
 	ac := p.AC
-	p.TID = int(ac)
 	tid := sta.tids[ac]
 	now := n.env.Sim.Now()
 
@@ -525,14 +524,14 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 		if len(agg.Pkts) > 0 {
 			// Retry in place, staying at the head of the hardware queue.
 			// Only if the retry limit removed packets does the frame need
-			// recomputing.
+			// retiming, protection included: the shorter frame may fall
+			// under the RTS threshold.
 			if dropped {
 				agg.FrameBytes = 0
 				for _, p := range agg.Pkts {
 					agg.FrameBytes += mpduLen(p.Size, agg.Rate)
 				}
-				agg.DataDur = phy.DataDurBytes(agg.FrameBytes, agg.Rate)
-				agg.TotalDur = agg.DataDur + phy.AckDur(agg.Rate)
+				agg.setTiming(phy.AckDur(agg.Rate), n.cfg.RTSThreshold)
 			}
 			n.schedule(q.ac)
 			return
@@ -558,7 +557,6 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 	var bytes int64
 	for _, p := range agg.Pkts {
 		if succProb >= 1 || rng.Float64() < succProb {
-			p.SentAir = agg.Started
 			bytes += int64(p.Size)
 			delivered = append(delivered, p)
 			continue

@@ -166,11 +166,10 @@ type Aggregate struct {
 	TID        *tidState
 	FrameBytes int      // framed body length (sum of MPDU lengths)
 	DataDur    sim.Time // Tphy + body air time
-	TotalDur   sim.Time // DataDur + SIFS + block ack
+	TotalDur   sim.Time // DataDur + SIFS + block ack, plus RTS/CTS if protected
 	Rate       phy.Rate
 	UseRTS     bool     // protected by an RTS/CTS exchange
 	Built      sim.Time // when the aggregate was submitted to hardware
-	Started    sim.Time // when its (last) air transmission began
 }
 
 // reset clears the aggregate for reuse, retaining slice capacity.
@@ -246,13 +245,22 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 		n.putAggregate(agg)
 		return nil
 	}
-	agg.DataDur = phy.DataDurBytes(agg.FrameBytes, rate)
-	agg.TotalDur = agg.DataDur + tab.Ack
-	if thr := cfg.RTSThreshold; thr > 0 && agg.TotalDur > thr {
-		agg.UseRTS = true
-		agg.TotalDur += phy.RTSCTSOverhead
-	}
+	agg.setTiming(tab.Ack, cfg.RTSThreshold)
 	return agg
+}
+
+// setTiming sets the air durations of the aggregate's FrameBytes at its
+// Rate, given that rate's block-ack duration, and decides RTS/CTS
+// protection: an exchange is added exactly when the unprotected frame
+// exceeds a positive rtsThreshold. Building an aggregate and rebuilding
+// a shortened retry both time the frame here.
+func (a *Aggregate) setTiming(ack, rtsThreshold sim.Time) {
+	a.DataDur = phy.DataDurBytes(a.FrameBytes, a.Rate)
+	a.TotalDur = a.DataDur + ack
+	a.UseRTS = rtsThreshold > 0 && a.TotalDur > rtsThreshold
+	if a.UseRTS {
+		a.TotalDur += phy.RTSCTSOverhead
+	}
 }
 
 // mpduLen returns the framed length of one MPDU body at the given rate.

@@ -100,20 +100,17 @@ type TCPHeader struct {
 // allocated by traffic sources and never copied; layers annotate them in
 // place.
 type Packet struct {
-	ID   uint64 // unique per simulation, for tracing
-	Size int    // bytes on the wire at L3 (IP header included)
+	Size int // bytes on the wire at L3 (IP header included)
 
 	Proto Proto
 	Src   NodeID
 	Dst   NodeID
 	Flow  uint64 // flow hash input; distinct per transport flow
 	AC    AC
-	TID   int // 802.11 TID this packet maps to (station-scoped index)
 
 	// Timestamps, filled as the packet progresses.
 	Created  sim.Time // when the source generated it
 	Enqueued sim.Time // when it entered the current queue (CoDel timestamp)
-	SentAir  sim.Time // when its (last) air transmission started
 
 	Retries int // MAC retransmission count
 	MacSeq  int // 802.11 sequence number within the TID (0 = unassigned)

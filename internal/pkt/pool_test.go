@@ -178,7 +178,7 @@ func TestReleasedSlabServesNextPool(t *testing.T) {
 	held := make([]*Packet, minSlab) // exactly one miss slab
 	for i := range held {
 		p := a.Get()
-		p.ID, p.Size, p.Flow, p.Retries = uint64(i+1), 1500, uint64(i), 2
+		p.SeqNo, p.Size, p.Flow, p.Retries = int64(i+1), 1500, uint64(i), 2
 		held[i] = p
 	}
 	var headers []*TCPHeader

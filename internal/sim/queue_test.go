@@ -107,8 +107,8 @@ func TestSameInstantFIFOInvariant(t *testing.T) {
 	var got []int
 	for i := 0; i < n; i++ {
 		i := i
-		// Interleave another instant so the same-time events are
-		// scattered through the heap rather than pushed contiguously.
+		// Interleave later instants of the same wheel slot, so each
+		// same-time event is inserted ahead of later ones already there.
 		s.At(10, func() { got = append(got, i) })
 		s.At(Time(20+i), func() {})
 	}
@@ -263,8 +263,8 @@ func TestRunMaxEventsMidContinuations(t *testing.T) {
 	}
 }
 
-// BenchmarkScheduleFire measures the monomorphic queue's round trip: one
-// push and one batched pop per event in steady state.
+// BenchmarkScheduleFire measures the queue's round trip: one schedule
+// and one dispatch per event in steady state.
 func BenchmarkScheduleFire(b *testing.B) {
 	s := New(1)
 	var tick func()

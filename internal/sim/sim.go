@@ -1,9 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock with nanosecond resolution and a
-// monomorphic indexed 4-ary heap as its event queue. Events scheduled for
-// the same instant fire in the order they were scheduled, which keeps runs
-// fully deterministic for a given seed.
+// The engine maintains a virtual clock with nanosecond resolution. Its
+// event queue is a two-level timing wheel whose level-0 slots are lists
+// sorted by (time, seq), backed by a monomorphic 4-ary heap for the
+// events the wheel cannot place (wheel.go). The run loop fires the next
+// event straight from whichever of the three holds it. Events scheduled
+// for the same instant fire in the order they were scheduled, which
+// keeps runs fully deterministic for a given seed.
 //
 // The engine's hot path is allocation-free in steady state: fired and
 // cancelled events return to a per-world free list and are recycled by
@@ -13,15 +16,16 @@
 // and been recycled.
 //
 // Cancellation is lazy: Cancel marks the event dead in O(1) instead of
-// unlinking it from the heap, and dead events are skipped (and recycled)
-// when they surface at the top. The run loop drains all events of one
-// instant as a batch; an event a callback schedules for the very instant
-// being drained carries a larger seq than every event already queued for
-// it, so it fires after them within the same instant.
+// unlinking it from its slot or the heap, and dead events are skipped
+// (and recycled) when they come up next. An event a callback schedules
+// for the current instant carries a larger seq than every event already
+// queued for it, so it fires after them within the same instant.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -63,7 +67,7 @@ type Event struct {
 	fn    func()
 	fnArg func(any) // used instead of fn when scheduled via AtCall
 	arg   any
-	wnext *Event // next event in a timer-wheel bucket list
+	wnext *Event // next event in a timer-wheel slot list
 	gen   uint32 // bumped on recycle; stale EventRefs stop matching
 	dead  bool   // lazily cancelled; skipped and recycled at pop
 }
@@ -117,15 +121,14 @@ func (a slot) before(b slot) bool {
 type Sim struct {
 	now    Time
 	seq    uint64
-	events []slot // 4-ary min-heap on (at, seq)
+	events []slot // 4-ary min-heap on (at, seq): what the wheel cannot place
 	rng    *Rand
 	nRun   uint64 // events executed
 	live   int    // scheduled events not yet fired or cancelled
 
-	// wh is the hierarchical timing wheel fronting the heap (wheel.go):
-	// bounded-horizon events wait in O(1) buckets and are flushed into
-	// the heap slot-by-slot just before their window opens, preserving
-	// the heap's (time, seq) pop order exactly.
+	// wh is the hierarchical timing wheel (wheel.go). It holds every
+	// event within its ~268 ms horizon; events fire straight from its
+	// sorted level-0 slots, and the heap keeps only the rest.
 	wh wheel
 
 	free      []*Event // recycled events
@@ -140,7 +143,9 @@ type Sim struct {
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed uint64) *Sim {
-	return &Sim{rng: NewRand(seed)}
+	s := &Sim{rng: NewRand(seed)}
+	s.wh.start1 = math.MaxInt64
+	return s
 }
 
 // Now returns the current virtual time.
@@ -334,12 +339,13 @@ func (s *Sim) Cancel(r EventRef) {
 	s.live--
 }
 
-// exec fires e: the event is recycled first (so refs to it are stale
-// during its own callback, and the callback may immediately reuse the
-// object via a new schedule), then its function runs.
+// exec fires e at its time: the event is recycled first (so refs to it
+// are stale during its own callback, and the callback may immediately
+// reuse the object via a new schedule), then its function runs.
 //
 //hj17:hotpath
 func (s *Sim) exec(e *Event) {
+	s.now = e.at
 	s.nRun++
 	s.live--
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
@@ -351,37 +357,78 @@ func (s *Sim) exec(e *Event) {
 	}
 }
 
-// next reports the time of the next live event, discarding dead events
-// that have surfaced at the heap top and moving wheel slots toward the
-// heap as their windows come due. ok is false when no live events remain.
-//
-// The loop maintains the ordering invariant: no wheel event can fire
-// before every event at or ahead of it is in the heap. A heap top is
-// returned only when it comes strictly before the wheel's bound wh.lo,
-// which no wheel window starts before, or, after a scan, strictly
-// before the earliest window; otherwise that window cascades or flushes.
+// due removes and returns the next live event if it is due at or before
+// end, or returns nil. The candidates are the head of the earliest
+// occupied level-0 slot and the heap top; the earlier one on (at, seq)
+// is taken unless the earliest level-1 window opens no later, in which
+// case that window cascades first (every level-1 event is at or after
+// its window's start, so none can precede an event before it). Dead
+// events are recycled as they come up, a dead heap top at once. pos0
+// moves to the slot fired from only once the cascade check has passed,
+// so it never passes a level-1 window that has not cascaded.
 //
 //hj17:hotpath
-func (s *Sim) next() (t Time, ok bool) {
+func (s *Sim) due(end Time) *Event {
+	w := &s.wh
 	for {
+		var e *Event
+		var a0 int64
+		if w.cnt0 > 0 {
+			// pos0 is the slot last fired from, so the earliest occupied
+			// slot is usually in pos0's bitmap word.
+			fj := uint(w.pos0) & wheelMask
+			if b := w.bits0[fj>>6] >> (fj & 63); b != 0 {
+				a0 = w.pos0 + int64(bits.TrailingZeros64(b))
+			} else {
+				a0 = findSlot(&w.bits0, w.pos0)
+			}
+			e = w.head0[a0&wheelMask]
+		}
+		heaped := false
 		for len(s.events) > 0 {
-			if e := s.events[0].e; e.dead {
+			h := s.events[0]
+			if h.e.dead {
+				// A cancelled far event, typically a re-armed RTO: reclaim
+				// it now rather than when its time comes.
 				s.pop()
-				s.recycle(e)
+				s.recycle(h.e)
 				continue
+			}
+			if e == nil || h.at < e.at || h.at == e.at && h.seq < e.seq {
+				e, heaped = h.e, true
 			}
 			break
 		}
-		if len(s.events) > 0 && s.events[0].at < s.wh.lo {
-			return s.events[0].at, true
+		at := Time(math.MaxInt64)
+		if e != nil {
+			at = e.at
 		}
-		if s.wheelEmpty() {
-			if len(s.events) == 0 {
-				return 0, false
+		if w.start1 <= at && w.cnt1 > 0 {
+			if w.start1 > end {
+				return nil
 			}
-			return s.events[0].at, true
+			s.wheelCascade()
+			continue
 		}
-		s.wheelStep()
+		if at > end || e == nil {
+			return nil
+		}
+		if heaped {
+			s.pop()
+		} else {
+			i := a0 & wheelMask
+			if w.head0[i] = e.wnext; e.wnext == nil {
+				w.tail0[i] = nil
+				w.bits0[i>>6] &^= 1 << (uint(i) & 63)
+			}
+			w.cnt0--
+			w.pos0 = a0
+		}
+		if e.dead {
+			s.recycle(e)
+			continue
+		}
+		return e
 	}
 }
 
@@ -390,50 +437,19 @@ func (s *Sim) next() (t Time, ok bool) {
 //
 //hj17:hotpath
 func (s *Sim) Step() bool {
-	if _, ok := s.next(); !ok {
+	e := s.due(math.MaxInt64)
+	if e == nil {
 		return false
 	}
-	e := s.pop()
-	s.now = e.at
 	s.exec(e)
-	return true
-}
-
-// runInstant advances the clock to t and fires, in schedule order, every
-// heaped event of that instant (a batched same-instant pop: the heap top
-// is re-examined, not re-built, between pops). Events the callbacks
-// schedule for t itself either join the heap behind them or wait in the
-// wheel's current slot, which next flushes before the clock moves. It
-// returns false when maxEvents (if non-zero) was exhausted mid-instant;
-// the un-fired remainder stays queued, so a later run resumes in exact
-// order.
-//
-//hj17:hotpath
-func (s *Sim) runInstant(t Time, maxEvents uint64) bool {
-	s.now = t
-	for len(s.events) > 0 && s.events[0].at == t {
-		e := s.pop()
-		if e.dead {
-			s.recycle(e)
-			continue
-		}
-		s.exec(e)
-		if maxEvents > 0 && s.nRun >= maxEvents {
-			return false
-		}
-	}
 	return true
 }
 
 // RunUntil executes events until the clock would pass end or the queue
 // empties. The clock is left at end if it was reached.
 func (s *Sim) RunUntil(end Time) {
-	for {
-		t, ok := s.next()
-		if !ok || t > end {
-			break
-		}
-		s.runInstant(t, 0)
+	for e := s.due(end); e != nil; e = s.due(end) {
+		s.exec(e)
 	}
 	if s.now < end {
 		s.now = end
@@ -441,14 +457,12 @@ func (s *Sim) RunUntil(end Time) {
 }
 
 // Run executes events until the queue is empty. maxEvents guards against
-// runaway models; zero means no limit.
+// runaway models; zero means no limit. A run stopped by maxEvents leaves
+// the rest queued, so a later run resumes in exact order.
 func (s *Sim) Run(maxEvents uint64) {
-	for {
-		t, ok := s.next()
-		if !ok {
-			return
-		}
-		if !s.runInstant(t, maxEvents) {
+	for e := s.due(math.MaxInt64); e != nil; e = s.due(math.MaxInt64) {
+		s.exec(e)
+		if maxEvents > 0 && s.nRun >= maxEvents {
 			return
 		}
 	}

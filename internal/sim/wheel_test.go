@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -246,8 +249,8 @@ func TestWheelCascadeWaitsForHeap(t *testing.T) {
 		}
 	}
 
-	// Two events share a level-0 slot, so once the first has fired,
-	// level 0 is empty and the second waits in the heap.
+	// Two events share a level-0 slot, and the probe fires while level 1
+	// still holds the 10 ms event.
 	s := New(1)
 	s.At(10*Millisecond, func() {})
 	s.At(100*Microsecond, func() {})
@@ -262,9 +265,9 @@ func TestWheelCascadeWaitsForHeap(t *testing.T) {
 	s.Run(0)
 }
 
-// TestWheelFlushBound: flushing a slot raises the wheel's bound only to
-// the end of that slot. A timer waiting in the heap must not overtake an
-// earlier wheel event of the next slot once the slot before it flushes.
+// TestWheelFlushBound: a timer waiting in the heap must not overtake the
+// earlier wheel events of its own level-0 slot once the slot before it
+// has fired.
 func TestWheelFlushBound(t *testing.T) {
 	s := New(1)
 	var got []string
@@ -333,6 +336,135 @@ func TestWheelCascadeOrdering(t *testing.T) {
 	}
 }
 
+// TestWheelDispatchSkipsHeap: events within the wheel's horizon fire
+// straight from its level-0 slots, never through the heap. 200 events
+// share one instant in one level-0 slot, and 200 more share a later
+// instant in one level-1 slot that cascades when its window opens. All
+// fire in (time, seq) order, and the heap stays empty throughout.
+func TestWheelDispatchSkipsHeap(t *testing.T) {
+	s := New(1)
+	type ev struct {
+		at Time
+		id int
+	}
+	var want, got []ev
+	add := func(at Time) {
+		e := ev{at, len(want)}
+		want = append(want, e)
+		s.At(at, func() {
+			if n := len(s.events); n != 0 {
+				t.Fatalf("event %d fired with %d events in the heap", e.id, n)
+			}
+			got = append(got, ev{s.Now(), e.id})
+		})
+	}
+	for i := 0; i < 200; i++ {
+		add(5*Millisecond + 7) // level 1: past level 0's ~1 ms horizon
+	}
+	for i := 0; i < 200; i++ {
+		add(100 * Microsecond) // level 0
+	}
+	if s.wh.cnt0 != 200 || s.wh.cnt1 != 200 || len(s.events) != 0 {
+		t.Fatalf("level 0 holds %d, level 1 %d, heap %d; want 200, 200, 0",
+			s.wh.cnt0, s.wh.cnt1, len(s.events))
+	}
+	s.Run(0)
+	slices.SortStableFunc(want, func(a, b ev) int { return cmp.Compare(a.at, b.at) })
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: fired %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestWheelSlotOrderMixed: one level-0 slot receives events two ways.
+// Some are inserted directly, some arrive in a cascade of a LIFO level-1
+// list that was filled earlier, with equal times across both. The slot
+// must fire them in (time, seq) order: a cascaded event goes before a
+// direct one of the same time, which was scheduled after it.
+func TestWheelSlotOrderMixed(t *testing.T) {
+	s := New(1)
+	var want, got []string
+	base := 5 * Millisecond // one 4.096 µs level-0 slot from here
+	add := func(name string, at Time) {
+		want = append(want, name)
+		s.At(at, func() {
+			if n := len(s.events); n != 0 {
+				t.Fatalf("%s fired with %d events in the heap", name, n)
+			}
+			got = append(got, name)
+		})
+	}
+	// Filed in level 1 at time 0, so its list is LIFO.
+	for i, k := range []Time{2, 0, 1, 0, 2, 3} {
+		add(fmt.Sprintf("L1.%d@%d", i, k), base+k)
+	}
+	if s.wh.cnt1 != 6 {
+		t.Fatalf("level 1 holds %d events, want 6", s.wh.cnt1)
+	}
+	// At 4 ms the 5 ms slot is within level 0's horizon, but level 1's
+	// window holding it has not opened yet.
+	s.At(4*Millisecond, func() {
+		n0, n1 := s.wh.cnt0, s.wh.cnt1
+		for i, k := range []Time{1, 0, 2, 0, 3, 2} {
+			add(fmt.Sprintf("L0.%d@%d", i, k), base+k)
+		}
+		if s.wh.cnt0 != n0+6 || s.wh.cnt1 != n1 || len(s.events) != 0 {
+			t.Fatalf("direct inserts did not all land in level 0")
+		}
+	})
+	s.Run(0)
+	// (time, seq) order: by offset, then schedule order.
+	at := func(name string) string { return name[strings.IndexByte(name, '@'):] }
+	slices.SortStableFunc(want, func(a, b string) int { return strings.Compare(at(a), at(b)) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v\nwant  %v", got, want)
+	}
+}
+
+// heapWatch is a timerQueue over the Sim that checks where each schedule
+// went: an event may go to the heap only when it lies beyond the
+// wheel's level-1 horizon, which reaches at least 255 level-1 slots past
+// the clock, or behind level 0's position.
+type heapWatch struct {
+	simQueue
+	t      *testing.T
+	heaped int
+}
+
+func (q *heapWatch) After(d Time, fn func()) func() {
+	s := q.Sim
+	n := len(s.events)
+	cancel := q.simQueue.After(d, fn)
+	if len(s.events) == n {
+		return cancel
+	}
+	q.heaped++
+	at := s.Now() + d
+	beyond := d >= (wheelSlots-1)<<wheelShift1
+	behind := int64(at)>>wheelShift0 < s.wh.pos0
+	if !beyond && !behind {
+		q.t.Fatalf("an event %v ahead at %v went to the heap (level 0 at slot %d)",
+			d, at, s.wh.pos0)
+	}
+	return cancel
+}
+
+// TestWheelHeapHoldsOnlyFarEvents: across both phases of the randomized
+// trace, the heap receives only what the wheel cannot place.
+func TestWheelHeapHoldsOnlyFarEvents(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		q := &heapWatch{simQueue: simQueue{New(seed)}, t: t}
+		wheelTrace(q, seed, 30000)
+		if q.heaped == 0 {
+			t.Fatalf("seed %d: no event went to the heap; the trace no longer reaches past the horizon", seed)
+		}
+	}
+}
+
 // BenchmarkWheelPushPop: schedule/fire cost through the timing wheel
 // and heap with a steady population of pending timers.
 func BenchmarkWheelPushPop(b *testing.B) {
@@ -397,4 +529,20 @@ func BenchmarkSameInstantDrain(b *testing.B) {
 		}
 		s.Run(0)
 	}
+}
+
+// BenchmarkTickerFanout: many tickers with one period, the dense
+// scenario's pattern. Stations with equal UDP periods tick at the same
+// instant, so every 5 ms 200 events cascade from one level-1 slot into
+// one level-0 slot and fire there in schedule order.
+func BenchmarkTickerFanout(b *testing.B) {
+	s := New(1)
+	nop := func() {}
+	for i := 0; i < 200; i++ {
+		s.Ticker(5*Millisecond, nop)
+	}
+	s.RunUntil(Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(s.EventsRun() + uint64(b.N))
 }
