@@ -159,8 +159,7 @@ type Node struct {
 	rr    [pkt.NumACs][]*tidState
 	rrIdx [pkt.NumACs]int
 
-	txqs    [pkt.NumACs]*txq
-	reorder map[reorderKey]*reorderState
+	txqs [pkt.NumACs]*txq
 
 	// pool is the world's packet pool; the node releases packets it
 	// terminates (drops at enqueue, retry-limit drops) into it.
@@ -196,7 +195,6 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 	}
 	n := &Node{ID: id, Name: name, env: env, cfg: cfg,
 		stations: make(map[pkt.NodeID]*Station),
-		reorder:  make(map[reorderKey]*reorderState),
 		pool:     pkt.PoolOf(env.Sim)}
 	for ac := 0; ac < pkt.NumACs; ac++ {
 		n.txqs[ac] = &txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
@@ -613,13 +611,19 @@ func (n *Node) dropMPDU(sta *Station, p *pkt.Packet) {
 
 // receiveAggregate handles an aggregate arriving over the air: received
 // airtime is attributed (and, under the airtime scheme, charged) to the
-// sending peer, and packets are handed to the upper layers.
+// sending peer, and packets are handed to the upper layers through the
+// sender's reorder session. Frames only travel between associated
+// peers, so a sender without a Station entry is a model bug.
+//
+//hj17:hotpath
 func (n *Node) receiveAggregate(from *Node, ac pkt.AC, pkts []*pkt.Packet, dur sim.Time) {
-	if sta := n.lookupStation(from.ID); sta != nil {
-		sta.RxAirtime += dur
-		if sc := n.sched[ac]; sc != nil {
-			sc.ChargeRx(sta.tids[ac].schedEntry, dur)
-		}
+	sta := n.lookupStation(from.ID)
+	if sta == nil {
+		panic(fmt.Sprintf("mac: node %s received from unassociated node %s", n.Name, from.Name))
+	}
+	sta.RxAirtime += dur
+	if sc := n.sched[ac]; sc != nil {
+		sc.ChargeRx(sta.tids[ac].schedEntry, dur)
 	}
 	if n.Deliver == nil {
 		panic(fmt.Sprintf("mac: node %s has no Deliver hook", n.Name))
@@ -629,7 +633,7 @@ func (n *Node) receiveAggregate(from *Node, ac pkt.AC, pkts []*pkt.Packet, dur s
 			n.trace(trace.Deliver, from.ID, ac, p.Size, "")
 		}
 	}
-	n.reorderDeliver(reorderKey{src: from.ID, tid: int(ac)}, pkts)
+	n.reorderDeliver(n.reorderSession(sta, ac), pkts)
 }
 
 // trace records an event when tracing is attached.

@@ -67,6 +67,14 @@ type qdiscQueueing struct {
 	driverLen int  // packets held in driver buf_q across all TIDs
 	hooked    bool // the qdiscs release dropped packets themselves
 	refilling bool // guards the cross-AC refill against recursion
+
+	// busy holds one bit per AC: set by every Enqueue to that AC's
+	// qdisc, cleared when its Dequeue returns nil. A clear bit means
+	// the qdisc is empty, and refilling it is skipped. That is exact:
+	// an empty PFIFO pops nil, and FQ-CoDel (a mactid.TID) returns nil
+	// only once its new and old flow lists are empty, after which a
+	// further Dequeue changes no CoDel state or deficit.
+	busy uint8
 }
 
 // NewFIFOQueueing returns the unmodified-stack substrate: a PFIFO qdisc
@@ -105,6 +113,7 @@ func (s *qdiscQueueing) NewTID(pkt.AC) TIDQueue { return &fifoTIDQueue{s: s} }
 //hj17:hotpath
 func (s *qdiscQueueing) Enqueue(_ TIDQueue, p *pkt.Packet, _ sim.Time) {
 	ac, dst, size := p.AC, p.Dst, p.Size
+	s.busy |= 1 << ac
 	if !s.qdiscs[ac].Enqueue(p) {
 		s.n.DropInput(dst, ac, size, "qdisc-full", 1)
 		if !s.hooked {
@@ -117,18 +126,20 @@ func (s *qdiscQueueing) Enqueue(_ TIDQueue, p *pkt.Packet, _ sim.Time) {
 }
 
 // refillAC drains one AC's qdisc into the driver FIFOs while the shared
-// driver buffer has room, reporting the packets pulled.
+// driver buffer has room, reporting the packets pulled. An AC whose busy
+// bit is clear holds nothing and returns at once.
 //
 //hj17:hotpath
 func (s *qdiscQueueing) refillAC(ac pkt.AC) int {
-	q := s.qdiscs[ac]
-	if q == nil {
+	if s.busy&(1<<ac) == 0 {
 		return 0
 	}
+	q := s.qdiscs[ac]
 	pulled := 0
 	for s.driverLen < driverBuf {
 		p := q.Dequeue()
 		if p == nil {
+			s.busy &^= 1 << ac
 			break
 		}
 		sta := s.n.route(p)
@@ -148,21 +159,20 @@ func (s *qdiscQueueing) refillAC(ac pkt.AC) int {
 // up the other access categories — the driver pulls from every qdisc
 // whenever buffer space frees, so a backlogged AC must not strand in its
 // qdisc just because its own traffic went quiet. An AC that gains
-// packets this way is kicked so its hardware queue fills. (For runs with
-// a single active AC the cross-AC pass finds every other qdisc empty and
-// is a no-op.)
+// packets this way is kicked so its hardware queue fills. The cross-AC
+// pass runs only when another AC's busy bit is set, so with a single
+// active AC it costs nothing.
+//
+//hj17:hotpath
 func (s *qdiscQueueing) Refill(ac pkt.AC) {
 	s.refillAC(ac)
-	if s.refilling {
+	if s.refilling || s.busy&^(1<<ac) == 0 {
 		return
 	}
 	s.refilling = true
-	for o := 0; o < pkt.NumACs; o++ {
-		if pkt.AC(o) == ac {
-			continue
-		}
-		if s.refillAC(pkt.AC(o)) > 0 {
-			s.n.schedule(pkt.AC(o))
+	for o := pkt.AC(0); o < pkt.NumACs; o++ {
+		if o != ac && s.refillAC(o) > 0 {
+			s.n.schedule(o)
 		}
 	}
 	s.refilling = false

@@ -5,18 +5,15 @@ import (
 	"repro/internal/sim"
 )
 
-// reorderKey identifies one block-ack reorder session.
-type reorderKey struct {
-	src pkt.NodeID
-	tid int
-}
-
 // reorderState is the receive-side block-ack reorder buffer for one
 // (transmitter, TID) pair. 802.11 receivers deliver MPDUs to the upper
 // layers in sequence-number order, buffering holes until the transmitter's
-// retries arrive or the hole times out (the transmitter gave up).
+// retries arrive or the hole times out (the transmitter gave up). The
+// receiver keeps it on its Station entry for the transmitter
+// (Station.reorder), one per access category.
 type reorderState struct {
-	next    int // next expected sequence number
+	n       *Node // the receiver
+	next    int   // next expected sequence number
 	buf     map[int]*pkt.Packet
 	timer   sim.EventRef
 	started bool
@@ -24,15 +21,23 @@ type reorderState struct {
 	holeAt  sim.Time // when that hole appeared
 }
 
+// reorderSession returns the receiver's reorder session for frames from
+// sta on ac, building it on the session's first aggregate.
+func (n *Node) reorderSession(sta *Station, ac pkt.AC) *reorderState {
+	rs := sta.reorder[ac]
+	if rs == nil {
+		rs = &reorderState{n: n, buf: make(map[int]*pkt.Packet), holeSeq: -1}
+		sta.reorder[ac] = rs
+	}
+	return rs
+}
+
 // reorderDeliver runs arriving packets through the session's reorder
 // buffer, invoking the node's Deliver hook for each packet released in
 // order.
-func (n *Node) reorderDeliver(key reorderKey, pkts []*pkt.Packet) {
-	rs := n.reorder[key]
-	if rs == nil {
-		rs = &reorderState{buf: make(map[int]*pkt.Packet), holeSeq: -1}
-		n.reorder[key] = rs
-	}
+//
+//hj17:hotpath
+func (n *Node) reorderDeliver(rs *reorderState, pkts []*pkt.Packet) {
 	for _, p := range pkts {
 		switch {
 		case !rs.started || p.MacSeq == rs.next:
@@ -52,6 +57,8 @@ func (n *Node) reorderDeliver(key reorderKey, pkts []*pkt.Packet) {
 }
 
 // reorderFlush releases contiguous buffered packets.
+//
+//hj17:hotpath
 func (n *Node) reorderFlush(rs *reorderState) {
 	for {
 		p, ok := rs.buf[rs.next]
@@ -67,6 +74,8 @@ func (n *Node) reorderFlush(rs *reorderState) {
 // reorderArm manages the per-hole timeout: when the buffer is blocked on a
 // missing sequence number for longer than reorderTimeout, the hole is
 // skipped (its transmitter exhausted its retries).
+//
+//hj17:hotpath
 func (n *Node) reorderArm(rs *reorderState) {
 	if len(rs.buf) == 0 {
 		rs.holeSeq = -1
@@ -89,28 +98,29 @@ func (n *Node) reorderArm(rs *reorderState) {
 	if rs.timer.Valid() {
 		return
 	}
-	deadline := rs.holeAt + reorderTimeout
-	wait := deadline - now
-	if wait < 0 {
-		wait = 0
+	rs.timer = n.env.Sim.AfterCall(rs.holeAt+reorderTimeout-now, reorderFire, rs)
+}
+
+// reorderFire is the hole timer's trampoline.
+//
+//hj17:hotpath
+func reorderFire(v any) {
+	rs := v.(*reorderState)
+	rs.timer = sim.EventRef{}
+	if len(rs.buf) == 0 {
+		return
 	}
-	rs.timer = n.env.Sim.After(wait, func() {
-		rs.timer = sim.EventRef{}
-		if len(rs.buf) == 0 {
-			return
-		}
-		if rs.holeSeq == rs.next {
-			// Still blocked on the timed-out hole: skip to the smallest
-			// buffered sequence number and release what follows.
-			lowest := -1
-			for s := range rs.buf {
-				if lowest < 0 || s < lowest {
-					lowest = s
-				}
+	if rs.holeSeq == rs.next {
+		// Still blocked on the timed-out hole: skip to the smallest
+		// buffered sequence number and release what follows.
+		lowest := -1
+		for s := range rs.buf {
+			if lowest < 0 || s < lowest {
+				lowest = s
 			}
-			rs.next = lowest
-			n.reorderFlush(rs)
 		}
-		n.reorderArm(rs)
-	})
+		rs.next = lowest
+		rs.n.reorderFlush(rs)
+	}
+	rs.n.reorderArm(rs)
 }

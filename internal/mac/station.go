@@ -28,6 +28,11 @@ type Station struct {
 	owner *Node
 	tids  [pkt.NumACs]*tidState
 
+	// reorder holds the owner's block-ack reorder sessions for frames
+	// received from this peer, one per access category, each built on
+	// its first aggregate (Node.reorderSession).
+	reorder [pkt.NumACs]*reorderState
+
 	// tab caches the duration constants of Rate (phy.Tab); kept in sync
 	// by AddStation/SetRate so the aggregation hot path reads tables
 	// instead of dividing by the bitrate.

@@ -465,7 +465,10 @@ func (e *Endpoint) cubicUpdate() {
 		}
 	}
 	t := (now - e.epochStart + e.srtt).Seconds()
-	target := e.originSeg + cubicC*math.Pow(t-e.cubicK, 3)
+	// d*d*d is math.Pow(d, 3) bit for bit outside the subnormal range
+	// (TestCubeMatchesPow).
+	d := t - e.cubicK
+	target := e.originSeg + cubicC*(d*d*d)
 	// TCP-friendly region (RFC 8312 §4.2): never grow slower than a Reno
 	// flow would from the same loss event.
 	if rtt := e.srtt.Seconds(); rtt > 0 {

@@ -25,6 +25,12 @@ type Host struct {
 	pingers  map[int]*Pinger
 	pool     *pkt.Pool
 
+	// lastFlow and lastFn memoize the handler of the previous flow
+	// delivered, so a run of one flow's packets skips the map. Register
+	// clears lastFn.
+	lastFlow uint64
+	lastFn   func(*pkt.Packet)
+
 	// Unclaimed counts packets that matched no handler.
 	Unclaimed int64
 }
@@ -42,6 +48,7 @@ func NewHost(s *sim.Sim, id pkt.NodeID, out func(*pkt.Packet)) *Host {
 // Register installs a handler for packets of the given flow id.
 func (h *Host) Register(flow uint64, fn func(*pkt.Packet)) {
 	h.handlers[flow] = fn
+	h.lastFn = nil
 }
 
 // Deliver dispatches a packet arriving at this host. It is installed as
@@ -54,7 +61,10 @@ func (h *Host) Register(flow uint64, fn func(*pkt.Packet)) {
 func (h *Host) Deliver(p *pkt.Packet) {
 	if p.Proto == pkt.ProtoICMP {
 		h.icmp(p)
+	} else if p.Flow == h.lastFlow && h.lastFn != nil {
+		h.lastFn(p)
 	} else if fn, ok := h.handlers[p.Flow]; ok {
+		h.lastFlow, h.lastFn = p.Flow, fn
 		fn(p)
 	} else {
 		h.Unclaimed++

@@ -127,6 +127,29 @@ func TestUnclaimedCounting(t *testing.T) {
 	}
 }
 
+// TestReRegisterMidStream: Deliver remembers the previous flow's handler,
+// so Register must invalidate that memo. A flow whose handler is replaced
+// between two packets of one run reaches the new handler on the next one.
+func TestReRegisterMidStream(t *testing.T) {
+	s := sim.New(1)
+	a, _ := wire(s, 0)
+	pool := pkt.PoolOf(s)
+	send := func() {
+		p := pool.Get()
+		p.Proto, p.Flow = pkt.ProtoUDP, 7
+		a.Deliver(p)
+	}
+	var first, second int
+	a.Register(7, func(*pkt.Packet) { first++ })
+	send()
+	send()
+	a.Register(7, func(*pkt.Packet) { second++ })
+	send()
+	if first != 2 || second != 1 {
+		t.Fatalf("old handler got %d packets, new handler %d; want 2 and 1", first, second)
+	}
+}
+
 // webRig wires two hosts with TCP attachments over a symmetric pipe.
 type webRig struct {
 	s        *sim.Sim
