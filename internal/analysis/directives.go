@@ -114,7 +114,7 @@ func commentGroupHas(cg *ast.CommentGroup, verb string) bool {
 	return false
 }
 
-// funcDirectiveVerbs returns the directive verbs attached to a function
+// funcVerbs returns the directive verbs attached to a function
 // or interface-method declaration via doc comment or same-line comment.
 func (d *Directives) funcVerbs(doc *ast.CommentGroup, pos token.Pos) []string {
 	var verbs []string

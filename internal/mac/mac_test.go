@@ -1,8 +1,10 @@
 package mac
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/codel"
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/sim"
@@ -243,7 +245,7 @@ func TestCollisionResolution(t *testing.T) {
 	}
 }
 
-// TestMediumNeverIdleWithBacklog: channel utilisation must stay high while
+// TestMediumUtilisation: channel utilisation must stay high while
 // a saturated station has data.
 func TestMediumUtilisation(t *testing.T) {
 	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(7, true))
@@ -290,41 +292,38 @@ func TestNoOverlappingTransmissions(t *testing.T) {
 	}
 }
 
-// TestCodelParamsPerStation: slow stations get the relaxed CoDel
-// parameters, fast stations the defaults (§3.1.1).
+// TestCodelParamsPerStation: AddStation gives a station the relaxed
+// CoDel parameters exactly when its expected throughput at its fixed rate
+// is below SlowRateThreshold, and the defaults otherwise (§3.1.1).
 func TestCodelParamsPerStation(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(15, true), phy.MCS(0, true))
-	fast := r.ap.Station(10).CodelParams()
-	slow := r.ap.Station(11).CodelParams()
-	if fast.Target != 5*sim.Millisecond {
-		t.Errorf("fast target = %v, want 5ms", fast.Target)
-	}
-	if slow.Target != 50*sim.Millisecond || slow.Interval != 300*sim.Millisecond {
-		t.Errorf("slow params = %+v, want 50ms/300ms", slow)
-	}
-}
-
-// TestCodelParamHysteresis: rate flaps within the hysteresis window must
-// not flip parameters.
-func TestCodelParamHysteresis(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(15, true))
-	sta := r.ap.Station(10)
-	if sta.CodelParams().Target != 5*sim.Millisecond {
-		t.Fatal("fast station should start with default params")
-	}
-	// Drop the rate immediately: hysteresis (2 s) blocks the change.
-	r.ap.SetRate(sta, phy.MCS(0, true))
-	if sta.CodelParams().Target != 5*sim.Millisecond {
-		t.Fatal("params changed within hysteresis window")
-	}
-	r.s.RunUntil(3 * sim.Second)
-	r.ap.SetRate(sta, phy.MCS(0, true))
-	if sta.CodelParams().Target != 50*sim.Millisecond {
-		t.Fatal("params did not change after hysteresis expired")
+	for _, tc := range []struct {
+		rate      phy.Rate
+		threshold float64 // SlowRateThreshold; 0 keeps the 12 Mbps default
+		mbps      float64 // expected throughput, to 0.1 Mbps
+		want      codel.Params
+	}{
+		{phy.MCS(15, true), 0, 132.2, codel.Default()},
+		{phy.MCS(7, true), 0, 67.2, codel.Default()}, // scale and dense
+		{phy.MCS(1, true), 0, 13.3, codel.Default()}, // nearest rate above 12 Mbps
+		{phy.MCS(0, true), 0, 6.6, codel.Slow()},
+		{phy.Legacy(1), 0, 0.9, codel.Slow()}, // scale's slow station
+		{phy.MCS(1, true), 14e6, 13.3, codel.Slow()},
+		{phy.MCS(0, true), 1, 6.6, codel.Default()}, // the ablation's setting
+		{phy.Legacy(1), 1, 0.9, codel.Default()},
+	} {
+		r := newRig(t, Config{Scheme: SchemeFQMAC, SlowRateThreshold: tc.threshold}, tc.rate)
+		sta := r.ap.Station(10)
+		expect := sta.tab.EffectiveRate1500(expectedAggr(sta.tab, &r.ap.cfg)) / 1e6
+		if math.Abs(expect-tc.mbps) > 0.05 {
+			t.Errorf("%v: expected throughput %.2f Mbps, want %.1f", tc.rate, expect, tc.mbps)
+		}
+		if got := sta.CodelParams(); got != tc.want {
+			t.Errorf("%v at threshold %g: params %+v, want %+v", tc.rate, tc.threshold, got, tc.want)
+		}
 	}
 }
 
-// TestQdiscBypassFQMAC: FQ-MAC nodes must have no qdisc and an active
+// TestSchemeWiring: FQ-MAC nodes must have no qdisc and an active
 // integrated structure.
 func TestSchemeWiring(t *testing.T) {
 	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(7, true))

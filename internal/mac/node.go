@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/mactid"
-	"repro/internal/minstrel"
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/qdisc"
@@ -93,12 +91,11 @@ type Config struct {
 
 // Fixed parameters of the modelled ath9k transmit path.
 const (
-	maxAggrFrames   = 32                      // A-MPDU cap in MPDUs
-	maxAggrBytes    = 65535                   // A-MPDU cap in framed bytes
-	hwQueueDepth    = 2                       // aggregates queued to hardware
-	qdiscLimit      = qdisc.DefaultPFIFOLimit // PFIFO packet limit
-	driverBuf       = 128                     // shared driver buffer budget in packets
-	codelHysteresis = 2 * sim.Second          // min time between CoDel param changes
+	maxAggrFrames = 32                      // A-MPDU cap in MPDUs
+	maxAggrBytes  = 65535                   // A-MPDU cap in framed bytes
+	hwQueueDepth  = 2                       // aggregates queued to hardware
+	qdiscLimit    = qdisc.DefaultPFIFOLimit // PFIFO packet limit
+	driverBuf     = 128                     // shared driver buffer budget in packets
 
 	// reorderTimeout bounds how long the receive-side reorder buffer
 	// holds a given hole before releasing, matching mac80211's 100 ms
@@ -164,8 +161,8 @@ type Node struct {
 	// pool is the world's packet pool; the node releases packets it
 	// terminates (drops at enqueue, retry-limit drops) into it.
 	pool *pkt.Pool
-	// tabs interns one phy.Tab per rate the node has transmitted at, so
-	// rate-control sampling does not rebuild duration tables.
+	// tabs interns one phy.Tab per peer rate, so the stations that share
+	// a rate share one duration table.
 	tabs map[phy.Rate]*phy.Tab
 	// aggFree recycles Aggregate shells.
 	aggFree []*Aggregate
@@ -283,14 +280,16 @@ func (n *Node) Qdisc(ac pkt.AC) qdisc.Qdisc {
 func (n *Node) StationScheduler(ac pkt.AC) sched.StationScheduler { return n.sched[ac] }
 
 // AddStation registers a wireless peer reachable at the given PHY rate and
-// returns its per-peer state. The first peer added becomes the default
-// next hop for packets whose destination is not a direct peer (i.e. a
-// client's AP).
+// returns its per-peer state. The rate, and with it the peer's §3.1.1
+// CoDel parameters, stay fixed for the node's lifetime: there is no rate
+// control. The first peer added becomes the default next hop for packets
+// whose destination is not a direct peer (i.e. a client's AP).
 func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 	if _, dup := n.stations[peer.ID]; dup {
 		panic(fmt.Sprintf("mac: duplicate station %v", peer.ID))
 	}
-	s := &Station{Peer: peer, Rate: rate, owner: n, tab: n.tabFor(rate)}
+	tab := n.tabFor(rate)
+	s := &Station{Peer: peer, Rate: rate, tab: tab, codelPa: codelParamsFor(tab, &n.cfg)}
 	for ac := 0; ac < pkt.NumACs; ac++ {
 		t := &tidState{sta: s, ac: pkt.AC(ac)}
 		t.q = n.queue.NewTID(pkt.AC(ac))
@@ -302,7 +301,6 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 			t.schedEntry.User = s
 		}
 	}
-	s.updateCodelParams(n.env.Sim.Now())
 	n.stations[peer.ID] = s
 	n.stationOrder = append(n.stationOrder, s)
 	n.rebuildStationIndex()
@@ -318,16 +316,6 @@ func (n *Node) Stations() []*Station { return n.stationOrder }
 // Station returns the peer entry for id, or nil.
 func (n *Node) Station(id pkt.NodeID) *Station { return n.stations[id] }
 
-// SetRate changes the PHY rate used with peer s (rate-control updates),
-// re-evaluating the per-station CoDel parameters under hysteresis.
-func (n *Node) SetRate(s *Station, rate phy.Rate) {
-	s.Rate = rate
-	if s.tab == nil || s.tab.R != rate {
-		s.tab = n.tabFor(rate)
-	}
-	s.updateCodelParams(n.env.Sim.Now())
-}
-
 // SetStationWeight sets the station's relative airtime weight (0 or 1 =
 // the default equal share; see sched.CheckWeight for the bound). It sets
 // sched.Entry.Weight on every access category's entry, which only the
@@ -339,16 +327,6 @@ func (n *Node) SetStationWeight(s *Station, weight float64) {
 			e.Weight = weight
 		}
 	}
-}
-
-// EnableAutoRate attaches a link-quality model and a Minstrel-style rate
-// controller to peer s. The controller's throughput estimate also feeds
-// the §3.1.1 CoDel parameter switch, as in the paper's implementation.
-func (n *Node) EnableAutoRate(s *Station, ch *channel.Model, startMCS int) *minstrel.Controller {
-	s.Channel = ch
-	s.RC = minstrel.New(startMCS)
-	n.SetRate(s, s.RC.CurrentRate())
-	return s.RC
 }
 
 // rebuildStationIndex refreshes the dense lookup slice. Station
@@ -426,6 +404,8 @@ func (n *Node) Input(p *pkt.Packet) {
 // requests channel access when anything is pending. This is the schedule()
 // entry point of Algorithm 3, also used (with round-robin TID selection)
 // by the baseline schemes.
+//
+//hj17:hotpath
 func (n *Node) schedule(ac pkt.AC) {
 	q := n.txqs[ac]
 	for len(q.hwq) < hwQueueDepth {
@@ -442,6 +422,8 @@ func (n *Node) schedule(ac pkt.AC) {
 
 // nextAggregate picks the TID to serve — via the scheme's station
 // scheduler or round-robin — and builds one aggregate from it.
+//
+//hj17:hotpath
 func (n *Node) nextAggregate(ac pkt.AC) *Aggregate {
 	if sc := n.sched[ac]; sc != nil {
 		for {
@@ -484,6 +466,8 @@ func (n *Node) nextAggregate(ac pkt.AC) *Aggregate {
 // intact. Individually lost MPDUs go to the TID retry queue and rejoin the
 // next aggregate; the receiver's block-ack reorder buffer restores their
 // order.
+//
+//hj17:hotpath
 func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Time) {
 	if len(q.hwq) == 0 || q.hwq[0] != agg {
 		panic("mac: txComplete out of order")
@@ -527,9 +511,9 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 			if dropped {
 				agg.FrameBytes = 0
 				for _, p := range agg.Pkts {
-					agg.FrameBytes += mpduLen(p.Size, agg.Rate)
+					agg.FrameBytes += mpduLen(p.Size, sta.tab.R)
 				}
-				agg.setTiming(phy.AckDur(agg.Rate), n.cfg.RTSThreshold)
+				agg.setTiming(sta.tab, n.cfg.RTSThreshold)
 			}
 			n.schedule(q.ac)
 			return
@@ -541,15 +525,12 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 	}
 
 	q.popHW()
-	// Per-MPDU success: the flat configured loss probability plus, when a
-	// channel model is attached, rate-dependent link errors. One pass
-	// draws each MPDU's fate in aggregate order (no draw when nothing can
-	// be lost) and compacts the delivered MPDUs in place at the front of
-	// agg.Pkts; the lost ones go to the retry queue or are dropped.
+	// Per-MPDU success: each MPDU is lost independently with the
+	// configured PerMPDULoss, whatever its rate. One pass draws each
+	// MPDU's fate in aggregate order (no draw when nothing can be lost)
+	// and compacts the delivered MPDUs in place at the front of agg.Pkts;
+	// the lost ones go to the retry queue or are dropped.
 	succProb := 1 - n.cfg.PerMPDULoss
-	if sta.Channel != nil {
-		succProb *= sta.Channel.SuccessProb(agg.Rate)
-	}
 	rng := n.env.Sim.Rand()
 	delivered := agg.Pkts[:0]
 	var bytes int64
@@ -568,12 +549,6 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 		q.bumpCW()
 	} else {
 		q.resetCW()
-	}
-	if rc := sta.RC; rc != nil {
-		rc.Report(agg.Rate, len(delivered), lost)
-		if rc.MaybeUpdate(n.env.Sim.Now()) {
-			n.SetRate(sta, rc.CurrentRate())
-		}
 	}
 	if sc := n.sched[q.ac]; sc != nil && agg.TID.backlogged() {
 		sc.Activate(agg.TID.schedEntry)

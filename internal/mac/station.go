@@ -1,9 +1,7 @@
 package mac
 
 import (
-	"repro/internal/channel"
 	"repro/internal/codel"
-	"repro/internal/minstrel"
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/sched"
@@ -17,31 +15,23 @@ import (
 // evaluation reports.
 type Station struct {
 	Peer *Node    // the remote node
-	Rate phy.Rate // PHY rate used for frames to/from this peer
+	Rate phy.Rate // PHY rate used for frames to/from this peer, fixed at AddStation
 
-	// Channel, when set, models the link quality: per-MPDU success
-	// depends on the chosen rate. RC, when set, adapts Rate with a
-	// Minstrel-style controller (see Node.EnableAutoRate).
-	Channel *channel.Model
-	RC      *minstrel.Controller
-
-	owner *Node
-	tids  [pkt.NumACs]*tidState
+	tids [pkt.NumACs]*tidState
 
 	// reorder holds the owner's block-ack reorder sessions for frames
 	// received from this peer, one per access category, each built on
 	// its first aggregate (Node.reorderSession).
 	reorder [pkt.NumACs]*reorderState
 
-	// tab caches the duration constants of Rate (phy.Tab); kept in sync
-	// by AddStation/SetRate so the aggregation hot path reads tables
-	// instead of dividing by the bitrate.
+	// tab holds the duration constants of Rate (phy.Tab), set once by
+	// AddStation, so the aggregation hot path reads tables instead of
+	// dividing by the bitrate.
 	tab *phy.Tab
 
-	codelPa      codel.Params
-	codelSlow    bool
-	codelInit    bool
-	lastPaChange sim.Time
+	// codelPa are the §3.1.1 CoDel parameters of the station's queues,
+	// chosen once by AddStation (codelParamsFor).
+	codelPa codel.Params
 
 	// Stats, maintained by the owner node.
 	TxAirtime   sim.Time // airtime of transmissions to this peer (incl. retries)
@@ -70,41 +60,19 @@ func (s *Station) MeanAggregation() float64 {
 // station's queues.
 func (s *Station) CodelParams() codel.Params { return s.codelPa }
 
-// updateCodelParams implements §3.1.1: switch to the 50 ms/300 ms
-// parameters when the station's expected throughput drops below the
-// threshold, with hysteresis so the values change at most once per period.
-func (s *Station) updateCodelParams(now sim.Time) {
-	cfg := &s.owner.cfg
-	// Expected station throughput, from the rate-control information: the
-	// controller's estimate when rate control runs, otherwise the
-	// effective rate at a typical aggregation level for this PHY rate.
-	var expect float64
-	if s.RC != nil {
-		expect = s.RC.ExpectedThroughput()
-	} else {
-		expect = s.tab.EffectiveRate1500(expectedAggr(s.tab, cfg))
+// codelParamsFor implements §3.1.1 for a station at tab's rate: the
+// 50 ms/300 ms parameters when its expected throughput, the effective
+// rate at a typical aggregation level, is below cfg.SlowRateThreshold,
+// the defaults otherwise.
+func codelParamsFor(tab *phy.Tab, cfg *Config) codel.Params {
+	if tab.EffectiveRate1500(expectedAggr(tab, cfg)) < cfg.SlowRateThreshold {
+		return codel.Slow()
 	}
-	slow := expect < cfg.SlowRateThreshold
-	if s.codelInit {
-		if slow == s.codelSlow {
-			return
-		}
-		if now-s.lastPaChange < codelHysteresis {
-			return
-		}
-	}
-	s.codelInit = true
-	s.codelSlow = slow
-	s.lastPaChange = now
-	if slow {
-		s.codelPa = codel.Slow()
-	} else {
-		s.codelPa = codel.Default()
-	}
+	return codel.Default()
 }
 
-// expectedAggr estimates the aggregation level rate control would reach at
-// the tab's rate under the configured caps.
+// expectedAggr estimates the aggregation level a saturated station reaches
+// at the tab's rate: the most full-size MPDUs that fit the duration cap.
 func expectedAggr(tab *phy.Tab, cfg *Config) int {
 	if tab.R.Legacy {
 		return 1
@@ -161,7 +129,8 @@ func (t *tidState) pop(now sim.Time) *pkt.Packet {
 
 // Aggregate is one built A-MPDU (or single MPDU for VO/legacy) awaiting
 // transmission in a hardware queue. Each MPDU carries one packet, as in
-// the §2.2.1 model, and is lost or delivered on its own.
+// the §2.2.1 model, and is lost or delivered on its own. It is sent at
+// its station's fixed rate (TID.sta.tab).
 //
 // Aggregates are recycled through a per-node free list (Node.getAggregate
 // / Node.putAggregate) and keep their slice capacity across reuses, so
@@ -172,7 +141,6 @@ type Aggregate struct {
 	FrameBytes int      // framed body length (sum of MPDU lengths)
 	DataDur    sim.Time // Tphy + body air time
 	TotalDur   sim.Time // DataDur + SIFS + block ack, plus RTS/CTS if protected
-	Rate       phy.Rate
 	UseRTS     bool     // protected by an RTS/CTS exchange
 	Built      sim.Time // when the aggregate was submitted to hardware
 }
@@ -199,17 +167,13 @@ func (a *Aggregate) CollisionCost() sim.Time {
 // frame-count, byte and air-duration caps. It returns nil if the TID had
 // nothing to send. The 4 ms duration cap is what limits a 6.5 Mbps station
 // to two-frame aggregates, matching Table 1's measured 1.89 mean.
+//
+//hj17:hotpath
 func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	now := n.env.Sim.Now()
 	cfg := &n.cfg
-	rate := t.sta.Rate
-	if t.sta.RC != nil {
-		rate = t.sta.RC.PickRate(n.env.Sim.Rand())
-	}
 	tab := t.sta.tab
-	if tab == nil || tab.R != rate {
-		tab = n.tabFor(rate)
-	}
+	rate := tab.R
 	maxFrames := maxAggrFrames
 	if EDCA(t.ac).NoAggr || rate.Legacy {
 		maxFrames = 1
@@ -223,7 +187,7 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	}
 
 	agg := n.getAggregate()
-	agg.TID, agg.Rate, agg.Built = t, rate, now
+	agg.TID, agg.Built = t, now
 	for len(agg.Pkts) < maxFrames {
 		p := t.pop(now)
 		if p == nil {
@@ -250,18 +214,18 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 		n.putAggregate(agg)
 		return nil
 	}
-	agg.setTiming(tab.Ack, cfg.RTSThreshold)
+	agg.setTiming(tab, cfg.RTSThreshold)
 	return agg
 }
 
-// setTiming sets the air durations of the aggregate's FrameBytes at its
-// Rate, given that rate's block-ack duration, and decides RTS/CTS
-// protection: an exchange is added exactly when the unprotected frame
-// exceeds a positive rtsThreshold. Building an aggregate and rebuilding
-// a shortened retry both time the frame here.
-func (a *Aggregate) setTiming(ack, rtsThreshold sim.Time) {
-	a.DataDur = phy.DataDurBytes(a.FrameBytes, a.Rate)
-	a.TotalDur = a.DataDur + ack
+// setTiming sets the air durations of the aggregate's FrameBytes at
+// tab's rate, block ack included, and decides RTS/CTS protection: an
+// exchange is added exactly when the unprotected frame exceeds a positive
+// rtsThreshold. Building an aggregate and rebuilding a shortened retry
+// both time the frame here.
+func (a *Aggregate) setTiming(tab *phy.Tab, rtsThreshold sim.Time) {
+	a.DataDur = phy.DataDurBytes(a.FrameBytes, tab.R)
+	a.TotalDur = a.DataDur + tab.Ack
 	a.UseRTS = rtsThreshold > 0 && a.TotalDur > rtsThreshold
 	if a.UseRTS {
 		a.TotalDur += phy.RTSCTSOverhead

@@ -7,7 +7,7 @@ import (
 	"repro/internal/phy"
 )
 
-// table1Params are the measured aggregation levels the paper feeds the
+// table1Baseline returns the measured aggregation levels the paper feeds the
 // model for Table 1.
 func table1Baseline() []StationParams {
 	return []StationParams{

@@ -50,7 +50,7 @@ func TestSlowStartDoubling(t *testing.T) {
 	}
 }
 
-// TestHyStartExitsBeforeLoss: sending through a finite queue, HyStart
+// TestHyStartExit: sending through a finite queue, HyStart
 // must end slow start on delay increase, before a catastrophic overshoot.
 func TestHyStartExit(t *testing.T) {
 	// A 2 Mbps bottleneck emulated by releasing one packet per 6 ms.
