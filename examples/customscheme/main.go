@@ -23,7 +23,7 @@ import (
 func main() {
 	custom := mac.RegisterScheme("Example-RR", mac.Composition{
 		Desc:     "integrated queueing + hand-rolled round-robin scheduler",
-		Queueing: mac.NewIntegratedQueueing,
+		Queueing: mac.IntegratedQueueing,
 		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewRoundRobin()
 		},

@@ -108,7 +108,7 @@ func registerTestRR() mac.Scheme {
 	}
 	return mac.RegisterScheme(testRR, mac.Composition{
 		Desc:     "integrated queueing + round-robin scheduler, registered by a test",
-		Queueing: mac.NewIntegratedQueueing,
+		Queueing: mac.IntegratedQueueing,
 		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewRoundRobin()
 		},

@@ -8,7 +8,7 @@ import (
 
 // This file registers the two extension schemes the experiment layer
 // contributes beyond the paper's five configurations. Both are pure
-// registrations: they compose the MAC's exported queue substrates with
+// registrations: they compose the MAC's integrated queue substrate with
 // schedulers from package sched, without touching internal/mac — the
 // extensibility the transmit-path registry exists to provide.
 var (
@@ -21,7 +21,7 @@ var (
 	// slow station still consumes far more than an equal airtime share.
 	SchemeAirtimeRR = mac.RegisterScheme("Airtime-RR", mac.Composition{
 		Desc:     "integrated structure + round-robin station scheduler (deficit-accounting ablation)",
-		Queueing: mac.NewIntegratedQueueing,
+		Queueing: mac.IntegratedQueueing,
 		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewRoundRobin()
 		},
@@ -35,7 +35,7 @@ var (
 	// the scheme behaves exactly like Airtime).
 	SchemeWeightedAirtime = mac.RegisterScheme("Weighted-Airtime", mac.Composition{
 		Desc:     "integrated structure + weighted deficit airtime scheduler (ath9k weight knob)",
-		Queueing: mac.NewIntegratedQueueing,
+		Queueing: mac.IntegratedQueueing,
 		Scheduler: func(n *mac.Node, _ pkt.AC) sched.StationScheduler {
 			cfg := n.Config()
 			return sched.NewWeightedAirtime(cfg.AirtimeQuantum, !cfg.DisableSparse)

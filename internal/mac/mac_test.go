@@ -313,7 +313,7 @@ func TestCodelParamsPerStation(t *testing.T) {
 	} {
 		r := newRig(t, Config{Scheme: SchemeFQMAC, SlowRateThreshold: tc.threshold}, tc.rate)
 		sta := r.ap.Station(10)
-		expect := sta.tab.EffectiveRate1500(expectedAggr(sta.tab, &r.ap.cfg)) / 1e6
+		expect := phy.EffectiveRate(expectedAggr(sta.Rate, &r.ap.cfg), 1500, sta.Rate) / 1e6
 		if math.Abs(expect-tc.mbps) > 0.05 {
 			t.Errorf("%v: expected throughput %.2f Mbps, want %.1f", tc.rate, expect, tc.mbps)
 		}
@@ -439,6 +439,65 @@ func TestDuplicateStationPanics(t *testing.T) {
 		}
 	}()
 	r.ap.AddStation(r.stas[0], phy.MCS(7, true))
+}
+
+// TestStationIndex: peers associated in descending and gapped identifier
+// order, growing the dense index at both ends, each resolve through
+// Station and route; an unassociated identifier below, inside or above
+// the index misses (and routes to the first peer, the default); and a
+// second association of an identifier still panics.
+func TestStationIndex(t *testing.T) {
+	env := NewEnv(sim.New(1))
+	ap := mustNode(t, env, 1, "ap", Config{Scheme: SchemeFQMAC})
+	ids := []pkt.NodeID{500, 400, 403, 100, 90, 2000, 1000}
+	var stas []*Station
+	for _, id := range ids {
+		peer := mustNode(t, env, id, "sta", Config{Scheme: SchemeFIFO})
+		stas = append(stas, ap.AddStation(peer, phy.MCS(7, true)))
+	}
+	for i, id := range ids {
+		if got := ap.Station(id); got != stas[i] {
+			t.Errorf("Station(%d) = %p, want %p", id, got, stas[i])
+		}
+		if got := ap.route(dataPkt(id, 1500, 1)); got != stas[i] {
+			t.Errorf("route to %d = %p, want %p", id, got, stas[i])
+		}
+	}
+	for _, id := range []pkt.NodeID{-1000, 0, 89, 91, 401, 404, 999, 1999, 2001, 1 << 20} {
+		if got := ap.Station(id); got != nil {
+			t.Errorf("Station(%d) = %p for an unassociated identifier", id, got)
+		}
+		if got := ap.route(dataPkt(id, 1500, 1)); got != stas[0] {
+			t.Errorf("route to unassociated %d = %p, want the default peer %p", id, got, stas[0])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a second association of identifier 403")
+		}
+	}()
+	ap.AddStation(mustNode(t, env, 403, "again", Config{Scheme: SchemeFIFO}), phy.MCS(7, true))
+}
+
+// BenchmarkAssociate measures association: one op is an Airtime AP
+// associating 16,384 stations in identifier order, as exp.BuildWorld
+// does. A per-association cost that grows with the station count makes
+// the op time grow faster than the station count.
+func BenchmarkAssociate(b *testing.B) {
+	const stations = 1 << 14
+	env := NewEnv(sim.New(1))
+	peers := make([]*Node, stations)
+	for i := range peers {
+		peers[i] = mustNode(b, env, pkt.NodeID(10+i), "sta", Config{Scheme: SchemeFIFO})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ap := mustNode(b, env, 1, "ap", Config{Scheme: SchemeAirtimeFQ})
+		for _, peer := range peers {
+			ap.AddStation(peer, phy.MCS(7, true))
+		}
+	}
 }
 
 // TestConservationAcrossSchemes: inputs = delivered + dropped for every

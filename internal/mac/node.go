@@ -3,9 +3,10 @@
 // aggregation with block acknowledgement and retries, and a two-deep
 // hardware queue per access category.
 //
-// The transmit path between Input and aggregation is pluggable: a scheme
-// composes a queue substrate (TxQueueing) with an optional station
-// scheduler (sched.StationScheduler), and nodes resolve their scheme
+// A scheme composes one of the paper's three queue substrates (Queueing:
+// a PFIFO or FQ-CoDel qdisc over driver FIFOs, or the integrated §3.1
+// structure) with an optional station scheduler (sched.StationScheduler),
+// the transmit path's extension point, and nodes resolve their scheme
 // through a registry (RegisterScheme). The five configurations the paper
 // evaluates are registered at init; further schemes register themselves
 // without touching this package.
@@ -139,17 +140,21 @@ type Node struct {
 	env *Env
 	cfg Config
 
-	queue TxQueueing                         // the scheme's queue substrate
+	// The scheme's queue substrate, one of which is nil: the qdisc layer
+	// above the driver FIFOs, or the integrated per-TID structure.
+	qd *qdiscLayer
+	fq *mactid.Fq
+
 	sched [pkt.NumACs]sched.StationScheduler // nil for the unscheduled schemes
 
-	stations     map[pkt.NodeID]*Station
 	stationOrder []*Station
 	defaultPeer  *Station
 
-	// staLow/staSlice index stations by identifier offset for the
-	// per-packet route/receive lookups: one bounds check and a load
-	// instead of a map probe. Rebuilt on AddStation; empty when
-	// the identifier range is too sparse (the map stays authoritative).
+	// staLow/staSlice index stations by identifier offset:
+	// staSlice[id-staLow] is the peer with identifier id, or nil. Every
+	// station is in it, and AddStation grows it at either end. Station
+	// identifiers cluster inside one BSS window (a client has one peer),
+	// so the span stays close to the station count.
 	staLow   pkt.NodeID
 	staSlice []*Station
 
@@ -161,9 +166,6 @@ type Node struct {
 	// pool is the world's packet pool; the node releases packets it
 	// terminates (drops at enqueue, retry-limit drops) into it.
 	pool *pkt.Pool
-	// tabs interns one phy.Tab per peer rate, so the stations that share
-	// a rate share one duration table.
-	tabs map[phy.Rate]*phy.Tab
 	// aggFree recycles Aggregate shells.
 	aggFree []*Aggregate
 
@@ -190,14 +192,12 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("mac: unknown scheme %v (registered: %s)",
 			cfg.Scheme, strings.Join(sortedSchemeNames(), ", "))
 	}
-	n := &Node{ID: id, Name: name, env: env, cfg: cfg,
-		stations: make(map[pkt.NodeID]*Station),
-		pool:     pkt.PoolOf(env.Sim)}
+	n := &Node{ID: id, Name: name, env: env, cfg: cfg, pool: pkt.PoolOf(env.Sim)}
 	for ac := 0; ac < pkt.NumACs; ac++ {
 		n.txqs[ac] = &txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
 		n.txqs[ac].resetCW()
 	}
-	n.queue = info.comp.Queueing(n)
+	n.initQueueing(info.comp.Queueing)
 	if f := info.comp.Scheduler; f != nil {
 		for ac := 0; ac < pkt.NumACs; ac++ {
 			n.sched[ac] = f(n, pkt.AC(ac))
@@ -211,19 +211,6 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 //hj17:owns
 //hj17:hotpath
 func (n *Node) freePkt(p *pkt.Packet) { n.pool.Put(p) }
-
-// tabFor returns the node's interned duration table for rate r.
-func (n *Node) tabFor(r phy.Rate) *phy.Tab {
-	if t, ok := n.tabs[r]; ok {
-		return t
-	}
-	if n.tabs == nil {
-		n.tabs = make(map[phy.Rate]*phy.Tab)
-	}
-	t := phy.NewTab(r)
-	n.tabs[r] = t
-	return t
-}
 
 // getAggregate pops a recycled aggregate shell or allocates a fresh one.
 func (n *Node) getAggregate() *Aggregate {
@@ -254,25 +241,17 @@ func (n *Node) Scheme() Scheme { return n.cfg.Scheme }
 // worlds).
 func (n *Node) BSS() int { return n.cfg.BSS }
 
-// Queueing exposes the node's queue substrate.
-func (n *Node) Queueing() TxQueueing { return n.queue }
-
 // FqStats exposes the integrated queue structure (nil unless the node's
 // substrate is the integrated per-TID FQ-CoDel structure).
-func (n *Node) FqStats() *mactid.Fq {
-	if s, ok := n.queue.(*integratedQueueing); ok {
-		return s.fq
-	}
-	return nil
-}
+func (n *Node) FqStats() *mactid.Fq { return n.fq }
 
 // Qdisc exposes the qdisc of an access category (nil for the integrated
 // substrate).
 func (n *Node) Qdisc(ac pkt.AC) qdisc.Qdisc {
-	if s, ok := n.queue.(*qdiscQueueing); ok {
-		return s.qdiscs[ac]
+	if n.qd == nil {
+		return nil
 	}
-	return nil
+	return n.qd.qdiscs[ac]
 }
 
 // StationScheduler exposes the per-AC station scheduler (nil for the
@@ -285,14 +264,18 @@ func (n *Node) StationScheduler(ac pkt.AC) sched.StationScheduler { return n.sch
 // control. The first peer added becomes the default next hop for packets
 // whose destination is not a direct peer (i.e. a client's AP).
 func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
-	if _, dup := n.stations[peer.ID]; dup {
+	if n.lookupStation(peer.ID) != nil {
 		panic(fmt.Sprintf("mac: duplicate station %v", peer.ID))
 	}
-	tab := n.tabFor(rate)
-	s := &Station{Peer: peer, Rate: rate, tab: tab, codelPa: codelParamsFor(tab, &n.cfg)}
+	s := &Station{Peer: peer, Rate: rate,
+		ack:      phy.AckDur(rate),
+		maxBytes: min(maxAggrBytes, phy.FitBytes(rate, n.cfg.MaxAggrDur)),
+		codelPa:  codelParamsFor(rate, &n.cfg)}
 	for ac := 0; ac < pkt.NumACs; ac++ {
 		t := &tidState{sta: s, ac: pkt.AC(ac)}
-		t.q = n.queue.NewTID(pkt.AC(ac))
+		if n.fq != nil {
+			t.fq = n.fq.NewTID()
+		}
 		s.tids[ac] = t
 		n.rr[ac] = append(n.rr[ac], t)
 		if sc := n.sched[ac]; sc != nil {
@@ -301,9 +284,8 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 			t.schedEntry.User = s
 		}
 	}
-	n.stations[peer.ID] = s
 	n.stationOrder = append(n.stationOrder, s)
-	n.rebuildStationIndex()
+	n.indexStation(s)
 	if n.defaultPeer == nil {
 		n.defaultPeer = s
 	}
@@ -314,7 +296,7 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 func (n *Node) Stations() []*Station { return n.stationOrder }
 
 // Station returns the peer entry for id, or nil.
-func (n *Node) Station(id pkt.NodeID) *Station { return n.stations[id] }
+func (n *Node) Station(id pkt.NodeID) *Station { return n.lookupStation(id) }
 
 // SetStationWeight sets the station's relative airtime weight (0 or 1 =
 // the default equal share; see sched.CheckWeight for the bound). It sets
@@ -329,42 +311,33 @@ func (n *Node) SetStationWeight(s *Station, weight float64) {
 	}
 }
 
-// rebuildStationIndex refreshes the dense lookup slice. Station
-// identifiers cluster inside one BSS window, so the span is small; a
-// pathological spread falls back to the map.
-func (n *Node) rebuildStationIndex() {
-	n.staSlice = n.staSlice[:0]
-	lo, hi := n.stationOrder[0].Peer.ID, n.stationOrder[0].Peer.ID
-	for _, s := range n.stationOrder[1:] {
-		if id := s.Peer.ID; id < lo {
-			lo = id
-		} else if id > hi {
-			hi = id
-		}
+// indexStation enters s into the dense index, growing it at either end
+// to cover s's identifier. Growth downwards at least doubles the span,
+// so associating in descending identifier order stays linear overall,
+// as appending does upwards.
+func (n *Node) indexStation(s *Station) {
+	id := s.Peer.ID
+	if len(n.staSlice) == 0 {
+		n.staLow = id
 	}
-	if hi-lo >= 1<<16 {
-		n.staLow = 0
-		return
+	if id < n.staLow {
+		grow := max(int(n.staLow-id), len(n.staSlice))
+		idx := make([]*Station, grow+len(n.staSlice))
+		copy(idx[grow:], n.staSlice)
+		n.staSlice, n.staLow = idx, n.staLow-pkt.NodeID(grow)
 	}
-	n.staLow = lo
-	for len(n.staSlice) <= int(hi-lo) {
+	for len(n.staSlice) <= int(id-n.staLow) {
 		n.staSlice = append(n.staSlice, nil)
 	}
-	for _, s := range n.stationOrder {
-		n.staSlice[s.Peer.ID-lo] = s
-	}
+	n.staSlice[id-n.staLow] = s
 }
 
-// lookupStation returns the peer entry for id, or nil. When the dense
-// index is built it covers every station, so a miss there is a miss.
+// lookupStation returns the peer entry for id, or nil.
 func (n *Node) lookupStation(id pkt.NodeID) *Station {
 	if d := int(id - n.staLow); d >= 0 && d < len(n.staSlice) {
 		return n.staSlice[d]
 	}
-	if len(n.staSlice) > 0 {
-		return nil
-	}
-	return n.stations[id]
+	return nil
 }
 
 // route finds the peer entry a packet should be transmitted to: its
@@ -393,7 +366,7 @@ func (n *Node) Input(p *pkt.Packet) {
 	tid := sta.tids[ac]
 	now := n.env.Sim.Now()
 
-	n.queue.Enqueue(tid.q, p, now)
+	n.enqueue(tid, p, now)
 	if sc := n.sched[ac]; sc != nil {
 		sc.Activate(tid.schedEntry)
 	}
@@ -441,7 +414,7 @@ func (n *Node) nextAggregate(ac pkt.AC) *Aggregate {
 			}
 		}
 	}
-	n.queue.Refill(ac)
+	n.refill(ac)
 	lst := n.rr[ac]
 	for i := 0; i < len(lst); i++ {
 		idx := (n.rrIdx[ac] + i) % len(lst)
@@ -511,9 +484,9 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 			if dropped {
 				agg.FrameBytes = 0
 				for _, p := range agg.Pkts {
-					agg.FrameBytes += mpduLen(p.Size, sta.tab.R)
+					agg.FrameBytes += mpduLen(p.Size, sta.Rate)
 				}
-				agg.setTiming(sta.tab, n.cfg.RTSThreshold)
+				agg.setTiming(sta, n.cfg.RTSThreshold)
 			}
 			n.schedule(q.ac)
 			return
@@ -627,9 +600,14 @@ func (n *Node) trace(kind trace.Kind, peer pkt.NodeID, ac pkt.AC, size int, note
 func (n *Node) QueuedPackets() int {
 	total := 0
 	for ac := 0; ac < pkt.NumACs; ac++ {
-		total += n.queue.UpperLen(pkt.AC(ac))
+		if q := n.Qdisc(pkt.AC(ac)); q != nil {
+			total += q.Len()
+		}
 		for _, t := range n.rr[ac] {
-			total += t.retryq.Len() + t.q.Len()
+			total += t.retryq.Len() + t.bufq.Len()
+			if t.fq != nil {
+				total += t.fq.Len()
+			}
 		}
 		if q := n.txqs[ac]; q != nil {
 			for _, agg := range q.hwq {

@@ -28,7 +28,7 @@ func TestQdiscBusyBits(t *testing.T) {
 				ap.AddStation(sta, phy.MCS(1, false))
 				sta.AddStation(ap, phy.MCS(1, false))
 			}
-			qs := ap.queue.(*qdiscQueueing)
+			qs := ap.qd
 			var sent int
 			feed := func(ac pkt.AC, every sim.Time) func() {
 				return s.Ticker(every, func() {

@@ -12,14 +12,14 @@ import (
 
 // Composition describes the transmit path of one scheme: the queue
 // substrate packets wait in, and (optionally) the station scheduler that
-// decides which station builds the next aggregate. Factories run once
-// per node, after its Config has been filled with defaults; per-AC
-// scheduler factories run once per hardware queue.
+// decides which station builds the next aggregate. The per-AC scheduler
+// factory runs once per hardware queue of each node, after the node's
+// Config has been filled with defaults.
 type Composition struct {
 	// Desc is a one-line description shown by scheme listings.
 	Desc string
-	// Queueing builds the node's queue substrate. Required.
-	Queueing func(n *Node) TxQueueing
+	// Queueing selects the node's queue substrate. Required.
+	Queueing Queueing
 	// Scheduler, when non-nil, builds the per-access-category station
 	// scheduler. Nil means unscheduled: the MAC serves TIDs round-robin
 	// at the aggregation step, as the baseline schemes do.
@@ -45,16 +45,16 @@ func foldName(name string) string { return strings.ToLower(name) }
 
 // RegisterScheme adds a named transmit-path composition to the scheme
 // registry and returns its Scheme value. Adding a queueing configuration
-// is a registration, not a MAC change: any package may compose the
-// exported queue substrates (NewFIFOQueueing, NewFQCoDelQueueing,
-// NewIntegratedQueueing — or its own TxQueueing) with any
-// sched.StationScheduler. The five paper schemes are registered at init;
-// names are unique and registration order fixes the Scheme values.
+// is a registration, not a MAC change: any package may compose one of
+// the three queue substrates (PFIFOQueueing, FQCoDelQueueing,
+// IntegratedQueueing) with any sched.StationScheduler, its own included.
+// The five paper schemes are registered at init; names are unique and
+// registration order fixes the Scheme values.
 func RegisterScheme(name string, comp Composition) Scheme {
 	if name == "" {
 		panic("mac: RegisterScheme with empty name")
 	}
-	if comp.Queueing == nil {
+	if comp.Queueing < PFIFOQueueing || comp.Queueing > IntegratedQueueing {
 		panic(fmt.Sprintf("mac: scheme %q registered without a queueing substrate", name))
 	}
 	schemeMu.Lock()
@@ -141,26 +141,26 @@ func init() {
 	}
 	mustRegister("FIFO", SchemeFIFO, Composition{
 		Desc:     "unmodified stack: PFIFO qdisc over unmanaged driver FIFOs",
-		Queueing: NewFIFOQueueing,
+		Queueing: PFIFOQueueing,
 	})
 	mustRegister("FQ-CoDel", SchemeFQCoDel, Composition{
 		Desc:     "FQ-CoDel qdisc over unmanaged driver FIFOs",
-		Queueing: NewFQCoDelQueueing,
+		Queueing: FQCoDelQueueing,
 	})
 	mustRegister("FQ-MAC", SchemeFQMAC, Composition{
 		Desc:     "integrated per-TID FQ-CoDel structure (§3.1), no station scheduler",
-		Queueing: NewIntegratedQueueing,
+		Queueing: IntegratedQueueing,
 	})
 	mustRegister("Airtime", SchemeAirtimeFQ, Composition{
 		Desc:     "integrated structure + deficit airtime-fairness scheduler (§3.1 + §3.2)",
-		Queueing: NewIntegratedQueueing,
+		Queueing: IntegratedQueueing,
 		Scheduler: func(n *Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewAirtime(n.cfg.AirtimeQuantum, !n.cfg.DisableSparse)
 		},
 	})
 	mustRegister("DTT", SchemeDTT, Composition{
 		Desc:     "integrated structure + deficit transmission time scheduler (Garroppo et al.)",
-		Queueing: NewIntegratedQueueing,
+		Queueing: IntegratedQueueing,
 		Scheduler: func(n *Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewDTT(n.cfg.AirtimeQuantum)
 		},

@@ -107,7 +107,7 @@ func registerOnce(name string, comp Composition) Scheme {
 func TestRegisterSchemeComposition(t *testing.T) {
 	scheme := registerOnce("test-registry-rr", Composition{
 		Desc:     "FIFO qdisc substrate + round-robin station scheduler",
-		Queueing: NewFIFOQueueing,
+		Queueing: PFIFOQueueing,
 		Scheduler: func(_ *Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewRoundRobin()
 		},
@@ -155,19 +155,22 @@ func TestRegisterSchemeValidation(t *testing.T) {
 		f()
 	}
 	mustPanic("empty name", func() {
-		RegisterScheme("", Composition{Queueing: NewFIFOQueueing})
+		RegisterScheme("", Composition{Queueing: PFIFOQueueing})
 	})
 	mustPanic("nil queueing", func() {
 		RegisterScheme("test-registry-noqueue", Composition{})
 	})
-	registerOnce("test-registry-dup", Composition{Queueing: NewFIFOQueueing})
+	mustPanic("unknown queueing", func() {
+		RegisterScheme("test-registry-badqueue", Composition{Queueing: IntegratedQueueing + 1})
+	})
+	registerOnce("test-registry-dup", Composition{Queueing: PFIFOQueueing})
 	mustPanic("duplicate", func() {
-		RegisterScheme("test-registry-dup", Composition{Queueing: NewFIFOQueueing})
+		RegisterScheme("test-registry-dup", Composition{Queueing: PFIFOQueueing})
 	})
 	// Names resolve case-insensitively, so uniqueness is case-insensitive
 	// too — "fifo" must not shadow the paper's FIFO.
 	mustPanic("case-variant duplicate", func() {
-		RegisterScheme("fifo", Composition{Queueing: NewFIFOQueueing})
+		RegisterScheme("fifo", Composition{Queueing: PFIFOQueueing})
 	})
 }
 
@@ -175,7 +178,7 @@ func TestRegisterSchemeValidation(t *testing.T) {
 // composition, SetStationWeight skews the airtime split accordingly.
 func TestWeightedStationScheme(t *testing.T) {
 	scheme := registerOnce("test-registry-weighted", Composition{
-		Queueing: NewIntegratedQueueing,
+		Queueing: IntegratedQueueing,
 		Scheduler: func(n *Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewWeightedAirtime(n.Config().AirtimeQuantum, true)
 		},

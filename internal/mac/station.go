@@ -2,6 +2,7 @@ package mac
 
 import (
 	"repro/internal/codel"
+	"repro/internal/mactid"
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/sched"
@@ -24,10 +25,12 @@ type Station struct {
 	// its first aggregate (Node.reorderSession).
 	reorder [pkt.NumACs]*reorderState
 
-	// tab holds the duration constants of Rate (phy.Tab), set once by
-	// AddStation, so the aggregation hot path reads tables instead of
-	// dividing by the bitrate.
-	tab *phy.Tab
+	// ack is the block-ack duration at Rate (phy.AckDur). maxBytes is
+	// the framed-byte cap of an aggregate: maxAggrBytes, or the
+	// MaxAggrDur cap as a byte threshold when that binds first
+	// (phy.FitBytes). Both are set once by AddStation.
+	ack      sim.Time
+	maxBytes int
 
 	// codelPa are the §3.1.1 CoDel parameters of the station's queues,
 	// chosen once by AddStation (codelParamsFor).
@@ -60,26 +63,26 @@ func (s *Station) MeanAggregation() float64 {
 // station's queues.
 func (s *Station) CodelParams() codel.Params { return s.codelPa }
 
-// codelParamsFor implements §3.1.1 for a station at tab's rate: the
+// codelParamsFor implements §3.1.1 for a station at rate r: the
 // 50 ms/300 ms parameters when its expected throughput, the effective
 // rate at a typical aggregation level, is below cfg.SlowRateThreshold,
 // the defaults otherwise.
-func codelParamsFor(tab *phy.Tab, cfg *Config) codel.Params {
-	if tab.EffectiveRate1500(expectedAggr(tab, cfg)) < cfg.SlowRateThreshold {
+func codelParamsFor(r phy.Rate, cfg *Config) codel.Params {
+	if phy.EffectiveRate(expectedAggr(r, cfg), 1500, r) < cfg.SlowRateThreshold {
 		return codel.Slow()
 	}
 	return codel.Default()
 }
 
 // expectedAggr estimates the aggregation level a saturated station reaches
-// at the tab's rate: the most full-size MPDUs that fit the duration cap.
-func expectedAggr(tab *phy.Tab, cfg *Config) int {
-	if tab.R.Legacy {
+// at rate r: the most full-size MPDUs that fit the duration cap.
+func expectedAggr(r phy.Rate, cfg *Config) int {
+	if r.Legacy {
 		return 1
 	}
 	n := 1
 	for n < maxAggrFrames {
-		if tab.DataDur1500(n+1) > cfg.MaxAggrDur {
+		if phy.DataDur(n+1, 1500, r) > cfg.MaxAggrDur {
 			break
 		}
 		n++
@@ -94,10 +97,12 @@ type tidState struct {
 	sta *Station
 	ac  pkt.AC
 
-	// q is the TID's queue within the scheme's substrate: a driver FIFO
-	// under the qdisc substrates (buf_q of Figure 2), a TID view of the
-	// shared structure under the integrated substrate.
-	q TIDQueue
+	// The TID's queue within the node's substrate: the driver FIFO
+	// (buf_q of Figure 2) under the qdisc substrates, where fq is nil;
+	// under the integrated substrate bufq stays empty and fq is the
+	// TID's view of the shared structure.
+	bufq pkt.Queue
+	fq   *mactid.TID
 
 	// schedEntry is the TID's handle in the scheme's station scheduler
 	// (nil for the unscheduled schemes).
@@ -115,22 +120,29 @@ type tidState struct {
 // backlogged reports whether the TID can contribute packets to an
 // aggregate right now.
 func (t *tidState) backlogged() bool {
-	return !t.retryq.Empty() || t.q.Backlogged()
+	return !t.retryq.Empty() || !t.bufq.Empty() || (t.fq != nil && t.fq.Backlogged())
 }
 
-// pop removes the next packet for aggregation, consulting the retry queue
-// first, then the TID's substrate queue.
-func (t *tidState) pop(now sim.Time) *pkt.Packet {
+// pop removes the next packet of TID t for aggregation, consulting the
+// retry queue first, then the TID's substrate queue.
+func (n *Node) pop(t *tidState, now sim.Time) *pkt.Packet {
 	if p := t.retryq.Pop(); p != nil {
 		return p
 	}
-	return t.q.Pop(now, t.sta.codelPa)
+	if t.fq != nil {
+		return t.fq.Dequeue(now, t.sta.codelPa)
+	}
+	p := t.bufq.Pop()
+	if p != nil {
+		n.qd.driverLen--
+	}
+	return p
 }
 
 // Aggregate is one built A-MPDU (or single MPDU for VO/legacy) awaiting
 // transmission in a hardware queue. Each MPDU carries one packet, as in
 // the §2.2.1 model, and is lost or delivered on its own. It is sent at
-// its station's fixed rate (TID.sta.tab).
+// its station's fixed rate (TID.sta.Rate).
 //
 // Aggregates are recycled through a per-node free list (Node.getAggregate
 // / Node.putAggregate) and keep their slice capacity across reuses, so
@@ -171,30 +183,22 @@ func (a *Aggregate) CollisionCost() sim.Time {
 //hj17:hotpath
 func (n *Node) buildAggregate(t *tidState) *Aggregate {
 	now := n.env.Sim.Now()
-	cfg := &n.cfg
-	tab := t.sta.tab
-	rate := tab.R
+	sta := t.sta
+	rate := sta.Rate
 	maxFrames := maxAggrFrames
 	if EDCA(t.ac).NoAggr || rate.Legacy {
 		maxFrames = 1
-	}
-	// The duration cap as a byte threshold: newBytes > maxBytes is the
-	// same decision as DataDurBytes(newBytes, rate) > MaxAggrDur, by
-	// monotonicity of the duration in the byte count (phy.Tab.FitBytes).
-	maxBytes := maxAggrBytes
-	if fb := tab.FitBytes(cfg.MaxAggrDur); fb < maxBytes {
-		maxBytes = fb
 	}
 
 	agg := n.getAggregate()
 	agg.TID, agg.Built = t, now
 	for len(agg.Pkts) < maxFrames {
-		p := t.pop(now)
+		p := n.pop(t, now)
 		if p == nil {
 			break
 		}
 		newBytes := agg.FrameBytes + mpduLen(p.Size, rate)
-		if len(agg.Pkts) > 0 && newBytes > maxBytes {
+		if len(agg.Pkts) > 0 && newBytes > sta.maxBytes {
 			// Does not fit: return it for the next aggregate.
 			t.retryq.PushFront(p)
 			break
@@ -208,24 +212,24 @@ func (n *Node) buildAggregate(t *tidState) *Aggregate {
 		// Under the qdisc substrates the driver refills its buffer as it
 		// drains, preserving the shared-space dynamics of Figure 2; the
 		// integrated substrate has nothing to refill.
-		n.queue.Refill(t.ac)
+		n.refill(t.ac)
 	}
 	if len(agg.Pkts) == 0 {
 		n.putAggregate(agg)
 		return nil
 	}
-	agg.setTiming(tab, cfg.RTSThreshold)
+	agg.setTiming(sta, n.cfg.RTSThreshold)
 	return agg
 }
 
 // setTiming sets the air durations of the aggregate's FrameBytes at
-// tab's rate, block ack included, and decides RTS/CTS protection: an
+// sta's rate, block ack included, and decides RTS/CTS protection: an
 // exchange is added exactly when the unprotected frame exceeds a positive
 // rtsThreshold. Building an aggregate and rebuilding a shortened retry
 // both time the frame here.
-func (a *Aggregate) setTiming(tab *phy.Tab, rtsThreshold sim.Time) {
-	a.DataDur = phy.DataDurBytes(a.FrameBytes, tab.R)
-	a.TotalDur = a.DataDur + tab.Ack
+func (a *Aggregate) setTiming(sta *Station, rtsThreshold sim.Time) {
+	a.DataDur = phy.DataDurBytes(a.FrameBytes, sta.Rate)
+	a.TotalDur = a.DataDur + sta.ack
 	a.UseRTS = rtsThreshold > 0 && a.TotalDur > rtsThreshold
 	if a.UseRTS {
 		a.TotalDur += phy.RTSCTSOverhead

@@ -175,3 +175,30 @@ func EffectiveRate(n, l int, r Rate) float64 {
 	t := DataDur(n, l, r) + Overhead(r, CWMin)
 	return float64(8*n*l) / t.Seconds()
 }
+
+// FitBytes returns the largest framed body length whose air time at r
+// does not exceed maxDur: frameBytes fit under the cap exactly when
+// frameBytes <= FitBytes(r, maxDur), because DataDurBytes is monotone
+// non-decreasing in the byte count. Returns -1 when nothing fits.
+func FitBytes(r Rate, maxDur sim.Time) int {
+	if DataDurBytes(0, r) > maxDur {
+		return -1
+	}
+	hi := 1
+	for hi < 1<<30 && DataDurBytes(hi, r) <= maxDur {
+		hi <<= 1
+	}
+	lo := hi >> 1 // the last doubling that fit (0 when hi stayed 1)
+	if DataDurBytes(hi, r) <= maxDur {
+		lo = hi // doubling hit the cap while still fitting
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if DataDurBytes(mid, r) <= maxDur {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

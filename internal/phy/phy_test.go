@@ -160,3 +160,46 @@ func TestDataDurBytesMatchesDataDur(t *testing.T) {
 		t.Fatal("DataDurBytes inconsistent with DataDur")
 	}
 }
+
+// TestFitBytes: the byte threshold makes exactly the same fit/no-fit
+// decisions as comparing DataDurBytes against the cap.
+func TestFitBytes(t *testing.T) {
+	var rates []Rate
+	for i := 0; i < 16; i++ {
+		rates = append(rates, MCS(i, true), MCS(i, false))
+	}
+	rates = append(rates, Legacy(1), Legacy(11), Legacy(54))
+	caps := []sim.Time{4 * sim.Millisecond, 1 * sim.Millisecond, 100 * sim.Microsecond, TPhy, 0}
+	for _, r := range rates {
+		for _, cap := range caps {
+			fit := FitBytes(r, cap)
+			if fit >= 0 && DataDurBytes(fit, r) > cap {
+				t.Errorf("%v cap %v: FitBytes %d exceeds the cap", r, cap, fit)
+			}
+			if DataDurBytes(fit+1, r) <= cap {
+				t.Errorf("%v cap %v: FitBytes %d is not maximal", r, cap, fit)
+			}
+			// Spot-check decision identity across the boundary.
+			for b := fit - 2; b <= fit+2; b++ {
+				if b < 0 {
+					continue
+				}
+				if (b > fit) != (DataDurBytes(b, r) > cap) {
+					t.Errorf("%v cap %v: decision differs at %d bytes", r, cap, b)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDataDur: the per-probe duration formula (float division).
+func BenchmarkDataDur(b *testing.B) {
+	r := MCS(15, true)
+	var acc sim.Time
+	for i := 0; i < b.N; i++ {
+		acc += DataDur(1+i%32, 1500, r)
+	}
+	benchSink = acc
+}
+
+var benchSink sim.Time

@@ -70,7 +70,7 @@ type NodeID int
 // TCPFlag bits for the TCP header model.
 type TCPFlag uint8
 
-// TCP flags used by the Reno model.
+// TCP flags used by the TCP model.
 const (
 	SYN TCPFlag = 1 << iota
 	ACK

@@ -36,6 +36,10 @@ const (
 // Like any sync.Pool it empties itself across idle GC cycles.
 var reservoir sync.Pool
 
+// emptySlab is the sentinel Release puts first (see there); takeSlab
+// skips it.
+var emptySlab = new([]Packet)
+
 // Pool is a per-world packet free list. Every layer of one simulation
 // shares a single Pool (see PoolOf), so a packet released at any sink —
 // final delivery, a queue drop, a retry-limit drop — is recycled by the
@@ -136,10 +140,16 @@ func (pl *Pool) Prewarm(n int) {
 }
 
 // takeSlab returns a released slab from the reservoir, or a fresh one of
-// n packets when the reservoir is empty.
+// n packets when the reservoir holds none.
 func takeSlab(n int) *[]Packet {
-	if s, ok := reservoir.Get().(*[]Packet); ok {
-		return s
+	for {
+		s, ok := reservoir.Get().(*[]Packet)
+		if !ok {
+			break
+		}
+		if len(*s) > 0 {
+			return s
+		}
 	}
 	s := make([]Packet, n)
 	return &s
@@ -172,6 +182,11 @@ func (pl *Pool) thread(s *[]Packet, fresh bool) {
 // rely on this: they run such a world as the reference that recycling
 // must not change.
 func (pl *Pool) Release() {
+	// A sync.Pool keeps a Put in the calling P's private slot when that
+	// is free, and a Get running on another P cannot take it from there.
+	// The empty sentinel fills the slot, so the slabs land where the next
+	// world's pool finds them whichever P it runs on.
+	reservoir.Put(emptySlab)
 	for _, s := range pl.slabs {
 		reservoir.Put(s)
 	}

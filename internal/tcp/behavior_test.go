@@ -164,33 +164,6 @@ func TestCubicReachesHighBDP(t *testing.T) {
 	}
 }
 
-// TestRenoVsCubicOption: both congestion controllers must complete and
-// Reno must not be faster than Cubic on a lossy path (cubic recovers to
-// wmax faster).
-func TestRenoVsCubicOption(t *testing.T) {
-	run := func(cc CC) int64 {
-		p := newPipe(5, 10*sim.Millisecond)
-		rng := sim.NewRand(42)
-		p.drop = func(q *pkt.Packet) bool {
-			return q.Size > HeaderLen && rng.Float64() < 0.0005
-		}
-		c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1, CC: cc})
-		p.connect(c)
-		c.OpenInstant()
-		c.Client().SendForever()
-		p.s.RunUntil(30 * sim.Second)
-		return c.Server().TotalReceived()
-	}
-	cubic := run(CCCubic)
-	reno := run(CCReno)
-	if cubic == 0 || reno == 0 {
-		t.Fatal("a controller stalled")
-	}
-	if float64(reno) > 1.5*float64(cubic) {
-		t.Errorf("reno (%d) much faster than cubic (%d)?", reno, cubic)
-	}
-}
-
 // TestBidirectionalTransfer: both directions carry bulk data at once.
 func TestBidirectionalTransfer(t *testing.T) {
 	p := newPipe(3, 5*sim.Millisecond)

@@ -3,8 +3,7 @@
 // testbed's Linux (Ubuntu 16.04 / kernel 4.6) endpoints run: Cubic
 // congestion control with HyStart, SACK-based loss recovery, RTO with
 // exponential backoff (RFC 6298), delayed acknowledgements and a fixed
-// receive window. Reno congestion control is available as an option for
-// ablation.
+// receive window.
 //
 // Connections are full duplex: both ends can queue application data, which
 // is what the web traffic model (requests up, responses down) relies on.
@@ -39,29 +38,12 @@ const (
 	cubicBeta = 0.7
 )
 
-// CC selects the congestion control algorithm.
-type CC int
-
-// Available congestion controllers.
-const (
-	CCCubic CC = iota // Linux default, used by the paper's testbed
-	CCReno            // classic AIMD, for ablations
-)
-
-func (c CC) String() string {
-	if c == CCReno {
-		return "reno"
-	}
-	return "cubic"
-}
-
 // Options configures a connection.
 type Options struct {
 	Client, Server *Host
 	AC             pkt.AC
 	Flow           uint64 // unique flow id; both directions share it
 	RcvWnd         int64  // receive window (DefaultWnd if 0)
-	CC             CC
 }
 
 // Host describes one endpoint's attachment to the simulation.
@@ -443,10 +425,6 @@ func (e *Endpoint) growCwnd(acked int64) {
 		e.cwnd += float64(minI64(acked, 2*MSS))
 		return
 	}
-	if e.conn.opts.CC == CCReno {
-		e.cwnd += MSS * MSS / e.cwnd
-		return
-	}
 	e.cubicUpdate()
 }
 
@@ -497,11 +475,7 @@ func (e *Endpoint) onLoss() {
 		e.wmaxSeg = curSeg
 	}
 	e.epochStart = 0
-	beta := cubicBeta
-	if e.conn.opts.CC == CCReno {
-		beta = 0.5
-	}
-	e.ssthresh = maxF(e.cwnd*beta, 2*MSS)
+	e.ssthresh = maxF(e.cwnd*cubicBeta, 2*MSS)
 }
 
 func (e *Endpoint) enterRecovery() {

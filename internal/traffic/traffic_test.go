@@ -66,9 +66,6 @@ func TestUDPRateAndSink(t *testing.T) {
 	if sink.LossPct() != 0 {
 		t.Fatalf("loss %.1f%%, want 0", sink.LossPct())
 	}
-	if d := sink.Delay.Mean(); d < 0.9 || d > 1.1 {
-		t.Fatalf("mean delay %.2f ms, want ~1", d)
-	}
 }
 
 func TestUDPLossAccounting(t *testing.T) {

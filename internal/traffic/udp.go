@@ -3,7 +3,6 @@ package traffic
 import (
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // pingFlowBase namespaces the flow ids used by pingers.
@@ -81,14 +80,13 @@ func (u *UDPSource) sendOne() {
 	u.host.Out(p)
 }
 
-// UDPSink receives a UDP stream, tracking goodput, one-way delay and loss.
+// UDPSink receives a UDP stream, tracking goodput and loss.
 type UDPSink struct {
 	host *Host
 
 	Received  int64
 	RcvdBytes int64
 	MaxSeq    int64
-	Delay     stats.Sample // one-way delay, ms
 	FirstAt   sim.Time
 	LastAt    sim.Time
 }
@@ -111,7 +109,6 @@ func (s *UDPSink) receive(p *pkt.Packet) {
 	if p.SeqNo > s.MaxSeq {
 		s.MaxSeq = p.SeqNo
 	}
-	s.Delay.AddTime(now - p.Created)
 }
 
 // GoodputBps reports achieved goodput over the measured interval.
