@@ -330,11 +330,12 @@ func BenchmarkAllocsPerPacket(b *testing.B) {
 // ns/pkt is its fastest window; the gated ratio is the median over
 // rounds of the point's window divided by the 30-station window of the
 // same round, so both sides of a ratio come from the same spell of the
-// machine.
+// machine. A window takes only about 10 ms of wall time, so the median
+// is taken over 32 rounds: at 8 it swung from 0.9 to 1.6 between runs.
 func BenchmarkDenseScaling(b *testing.B) {
 	const (
 		limit  = 1.5
-		rounds = 8
+		rounds = 32
 		window = 10 * sim.Second
 	)
 	points := []struct{ stations, bsss int }{

@@ -57,7 +57,7 @@ func workloads(kind string, udpRateBps float64) ([]*exp.Workload, error) {
 	default:
 		return nil, fmt.Errorf("unknown traffic %q", kind)
 	}
-	return append(ws, exp.Pings(0)), nil
+	return append(ws, exp.Pings()), nil
 }
 
 // options holds the command-line flags.

@@ -60,13 +60,6 @@ func DefaultDir() (string, error) {
 // Dir reports the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// EntryPath reports the file a key's entry lives at (whether or not it
-// exists yet), and whether the key is well formed. Fault-injection
-// harnesses use it to corrupt entries at the file level — below the
-// CRC frame — so recovery of torn and bit-flipped entries is exercised
-// end to end.
-func (s *Store) EntryPath(key string) (string, bool) { return s.path(key) }
-
 // path maps a key to its entry file, rejecting anything that is not a
 // plain lower-case hex digest — keys never traverse paths.
 func (s *Store) path(key string) (string, bool) {

@@ -80,7 +80,7 @@ func TestConcurrentCorruptionRecovery(t *testing.T) {
 				default:
 				}
 				k := names[next(&seed)%keys]
-				p, ok := s.EntryPath(k)
+				p, ok := s.path(k)
 				if !ok {
 					continue
 				}

@@ -413,6 +413,7 @@ func TestSuggest(t *testing.T) {
 		{"dens", "dense"},
 		{"upd", "udp"},
 		{"zzzzzzz", ""},
+		{"", ""},
 	}
 	for _, c := range cases {
 		got := Suggest(c.in, names)

@@ -1,6 +1,9 @@
 package campaign
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Suggest returns the candidates most plausibly meant by a mistyped
 // name, for did-you-mean diagnostics: candidates within a small edit
@@ -18,11 +21,12 @@ func Suggest(name string, candidates []string) []string {
 		d := editDistance(name, c)
 		// Accept a distance up to half the typed name (at least 2), or
 		// any containment either way — "fair" should suggest "fairness".
+		// An empty name is contained in everything and suggests nothing.
 		limit := len(name) / 2
 		if limit < 2 {
 			limit = 2
 		}
-		if d <= limit || contains(c, name) || contains(name, c) {
+		if d <= limit || name != "" && (strings.Contains(c, name) || strings.Contains(name, c)) {
 			close = append(close, scored{c, d, i})
 		}
 	}
@@ -37,18 +41,6 @@ func Suggest(name string, candidates []string) []string {
 		out = append(out, s.name)
 	}
 	return out
-}
-
-func contains(haystack, needle string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return false
-	}
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
 
 // editDistance is the Levenshtein distance between a and b.

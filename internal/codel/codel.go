@@ -20,19 +20,22 @@ import (
 type Params struct {
 	Target   sim.Time // acceptable standing queue delay
 	Interval sim.Time // sliding window for the minimum sojourn time
-	MTU      int      // bytes below which the queue is exempt (standing aggregate)
 }
+
+// mtu is the backlog in bytes at or below which a queue is never dropped
+// from: one full-size Ethernet frame, the Linux fq_codel default.
+const mtu = 1514
 
 // Default returns the standard CoDel parameters: 5 ms target, 100 ms
 // interval.
 func Default() Params {
-	return Params{Target: 5 * sim.Millisecond, Interval: 100 * sim.Millisecond, MTU: 1514}
+	return Params{Target: 5 * sim.Millisecond, Interval: 100 * sim.Millisecond}
 }
 
 // Slow returns the paper's slow-station parameters: 50 ms target, 300 ms
 // interval (§3.1.1).
 func Slow() Params {
-	return Params{Target: 50 * sim.Millisecond, Interval: 300 * sim.Millisecond, MTU: 1514}
+	return Params{Target: 50 * sim.Millisecond, Interval: 300 * sim.Millisecond}
 }
 
 // Vars is per-queue CoDel state. The zero value is ready to use.
@@ -63,7 +66,7 @@ func controlLaw(t sim.Time, interval sim.Time, count uint32) sim.Time {
 //hj17:hotpath
 func (v *Vars) shouldDrop(p *pkt.Packet, q *pkt.Queue, pa Params, now sim.Time) bool {
 	sojourn := now - p.Enqueued
-	if sojourn < pa.Target || q.Bytes() <= pa.MTU {
+	if sojourn < pa.Target || q.Bytes() <= mtu {
 		v.FirstAbove = 0
 		return false
 	}

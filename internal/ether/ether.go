@@ -9,12 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Link is a full-duplex point-to-point link. Each direction serialises
-// packets at the configured rate and then delays them by the one-way
+// Link is a full-duplex point-to-point Gigabit link. Each direction
+// serialises packets at GigabitRate and then delays them by the one-way
 // propagation time.
 type Link struct {
 	sim   *sim.Sim
-	rate  float64  // bits per second
 	delay sim.Time // one-way propagation delay
 
 	aToB, bToA half
@@ -31,7 +30,6 @@ type Link struct {
 
 type half struct {
 	busyUntil sim.Time
-	queued    int
 	Bytes     int64
 	Packets   int64
 }
@@ -39,20 +37,13 @@ type half struct {
 // GigabitRate is 1 Gbps in bits/second.
 const GigabitRate = 1e9
 
-// NewLink creates a link with the given rate (bits/s; GigabitRate if <= 0)
-// and one-way propagation delay.
-func NewLink(s *sim.Sim, rate float64, delay sim.Time) *Link {
-	if rate <= 0 {
-		rate = GigabitRate
-	}
-	l := &Link{sim: s, rate: rate, delay: delay}
+// NewLink creates a link with the given one-way propagation delay.
+func NewLink(s *sim.Sim, delay sim.Time) *Link {
+	l := &Link{sim: s, delay: delay}
 	l.deliverACall = func(v any) { l.DeliverA(v.(*pkt.Packet)) }
 	l.deliverBCall = func(v any) { l.DeliverB(v.(*pkt.Packet)) }
 	return l
 }
-
-// Delay returns the configured one-way propagation delay.
-func (l *Link) Delay() sim.Time { return l.delay }
 
 // SendAToB transmits p from the A side toward B.
 func (l *Link) SendAToB(p *pkt.Packet) { l.send(&l.aToB, p, l.deliverBCall) }
@@ -66,7 +57,7 @@ func (l *Link) send(h *half, p *pkt.Packet, deliver func(any)) {
 	if start < now {
 		start = now
 	}
-	txTime := sim.Time(float64(p.Size*8) / l.rate * 1e9)
+	txTime := sim.Time(float64(p.Size*8) / GigabitRate * 1e9)
 	h.busyUntil = start + txTime
 	h.Bytes += int64(p.Size)
 	h.Packets++

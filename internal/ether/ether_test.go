@@ -9,7 +9,7 @@ import (
 
 func TestPropagationDelay(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, GigabitRate, 5*sim.Millisecond)
+	l := NewLink(s, 5*sim.Millisecond)
 	var got sim.Time
 	l.DeliverB = func(*pkt.Packet) { got = s.Now() }
 	l.SendAToB(&pkt.Packet{Size: 1500})
@@ -23,7 +23,7 @@ func TestPropagationDelay(t *testing.T) {
 
 func TestSerialisationQueueing(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, 1e6, 0) // 1 Mbps: 12 ms per 1500-byte packet
+	l := NewLink(s, 0) // 12 us per 1500-byte packet
 	var arrivals []sim.Time
 	l.DeliverB = func(*pkt.Packet) { arrivals = append(arrivals, s.Now()) }
 	for i := 0; i < 3; i++ {
@@ -33,7 +33,7 @@ func TestSerialisationQueueing(t *testing.T) {
 	if len(arrivals) != 3 {
 		t.Fatalf("delivered %d", len(arrivals))
 	}
-	per := sim.Time(float64(1500*8) / 1e6 * 1e9)
+	per := sim.Time(float64(1500*8) / GigabitRate * 1e9)
 	for i, a := range arrivals {
 		want := per * sim.Time(i+1)
 		if a != want {
@@ -44,7 +44,7 @@ func TestSerialisationQueueing(t *testing.T) {
 
 func TestFullDuplex(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, 1e6, 0)
+	l := NewLink(s, 0)
 	var aGot, bGot sim.Time
 	l.DeliverA = func(*pkt.Packet) { aGot = s.Now() }
 	l.DeliverB = func(*pkt.Packet) { bGot = s.Now() }
@@ -57,20 +57,9 @@ func TestFullDuplex(t *testing.T) {
 	}
 }
 
-func TestDefaultRate(t *testing.T) {
-	s := sim.New(1)
-	l := NewLink(s, 0, 0)
-	if l.rate != GigabitRate {
-		t.Fatal("default rate not applied")
-	}
-	if l.Delay() != 0 {
-		t.Fatal("delay accessor wrong")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, GigabitRate, 0)
+	l := NewLink(s, 0)
 	l.DeliverB = func(*pkt.Packet) {}
 	l.SendAToB(&pkt.Packet{Size: 100})
 	l.SendAToB(&pkt.Packet{Size: 200})

@@ -95,7 +95,7 @@ func SpecDense() *Spec {
 				Net: NetConfig{Scheme: scheme, BSSs: DenseTopology(total, bsss)},
 				Workloads: []*Workload{
 					UDPFlood(DenseOfferedBps / float64(total)),
-					Pings(0).On(StationsNamed(denseSlowNames(bsss)...)),
+					Pings().On(StationsNamed(denseSlowNames(bsss)...)),
 				},
 				Probes: []Probe{
 					SumRxMbps("total-mbps"),

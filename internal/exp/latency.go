@@ -14,7 +14,7 @@ func latencyInstance(scheme mac.Scheme, bidir bool) *Instance {
 	if bidir {
 		ws = append(ws, TCPUp())
 	}
-	ws = append(ws, Pings(0))
+	ws = append(ws, Pings())
 	return &Instance{
 		Net:       NetConfig{Scheme: scheme, Stations: DefaultStations()},
 		Workloads: ws,

@@ -31,7 +31,7 @@ func SpecMixed() *Spec {
 					TCPDown().On(StationsNamed("fast3")),
 					VoIPCall(pkt.ACVO).On(StationsNamed("slow")),
 					WebBrowse(traffic.SmallPage).On(StationsNamed("fast2")),
-					Pings(0).On(StationsNamed("fast1", "slow")),
+					Pings().On(StationsNamed("fast1", "slow")),
 				},
 				Probes: []Probe{
 					PerStation(ShareCol("share-"), GoodputCol("goodput-mbps-")),

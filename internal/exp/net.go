@@ -157,9 +157,9 @@ const poolPrewarmHorizon = 1 * sim.Second
 const poolPrewarmCap = 1 << 14
 
 // prewarmFor pre-sizes the world's packet pool for a newly attached CBR
-// load of the given rate and datagram size.
-func (w *World) prewarmFor(rateBps float64, pktSize int) {
-	pps := rateBps / float64(8*pktSize)
+// load of the given rate in traffic.UDPSize datagrams.
+func (w *World) prewarmFor(rateBps float64) {
+	pps := rateBps / float64(8*traffic.UDPSize)
 	n := int(pps * poolPrewarmHorizon.Seconds())
 	if w.prewarmed+n > poolPrewarmCap {
 		n = poolPrewarmCap - w.prewarmed
@@ -239,7 +239,7 @@ func newCellNet(w *World, b int, sp BSSSpec, cfg NetConfig) *Net {
 	ap := newNode(w.Env, nodeID(b, APID), name, apCfg)
 	n := &Net{Sim: s, Env: w.Env, AP: ap, World: w, BSS: b}
 	serverID := nodeID(b, ServerID)
-	n.Link = ether.NewLink(s, ether.GigabitRate, cfg.WiredDelay)
+	n.Link = ether.NewLink(s, cfg.WiredDelay)
 	n.Server = traffic.NewHost(s, serverID, n.Link.SendAToB)
 	n.ServerTC = &tcp.Host{Sim: s, ID: serverID, Out: n.Server.Out}
 	n.Link.DeliverA = n.Server.Deliver
@@ -346,7 +346,7 @@ func (n *Net) UploadTCP(st *Station, ac pkt.AC) *tcp.Conn {
 // DownloadUDP starts a CBR UDP flood from the server to st and returns the
 // source and the station-side sink.
 func (n *Net) DownloadUDP(st *Station, rateBps float64, ac pkt.AC) (*traffic.UDPSource, *traffic.UDPSink) {
-	n.World.prewarmFor(rateBps, 1500) // traffic.UDPConfig's default datagram size
+	n.World.prewarmFor(rateBps)
 	flow := n.Flow()
 	src := traffic.NewUDPSource(n.Server, traffic.UDPConfig{
 		Dst: st.Host.ID, Flow: flow, RateBps: rateBps, AC: ac,
@@ -358,9 +358,7 @@ func (n *Net) DownloadUDP(st *Station, rateBps float64, ac pkt.AC) (*traffic.UDP
 
 // Ping starts a pinger from the server toward st.
 func (n *Net) Ping(st *Station, interval sim.Time, id int) *traffic.Pinger {
-	p := traffic.NewPinger(n.Server, traffic.PingerConfig{
-		Dst: st.Host.ID, Interval: interval, ID: id, AC: pkt.ACBE,
-	})
+	p := traffic.NewPinger(n.Server, traffic.PingerConfig{Dst: st.Host.ID, Interval: interval, ID: id})
 	p.Start()
 	return p
 }
@@ -382,7 +380,7 @@ func (n *Net) Web(st *Station, page traffic.WebPage) *traffic.WebClient {
 	return traffic.NewWebClient(traffic.WebConfig{
 		Client: st.Host, Server: n.Server,
 		TCPClient: st.TCP, TCPServer: n.ServerTC,
-		Page: page, AC: pkt.ACBE, FlowBase: base << 24,
+		Page: page, FlowBase: base << 24,
 	})
 }
 

@@ -32,7 +32,7 @@ func scaleInstance(scheme mac.Scheme, stations int) *Instance {
 		Net: NetConfig{Scheme: scheme, Stations: scaleSpecs(stations)},
 		Workloads: []*Workload{
 			TCPDown().On(AllButLast()),
-			Pings(0).On(StationAt(0, 1, -1)),
+			Pings().On(StationAt(0, 1, -1)),
 		},
 		Probes: []Probe{
 			ShareAt(0, "slow-share"),

@@ -22,7 +22,7 @@ func sparseInstance(tcp, disable bool) *Instance {
 		},
 		Workloads: []*Workload{
 			bulk.On(FirstStations(3)),
-			Pings(0).On(StationAt(3)),
+			Pings().On(StationAt(3)),
 		},
 		Probes: []Probe{RTTAt(3, "sparse-rtt-ms")},
 	}

@@ -154,7 +154,7 @@ func TestRuntimeAttachCollect(t *testing.T) {
 	rt := NewRuntime(n.World)
 	rt.Attach(UDPFlood(40e6))
 	rt.Attach(VoIPCall(pkt.ACVO).On(StationsNamed("slow")))
-	rt.Attach(Pings(0).On(StationAt(0)))
+	rt.Attach(Pings().On(StationAt(0)))
 	n.Run(1 * sim.Second)
 	rt.Arm()
 	n.Run(5 * sim.Second)

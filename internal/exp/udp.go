@@ -8,6 +8,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/mac"
 	"repro/internal/sched"
+	"repro/internal/traffic"
 )
 
 // udpInstance composes the one-way UDP flood experiment behind Figure 5
@@ -29,15 +30,15 @@ func udpInstance(scheme mac.Scheme, rateBps float64, weights map[string]float64)
 }
 
 // CheckUDPRate reports whether a UDPFlood of mbps to each of stations
-// stations can run. The flood sends a 1500-byte datagram every
-// 12000/mbps µs, truncated to whole nanoseconds, which must be a
-// positive sim.Time; !(x) also rejects NaN. Every station's flood
-// crosses the one wired link, which queues without limit: a total above
-// its rate grows memory for as long as the world runs. The error's text
+// stations can run. The flood sends a traffic.UDPSize (1500-byte)
+// datagram every 12000/mbps µs, truncated to whole nanoseconds, which
+// must be a positive sim.Time; !(x) also rejects NaN. Every station's
+// flood crosses the one wired link, which queues without limit: a total
+// above its rate grows memory for as long as the world runs. The error's text
 // follows the name of the axis or flag that carries the rate, as in
 // "rate-mbps must lie in …".
 func CheckUDPRate(mbps float64, stations int) error {
-	if gap := 1500 * 8 / (mbps * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
+	if gap := traffic.UDPSize * 8 / (mbps * 1e6) * 1e9; !(gap >= 1 && gap < math.MaxInt64) {
 		return fmt.Errorf("must lie in (1.3e-12, 1.2e7], got %v", mbps)
 	}
 	if n := float64(stations); n*mbps*1e6 > ether.GigabitRate {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/pkt"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -173,21 +172,17 @@ func UDPFlood(rateBps float64) *Workload {
 	}
 }
 
-// Pings sends periodic ICMP echoes from the server to each selected
-// station (interval 0 = the 100 ms default); RTT samples feed latency
+// Pings sends ICMP echoes every 100 ms (traffic.PingerConfig's default)
+// from the server to each selected station; RTT samples feed latency
 // probes. Echo identifiers are assigned sequentially in attachment
 // order, so identical compositions ping identically. Defaults to
 // PhaseMeasure, as the paper measures latency only after load settles.
-func Pings(interval sim.Time) *Workload {
-	label := "ICMP ping"
-	if interval > 0 {
-		label = fmt.Sprintf("ICMP ping every %v", interval)
-	}
+func Pings() *Workload {
 	return &Workload{
-		Kind: "ping", Label: label, Phase: PhaseMeasure,
+		Kind: "ping", Label: "ICMP ping", Phase: PhaseMeasure,
 		attach: func(rt *Runtime, i int, st *Station) {
 			rt.pingID++
-			p := st.Cell.Ping(st, interval, rt.pingID)
+			p := st.Cell.Ping(st, 0, rt.pingID)
 			rt.tapRTT(i, p.RTTSample())
 		},
 	}

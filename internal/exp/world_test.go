@@ -24,7 +24,7 @@ func identityInstance(cfg NetConfig) *Instance {
 		Net: cfg,
 		Workloads: []*Workload{
 			UDPFlood(20e6),
-			Pings(0),
+			Pings(),
 		},
 		Probes: []Probe{
 			PerStation(ShareCol("share-"), GoodputCol("goodput-"), AggCol("agg-")),

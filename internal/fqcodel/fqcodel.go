@@ -17,12 +17,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Config holds FQ-CoDel parameters.
+// Config holds FQ-CoDel parameters. The DRR quantum is mactid's (1514
+// bytes) and every queue runs CoDel with codel.Default(), as Linux
+// fq_codel does out of the box.
 type Config struct {
-	Flows    int          // number of hash queues (default 1024)
-	Limit    int          // global packet limit (default 10240)
-	Quantum  int          // DRR quantum in bytes (default 1514)
-	Codel    codel.Params // per-queue AQM parameters
+	Flows    int // number of hash queues, a power of two (default 1024)
+	Limit    int // global packet limit (default 10240)
 	Clock    func() sim.Time
 	DropHook func(*pkt.Packet) // invoked for every dropped packet (may be nil)
 }
@@ -42,13 +42,7 @@ func New(cfg Config) *FQCoDel {
 	if cfg.Limit <= 0 {
 		cfg.Limit = 10240 // Linux fq_codel's default; mactid's is 8192
 	}
-	if cfg.Codel == (codel.Params{}) {
-		cfg.Codel = codel.Default()
-	}
-	fq := mactid.New(mactid.Config{
-		Flows: cfg.Flows, Limit: cfg.Limit, Quantum: cfg.Quantum,
-		DropHook: cfg.DropHook,
-	})
+	fq := mactid.New(mactid.Config{Flows: cfg.Flows, Limit: cfg.Limit, DropHook: cfg.DropHook})
 	return &FQCoDel{cfg: cfg, fq: fq, tid: fq.NewTID()}
 }
 
@@ -60,7 +54,7 @@ func (f *FQCoDel) Enqueue(p *pkt.Packet) bool { return f.tid.Enqueue(p, f.cfg.Cl
 // Dequeue implements qdisc.Qdisc, applying the RFC 8290 scheduling loop.
 //
 //hj17:hotpath
-func (f *FQCoDel) Dequeue() *pkt.Packet { return f.tid.Dequeue(f.cfg.Clock(), f.cfg.Codel) }
+func (f *FQCoDel) Dequeue() *pkt.Packet { return f.tid.Dequeue(f.cfg.Clock(), codel.Default()) }
 
 // Len implements qdisc.Qdisc.
 func (f *FQCoDel) Len() int { return f.fq.Len() }

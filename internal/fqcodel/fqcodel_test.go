@@ -34,7 +34,7 @@ func TestFIFOWithinFlow(t *testing.T) {
 }
 
 func TestRoundRobinFairness(t *testing.T) {
-	fq, _ := newFQ(t, Config{Quantum: 1500})
+	fq, _ := newFQ(t, Config{})
 	// Two backlogged flows with equal packet sizes share dequeues evenly.
 	for i := 0; i < 100; i++ {
 		fq.Enqueue(mkp(1, 1000))
@@ -51,7 +51,7 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestByteFairnessUnequalSizes(t *testing.T) {
-	fq, _ := newFQ(t, Config{Quantum: 1500})
+	fq, _ := newFQ(t, Config{})
 	// Flow 1 sends 1500-byte packets, flow 2 sends 300-byte packets. DRR
 	// should equalise bytes, so flow 2 gets ~5x the packets.
 	for i := 0; i < 300; i++ {

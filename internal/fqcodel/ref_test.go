@@ -68,18 +68,15 @@ func TestMatchesReference(t *testing.T) {
 // unchanged, under test-only names, as the oracle TestMatchesReference
 // runs the adapter against.
 
+// refQuantum is the DRR quantum in bytes, Linux fq_codel's default.
+const refQuantum = 1514
+
 func refFill(c *Config) {
 	if c.Flows <= 0 {
 		c.Flows = 1024
 	}
 	if c.Limit <= 0 {
 		c.Limit = 10240
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1514
-	}
-	if c.Codel == (codel.Params{}) {
-		c.Codel = codel.Default()
 	}
 	if c.Clock == nil {
 		panic("fqcodel: Config.Clock is required")
@@ -288,7 +285,7 @@ func (fq *refFQCoDel) Enqueue(p *pkt.Packet) bool {
 	fq.occUpdate(f)
 	fq.len++
 	if f.inList == refListNone {
-		f.deficit = fq.cfg.Quantum
+		f.deficit = refQuantum
 		fq.newQ.pushTail(f, refListNew)
 	}
 	accepted := true
@@ -326,7 +323,7 @@ func (fq *refFQCoDel) Dequeue() *pkt.Packet {
 			return nil
 		}
 		if f.deficit <= 0 {
-			f.deficit += fq.cfg.Quantum
+			f.deficit += refQuantum
 			if fromNew {
 				fq.newQ.popHead()
 			} else {
@@ -335,7 +332,7 @@ func (fq *refFQCoDel) Dequeue() *pkt.Packet {
 			fq.oldQ.pushTail(f, refListOld)
 			continue
 		}
-		p := f.cv.Dequeue(&f.q, fq.cfg.Codel, now, fq.codelDrop)
+		p := f.cv.Dequeue(&f.q, codel.Default(), now, fq.codelDrop)
 		fq.occUpdate(f)
 		if p == nil {
 			if fromNew {

@@ -193,9 +193,9 @@ func TestPerMPDULossRetries(t *testing.T) {
 }
 
 // TestRetryLimitDrops: at 100% loss every MPDU must eventually be dropped
-// after RetryLimit attempts, and the node must not wedge.
+// once it exhausts the retry limit, and the node must not wedge.
 func TestRetryLimitDrops(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFQMAC, PerMPDULoss: 1.0, RetryLimit: 3}, phy.MCS(7, true))
+	r := newRig(t, Config{Scheme: SchemeFQMAC, PerMPDULoss: 1.0}, phy.MCS(7, true))
 	for i := 0; i < 10; i++ {
 		r.ap.Input(dataPkt(10, 1500, 1))
 	}
@@ -317,7 +317,7 @@ func TestCodelParamsPerStation(t *testing.T) {
 		if math.Abs(expect-tc.mbps) > 0.05 {
 			t.Errorf("%v: expected throughput %.2f Mbps, want %.1f", tc.rate, expect, tc.mbps)
 		}
-		if got := sta.CodelParams(); got != tc.want {
+		if got := sta.codelPa; got != tc.want {
 			t.Errorf("%v at threshold %g: params %+v, want %+v", tc.rate, tc.threshold, got, tc.want)
 		}
 	}
@@ -351,14 +351,14 @@ func TestSchemeWiring(t *testing.T) {
 }
 
 // TestGlobalLimitFQMAC: overflowing the integrated structure drops from
-// the longest queue, keeping total below the limit.
+// the longest queue, keeping total below its 8192-packet limit.
 func TestGlobalLimitFQMAC(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFQMAC, FQLimit: 256}, phy.MCS(0, true))
-	for i := 0; i < 1000; i++ {
+	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(0, true))
+	for i := 0; i < 9000; i++ {
 		r.ap.Input(dataPkt(10, 1500, 1))
 	}
-	if got := r.ap.FqStats().Len(); got > 256 {
-		t.Errorf("fq len = %d, want <= 256", got)
+	if got := r.ap.FqStats().Len(); got > 8192 {
+		t.Errorf("fq len = %d, want <= 8192", got)
 	}
 	if r.ap.FqStats().OverlimitDrops() == 0 {
 		t.Error("no overlimit drops recorded")
@@ -626,13 +626,13 @@ func TestRTSRetimedOnInPlaceRetry(t *testing.T) {
 		{"still long", 2, 8, true},
 		{"now short", 8, 2, false},
 	} {
-		r := newRig(t, Config{Scheme: SchemeFQMAC, RetryLimit: 1, RTSThreshold: thr}, rate)
+		r := newRig(t, Config{Scheme: SchemeFQMAC, RTSThreshold: thr}, rate)
 		ap := r.ap
 		tid := ap.Station(10).tids[pkt.ACBE]
 		for i := 0; i < tc.retried+tc.kept; i++ {
 			p := dataPkt(10, 1500, 1)
 			if i < tc.retried {
-				p.Retries = 1
+				p.Retries = retryLimit
 			}
 			tid.retryq.Push(p)
 		}

@@ -73,9 +73,6 @@ type Config struct {
 	BSS int
 
 	MaxAggrDur sim.Time // A-MPDU cap in air time (default 4 ms, ath9k)
-	RetryLimit int      // MPDU retransmission limit (default 10)
-
-	FQLimit int // packet limit of the FQ-CoDel / FQ-MAC structures
 
 	AirtimeQuantum sim.Time // airtime scheduler quantum (default 300 µs)
 	DisableSparse  bool     // turn off the sparse-station optimisation
@@ -92,11 +89,11 @@ type Config struct {
 
 // Fixed parameters of the modelled ath9k transmit path.
 const (
-	maxAggrFrames = 32                      // A-MPDU cap in MPDUs
-	maxAggrBytes  = 65535                   // A-MPDU cap in framed bytes
-	hwQueueDepth  = 2                       // aggregates queued to hardware
-	qdiscLimit    = qdisc.DefaultPFIFOLimit // PFIFO packet limit
-	driverBuf     = 128                     // shared driver buffer budget in packets
+	maxAggrFrames = 32    // A-MPDU cap in MPDUs
+	maxAggrBytes  = 65535 // A-MPDU cap in framed bytes
+	hwQueueDepth  = 2     // aggregates queued to hardware
+	driverBuf     = 128   // shared driver buffer budget in packets
+	retryLimit    = 10    // MPDU retransmission limit
 
 	// reorderTimeout bounds how long the receive-side reorder buffer
 	// holds a given hole before releasing, matching mac80211's 100 ms
@@ -108,9 +105,6 @@ const (
 func (c *Config) fill() {
 	if c.MaxAggrDur <= 0 {
 		c.MaxAggrDur = 4 * sim.Millisecond
-	}
-	if c.RetryLimit <= 0 {
-		c.RetryLimit = 10
 	}
 	if c.AirtimeQuantum <= 0 {
 		c.AirtimeQuantum = sched.DefaultQuantum
@@ -465,7 +459,7 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 		keep := agg.Pkts[:0]
 		for _, p := range agg.Pkts {
 			p.Retries++
-			if p.Retries > n.cfg.RetryLimit {
+			if p.Retries > retryLimit {
 				n.dropMPDU(sta, p)
 				continue
 			}
@@ -541,7 +535,7 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 //hj17:owns
 func (n *Node) retryMPDU(t *tidState, p *pkt.Packet) {
 	p.Retries++
-	if p.Retries > n.cfg.RetryLimit {
+	if p.Retries > retryLimit {
 		n.dropMPDU(t.sta, p)
 		return
 	}

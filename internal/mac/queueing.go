@@ -54,19 +54,18 @@ type qdiscLayer struct {
 // initQueueing builds the node's substrate for q.
 func (n *Node) initQueueing(q Queueing) {
 	if q == IntegratedQueueing {
-		n.fq = mactid.New(mactid.Config{Limit: n.cfg.FQLimit, DropHook: n.freePkt})
+		n.fq = mactid.New(mactid.Config{DropHook: n.freePkt})
 		return
 	}
 	n.qd = &qdiscLayer{hooked: q == FQCoDelQueueing}
 	for ac := range n.qd.qdiscs {
 		if q == FQCoDelQueueing {
 			n.qd.qdiscs[ac] = fqcodel.New(fqcodel.Config{
-				Limit:    n.cfg.FQLimit,
 				Clock:    n.env.Sim.Now,
 				DropHook: n.freePkt,
 			})
 		} else {
-			n.qd.qdiscs[ac] = qdisc.NewPFIFO(qdiscLimit)
+			n.qd.qdiscs[ac] = new(qdisc.PFIFO)
 		}
 	}
 }

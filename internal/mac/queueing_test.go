@@ -11,16 +11,16 @@ import (
 // TestQdiscBusyBits: the qdisc substrates skip an access category whose
 // busy bit is clear, which is exact only if a clear bit always means an
 // empty qdisc. A FIFO and an FQ-CoDel AP are overloaded with BE, VO and
-// BK traffic to two slow stations, the FQ-CoDel qdisc with a limit small
-// enough that it drops internally, and the invariant is checked after
-// every event. Once the traffic stops and the queues drain, every bit
+// BK traffic to two slow stations, long enough for the FQ-CoDel qdisc's
+// CoDel to drop internally, and the invariant is checked after every
+// event. Once the traffic stops and the queues drain, every bit
 // must be clear again.
 func TestQdiscBusyBits(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeFIFO, SchemeFQCoDel} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			s := sim.New(1)
 			env := NewEnv(s)
-			ap := mustNode(t, env, 1, "ap", Config{Scheme: scheme, FQLimit: 40})
+			ap := mustNode(t, env, 1, "ap", Config{Scheme: scheme})
 			ap.Deliver = func(*pkt.Packet) {}
 			for _, id := range []pkt.NodeID{10, 11} {
 				sta := mustNode(t, env, id, "sta", Config{Scheme: SchemeFIFO})

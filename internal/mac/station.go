@@ -59,10 +59,6 @@ func (s *Station) MeanAggregation() float64 {
 	return float64(s.AggPackets) / float64(s.AggCount)
 }
 
-// CodelParams returns the CoDel parameters currently applied to this
-// station's queues.
-func (s *Station) CodelParams() codel.Params { return s.codelPa }
-
 // codelParamsFor implements §3.1.1 for a station at rate r: the
 // 50 ms/300 ms parameters when its expected throughput, the effective
 // rate at a typical aggregation level, is below cfg.SlowRateThreshold,

@@ -21,11 +21,14 @@ import (
 
 // Config parameterises the shared queueing structure.
 type Config struct {
-	Flows    int // global number of flow queues (default 1024)
+	Flows    int // global number of flow queues, a power of two (default 1024)
 	Limit    int // global packet limit (default 8192, the paper's figure 3)
-	Quantum  int // DRR quantum in bytes (default 1514)
 	DropHook func(*pkt.Packet)
 }
+
+// quantum is the DRR quantum in bytes: one full-size Ethernet frame, the
+// Linux fq_codel default.
+const quantum = 1514
 
 func (c *Config) fill() {
 	if c.Flows <= 0 {
@@ -33,9 +36,6 @@ func (c *Config) fill() {
 	}
 	if c.Limit <= 0 {
 		c.Limit = 8192
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1514
 	}
 	if c.DropHook == nil {
 		// A no-op hook keeps the drop path unconditional, so packet
@@ -125,8 +125,8 @@ type Fq struct {
 	// bytes change, never after: the flush of the previous pending queue
 	// then sifts through a heap in which every other key is current.
 	pending *queue
-	// flowMask replaces the hash modulo when Flows is a power of two
-	// (the default): k % n == k & (n-1) then. Zero for other counts.
+	// flowMask maps a flow key to its hash queue: Flows is a power of
+	// two, so k & (Flows-1) == k % Flows.
 	flowMask uint64
 	len      int
 
@@ -137,20 +137,21 @@ type Fq struct {
 	sparseHits int
 }
 
-// New creates the shared structure.
+// New creates the shared structure. It panics if cfg.Flows is not a
+// power of two.
 func New(cfg Config) *Fq {
 	cfg.fill()
-	fq := &Fq{
-		cfg: cfg,
+	if cfg.Flows&(cfg.Flows-1) != 0 {
+		panic("mactid: Config.Flows must be a power of two")
+	}
+	return &Fq{
+		cfg:      cfg,
+		flowMask: uint64(cfg.Flows - 1),
 		// Backlogged queues are few even under saturation; a small
 		// starting capacity keeps steady-state occupancy tracking
 		// allocation-free.
 		occupied: make([]*queue, 0, 16),
 	}
-	if cfg.Flows&(cfg.Flows-1) == 0 {
-		fq.flowMask = uint64(cfg.Flows - 1)
-	}
-	return fq
 }
 
 // buildFlows allocates the hash-queue table on first use.
@@ -173,9 +174,6 @@ func (fq *Fq) CodelDrops() int { return fq.codelDrops }
 
 // OverlimitDrops reports packets dropped by the global limit.
 func (fq *Fq) OverlimitDrops() int { return fq.overDrops }
-
-// HashCollisions reports packets diverted to TID overflow queues.
-func (fq *Fq) HashCollisions() int { return fq.collisions }
 
 // SparseDequeues reports packets served from new-queue (sparse) lists.
 func (fq *Fq) SparseDequeues() int { return fq.sparseHits }
@@ -375,12 +373,7 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	if fq.flows == nil {
 		fq.buildFlows()
 	}
-	var q *queue
-	if fq.flowMask != 0 {
-		q = &fq.flows[p.FlowKey()&fq.flowMask]
-	} else {
-		q = &fq.flows[p.FlowKey()%uint64(len(fq.flows))]
-	}
+	q := &fq.flows[p.FlowKey()&fq.flowMask]
 	if q.tid != nil && q.tid != t {
 		q = t.overflowQ
 		fq.collisions++
@@ -392,7 +385,7 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	fq.len++
 	t.len++
 	if q.inList == listNone {
-		q.deficit = fq.cfg.Quantum
+		q.deficit = quantum
 		t.newQ.pushTail(q, listNew)
 	}
 	for fq.len > fq.cfg.Limit {
@@ -425,7 +418,7 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 			return nil
 		}
 		if q.deficit <= 0 {
-			q.deficit += fq.cfg.Quantum
+			q.deficit += quantum
 			if fromNew {
 				t.newQ.popHead()
 			} else {

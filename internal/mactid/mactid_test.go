@@ -60,8 +60,8 @@ func TestHashCollisionGoesToOverflow(t *testing.T) {
 	b := mkp(2, 100)
 	t1.Enqueue(a, 0)
 	t2.Enqueue(b, 0) // collides; must land in t2's overflow queue
-	if fq.HashCollisions() != 1 {
-		t.Fatalf("collisions = %d, want 1", fq.HashCollisions())
+	if fq.collisions != 1 {
+		t.Fatalf("collisions = %d, want 1", fq.collisions)
 	}
 	if got := t2.Dequeue(0, pa()); got != b {
 		t.Fatalf("TID2 did not recover its packet from overflow: %+v", got)
@@ -87,9 +87,9 @@ func TestTIDBindingReleased(t *testing.T) {
 		t.Fatal("expected empty")
 	}
 	// Now TID2 can claim the hash queue without a collision.
-	before := fq.HashCollisions()
+	before := fq.collisions
 	t2.Enqueue(mkp(2, 100), 0)
-	if fq.HashCollisions() != before {
+	if fq.collisions != before {
 		t.Fatal("binding not released: collision recorded")
 	}
 	if t2.Dequeue(0, pa()) == nil {
@@ -242,4 +242,18 @@ func TestFlowTableBuiltOnFirstEnqueue(t *testing.T) {
 	if len(fq.flows) != 64 {
 		t.Fatalf("first Enqueue built %d queues, want 64", len(fq.flows))
 	}
+}
+
+// TestFlowsMustBePowerOfTwo: the hash masks the flow key, which indexes
+// every queue only when the table size is a power of two.
+func TestFlowsMustBePowerOfTwo(t *testing.T) {
+	for _, flows := range []int{1, 2, 1024} {
+		New(Config{Flows: flows})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 1000 flows")
+		}
+	}()
+	New(Config{Flows: 1000})
 }

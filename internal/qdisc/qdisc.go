@@ -25,30 +25,21 @@ type Qdisc interface {
 }
 
 // PFIFO is the default Linux packet-FIFO discipline: a single tail-drop
-// queue with a packet-count limit.
+// queue holding at most pfifoLimit packets. The zero value is ready to
+// use.
 type PFIFO struct {
 	q     pkt.Queue
-	limit int
 	drops int
 }
 
-// DefaultPFIFOLimit is the Linux default txqueuelen.
-const DefaultPFIFOLimit = 1000
-
-// NewPFIFO returns a PFIFO with the given packet limit (DefaultPFIFOLimit
-// if limit <= 0).
-func NewPFIFO(limit int) *PFIFO {
-	if limit <= 0 {
-		limit = DefaultPFIFOLimit
-	}
-	return &PFIFO{limit: limit}
-}
+// pfifoLimit is PFIFO's packet limit, the Linux default txqueuelen.
+const pfifoLimit = 1000
 
 // Enqueue implements Qdisc.
 //
 //hj17:hotpath
 func (f *PFIFO) Enqueue(p *pkt.Packet) bool {
-	if f.q.Len() >= f.limit {
+	if f.q.Len() >= pfifoLimit {
 		f.drops++
 		return false
 	}

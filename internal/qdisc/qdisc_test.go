@@ -7,7 +7,7 @@ import (
 )
 
 func TestPFIFOOrder(t *testing.T) {
-	f := NewPFIFO(10)
+	f := new(PFIFO)
 	for i := 0; i < 5; i++ {
 		p := &pkt.Packet{Size: 100, SeqNo: int64(i)}
 		if !f.Enqueue(p) {
@@ -26,28 +26,16 @@ func TestPFIFOOrder(t *testing.T) {
 }
 
 func TestPFIFOTailDrop(t *testing.T) {
-	f := NewPFIFO(3)
-	for i := 0; i < 3; i++ {
+	var f PFIFO
+	for i := 0; i < pfifoLimit; i++ {
 		if !f.Enqueue(&pkt.Packet{Size: 100}) {
-			t.Fatal("premature drop")
+			t.Fatalf("premature drop at %d", i)
 		}
 	}
 	if f.Enqueue(&pkt.Packet{Size: 100}) {
 		t.Fatal("over-limit enqueue accepted")
 	}
-	if f.Drops() != 1 || f.Len() != 3 {
+	if f.Drops() != 1 || f.Len() != pfifoLimit {
 		t.Fatalf("drops=%d len=%d", f.Drops(), f.Len())
-	}
-}
-
-func TestPFIFODefaultLimit(t *testing.T) {
-	f := NewPFIFO(0)
-	for i := 0; i < DefaultPFIFOLimit; i++ {
-		if !f.Enqueue(&pkt.Packet{Size: 1}) {
-			t.Fatalf("dropped below default limit at %d", i)
-		}
-	}
-	if f.Enqueue(&pkt.Packet{Size: 1}) {
-		t.Fatal("default limit not enforced")
 	}
 }

@@ -29,10 +29,10 @@ type Airtime struct {
 	newL, oldL list
 }
 
-// NewAirtime returns the paper's airtime scheduler with the given quantum
-// (0 = DefaultQuantum) and sparse-station optimisation setting.
+// NewAirtime returns the paper's airtime scheduler with the given
+// positive quantum and sparse-station optimisation setting.
 func NewAirtime(quantum sim.Time, sparseOpt bool) *Airtime {
-	return &Airtime{quantum: quantumOr(quantum), sparseOpt: sparseOpt}
+	return &Airtime{quantum: quantum, sparseOpt: sparseOpt}
 }
 
 // NewWeightedAirtime returns the airtime scheduler with the per-station

@@ -21,9 +21,9 @@ type DTT struct {
 	rot     list
 }
 
-// NewDTT returns the DTT comparison baseline with the given quantum
-// (0 = DefaultQuantum).
-func NewDTT(quantum sim.Time) *DTT { return &DTT{quantum: quantumOr(quantum)} }
+// NewDTT returns the DTT comparison baseline with the given positive
+// quantum.
+func NewDTT(quantum sim.Time) *DTT { return &DTT{quantum: quantum} }
 
 // Register implements StationScheduler.
 func (d *DTT) Register(backlogged func() bool) *Entry {

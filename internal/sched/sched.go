@@ -92,13 +92,6 @@ type StationScheduler interface {
 	ChargeRx(e *Entry, air sim.Time)
 }
 
-func quantumOr(q sim.Time) sim.Time {
-	if q > 0 {
-		return q
-	}
-	return DefaultQuantum
-}
-
 // list is a singly linked FIFO of entries threaded through Entry.next.
 // An entry is on at most one list at a time, and Entry.listed records
 // whether it is on one.

@@ -38,10 +38,10 @@ var policies = []struct {
 	name string
 	new  func() StationScheduler
 }{
-	{"Airtime", func() StationScheduler { return NewAirtime(0, true) }},
-	{"Airtime-nosparse", func() StationScheduler { return NewAirtime(0, false) }},
-	{"Weighted-Airtime", func() StationScheduler { return NewWeightedAirtime(0, true) }},
-	{"DTT", func() StationScheduler { return NewDTT(0) }},
+	{"Airtime", func() StationScheduler { return NewAirtime(DefaultQuantum, true) }},
+	{"Airtime-nosparse", func() StationScheduler { return NewAirtime(DefaultQuantum, false) }},
+	{"Weighted-Airtime", func() StationScheduler { return NewWeightedAirtime(DefaultQuantum, true) }},
+	{"DTT", func() StationScheduler { return NewDTT(DefaultQuantum) }},
 	{"RoundRobin", func() StationScheduler { return NewRoundRobin() }},
 }
 
@@ -93,10 +93,11 @@ func TestActivateIdempotent(t *testing.T) {
 	}
 }
 
-// TestZeroQuantumDefaults: a zero quantum means DefaultQuantum, which a
-// newly activated entry starts with.
+// TestZeroQuantumDefaults: a newly activated entry starts with one
+// quantum, here DefaultQuantum, which mac.Config.fill puts in place of a
+// zero AirtimeQuantum before any scheduler is built.
 func TestZeroQuantumDefaults(t *testing.T) {
-	for _, s := range []StationScheduler{NewAirtime(0, true), NewWeightedAirtime(0, false), NewDTT(0)} {
+	for _, s := range []StationScheduler{NewAirtime(DefaultQuantum, true), NewWeightedAirtime(DefaultQuantum, false), NewDTT(DefaultQuantum)} {
 		if a := add(s); a.balance != DefaultQuantum {
 			t.Fatalf("%T: balance = %v, want the default quantum", s, a.balance)
 		}
@@ -106,7 +107,7 @@ func TestZeroQuantumDefaults(t *testing.T) {
 // TestAirtimeFairnessLongRun: three stations with different per-aggregate
 // durations converge to equal airtime.
 func TestAirtimeFairnessLongRun(t *testing.T) {
-	s := NewAirtime(0, true)
+	s := NewAirtime(DefaultQuantum, true)
 	durs := []sim.Time{300 * sim.Microsecond, 1600 * sim.Microsecond, 3800 * sim.Microsecond}
 	stas := []*sta{add(s), add(s), add(s)}
 	total := make([]sim.Time, 3)
@@ -161,7 +162,7 @@ func TestDeficitRecovery(t *testing.T) {
 // TestSparseStationPriority: a newly active station jumps ahead of
 // existing old-list stations for one round.
 func TestSparseStationPriority(t *testing.T) {
-	s := NewAirtime(0, true)
+	s := NewAirtime(DefaultQuantum, true)
 	bulk := add(s)
 	s.ChargeTx(s.Next(), 10*sim.Millisecond, 0) // deficit goes negative
 	s.Next()                                    // replenish + rotate to old
@@ -180,7 +181,7 @@ func TestSparseStationPriority(t *testing.T) {
 // TestSparseAntiGaming: a sparse station that empties moves to the old
 // list; reactivating immediately must not re-grant new-list priority.
 func TestSparseAntiGaming(t *testing.T) {
-	s := NewAirtime(0, true)
+	s := NewAirtime(DefaultQuantum, true)
 	bulk := add(s)
 	s.ChargeTx(s.Next(), 10*sim.Millisecond, 0)
 	s.Next() // bulk rotates to the old list, gets fresh quanta
@@ -210,7 +211,7 @@ func TestSparseAntiGaming(t *testing.T) {
 // TestSparseOptDisabled: with the optimisation off, new stations join the
 // old list directly and wait behind a station that still has deficit.
 func TestSparseOptDisabled(t *testing.T) {
-	s := NewAirtime(0, false)
+	s := NewAirtime(DefaultQuantum, false)
 	bulk := add(s)
 	if s.Next() != bulk.Entry {
 		t.Fatal("bulk missing")
@@ -227,7 +228,7 @@ func TestSparseOptDisabled(t *testing.T) {
 // TestRxChargingAffectsSchedule: airtime charged for received frames
 // pushes a station behind its peers (§3.2 advantage 2).
 func TestRxChargingAffectsSchedule(t *testing.T) {
-	s := NewAirtime(0, true)
+	s := NewAirtime(DefaultQuantum, true)
 	up := add(s)
 	down := add(s)
 	s.ChargeRx(up.Entry, 50*sim.Millisecond)
@@ -248,7 +249,7 @@ func TestRxChargingAffectsSchedule(t *testing.T) {
 // TestAirtimeChargesAirNotWall: Next returns the registered entry itself,
 // and ChargeTx bills the true airtime, never the wall-clock duration.
 func TestAirtimeChargesAirNotWall(t *testing.T) {
-	s := NewAirtime(0, true)
+	s := NewAirtime(DefaultQuantum, true)
 	a := add(s)
 	add(s)
 	if s.Next() != a.Entry {
@@ -264,7 +265,7 @@ func TestAirtimeChargesAirNotWall(t *testing.T) {
 // TestWeightedAirtimeShares: with a 2:1 weight ratio the weighted
 // scheduler grants the heavy station about twice the airtime.
 func TestWeightedAirtimeShares(t *testing.T) {
-	s := NewWeightedAirtime(0, false)
+	s := NewWeightedAirtime(DefaultQuantum, false)
 	heavy := s.Register(func() bool { return true })
 	light := s.Register(func() bool { return true })
 	heavy.Weight = 2
@@ -293,7 +294,7 @@ func TestWeightedAirtimeShares(t *testing.T) {
 // TestPlainAirtimeIgnoresWeights: the unweighted scheduler never reads
 // Entry.Weight, so the paper's scheme cannot be skewed accidentally.
 func TestPlainAirtimeIgnoresWeights(t *testing.T) {
-	s := NewAirtime(0, false)
+	s := NewAirtime(DefaultQuantum, false)
 	e1 := s.Register(func() bool { return true })
 	e2 := s.Register(func() bool { return true })
 	e1.Weight = 8
@@ -324,7 +325,7 @@ func TestWeightBounds(t *testing.T) {
 		if err := CheckWeight(w); err != nil {
 			t.Errorf("CheckWeight(%v) = %v, want nil", w, err)
 		}
-		s := NewWeightedAirtime(0, true)
+		s := NewWeightedAirtime(DefaultQuantum, true)
 		a := s.Register(func() bool { return true })
 		a.Weight = w
 		s.Activate(a)
@@ -343,7 +344,7 @@ func TestWeightBounds(t *testing.T) {
 // TestDTTBillsWallClock: DTT charges the wall-clock duration and ignores
 // received airtime, per the original proposal.
 func TestDTTBillsWallClock(t *testing.T) {
-	s := NewDTT(0)
+	s := NewDTT(DefaultQuantum)
 	a := add(s)
 	if s.Next() != a.Entry {
 		t.Fatal("Next did not return the registered entry")
@@ -376,7 +377,7 @@ func TestReplenishWhenBroke(t *testing.T) {
 // TestEqualChargingFairness: DTT equalises the time it is billed across
 // stations with different aggregate durations.
 func TestEqualChargingFairness(t *testing.T) {
-	s := NewDTT(0)
+	s := NewDTT(DefaultQuantum)
 	durs := []sim.Time{500 * sim.Microsecond, 2 * sim.Millisecond, 4 * sim.Millisecond}
 	stas := []*sta{add(s), add(s), add(s)}
 	total := make([]sim.Time, 3)
@@ -403,7 +404,7 @@ func TestEqualChargingFairness(t *testing.T) {
 // TestRotationSkipsIdle: DTT skips an idle entry, which leaves the
 // rotation until it is activated again.
 func TestRotationSkipsIdle(t *testing.T) {
-	s := NewDTT(0)
+	s := NewDTT(DefaultQuantum)
 	a := add(s)
 	b := add(s)
 	a.on = false

@@ -22,7 +22,7 @@ func TestCancelThenRescheduleStaleRef(t *testing.T) {
 	// head. Run past its deadline to force the recycle.
 	s.At(6, func() {})
 	s.Run(0)
-	if got := s.EventsAllocated(); got != 2 {
+	if got := s.allocated; got != 2 {
 		t.Fatalf("allocated %d events, want 2", got)
 	}
 
@@ -30,7 +30,7 @@ func TestCancelThenRescheduleStaleRef(t *testing.T) {
 	// generation.
 	fired := false
 	fresh := s.At(10, func() { fired = true })
-	if s.EventsAllocated() != 2 {
+	if s.allocated != 2 {
 		t.Fatal("reschedule did not reuse the recycled event object")
 	}
 

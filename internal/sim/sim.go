@@ -157,10 +157,6 @@ func (s *Sim) Rand() *Rand { return s.rng }
 // EventsRun reports how many events have executed so far.
 func (s *Sim) EventsRun() uint64 { return s.nRun }
 
-// EventsAllocated reports how many Event objects were ever heap-allocated
-// (as opposed to recycled from the free list), for benchmarks.
-func (s *Sim) EventsAllocated() uint64 { return s.allocated }
-
 // Pending reports the number of events currently scheduled to fire
 // (cancelled events awaiting lazy recycling are not counted).
 func (s *Sim) Pending() int { return s.live }

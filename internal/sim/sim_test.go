@@ -100,7 +100,7 @@ func TestEventRecycling(t *testing.T) {
 	}
 	s.After(10, tick)
 	s.Run(0)
-	if got := s.EventsAllocated(); got > 4 {
+	if got := s.allocated; got > 4 {
 		t.Fatalf("allocated %d events for a serial chain, want <= 4", got)
 	}
 }

@@ -42,9 +42,9 @@ func TestSlowStartDoubling(t *testing.T) {
 	c.OpenInstant()
 	c.Client().SendForever()
 	p.s.RunUntil(100 * sim.Millisecond) // ~2.5 RTT
-	w1 := c.Client().Cwnd()
+	w1 := c.Client().cwnd
 	p.s.RunUntil(200 * sim.Millisecond)
-	w2 := c.Client().Cwnd()
+	w2 := c.Client().cwnd
 	if w2 < w1*2.5 {
 		t.Errorf("slow start too slow: %.0f -> %.0f over ~2.5 RTTs", w1, w2)
 	}
@@ -123,18 +123,19 @@ func TestDelayedAcks(t *testing.T) {
 	}
 }
 
-// TestReceiveWindowLimit: a small advertised window must cap throughput
-// at wnd/RTT.
+// TestReceiveWindowLimit: the advertised window must cap throughput at
+// wnd/RTT. Over a 500 ms RTT the lossless pipe would carry more than
+// DefaultWnd per round trip, so the window binds.
 func TestReceiveWindowLimit(t *testing.T) {
-	p := newPipe(1, 25*sim.Millisecond) // 50 ms RTT
-	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1, RcvWnd: 64 << 10})
+	p := newPipe(1, 250*sim.Millisecond) // 500 ms RTT
+	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1})
 	p.connect(c)
 	c.OpenInstant()
 	c.Client().SendForever()
 	p.s.RunUntil(10 * sim.Second)
 	got := float64(c.Server().TotalReceived())
-	// Ceiling: 64 KiB per 50 ms = ~13.1 MB in 10 s. Allow headroom.
-	maxBytes := 64.0 * 1024 / 0.05 * 10 * 1.1
+	// Ceiling: 6 MiB per 500 ms = ~126 MB in 10 s. Allow headroom.
+	maxBytes := float64(DefaultWnd) / 0.5 * 10 * 1.1
 	if got > maxBytes {
 		t.Errorf("receive window not honoured: %d bytes in 10 s (cap ~%.0f)", int64(got), maxBytes)
 	}

@@ -28,7 +28,7 @@ const (
 	MaxRTO     = 60 * sim.Second
 	InitRTO    = 1 * sim.Second
 	DelAckTime = 40 * sim.Millisecond
-	DefaultWnd = 6 << 20 // receive window bytes
+	DefaultWnd = 6 << 20 // receive window bytes, fixed for every connection
 	maxSackBlk = 16      // SACK ranges carried per ACK (model simplification)
 )
 
@@ -43,7 +43,6 @@ type Options struct {
 	Client, Server *Host
 	AC             pkt.AC
 	Flow           uint64 // unique flow id; both directions share it
-	RcvWnd         int64  // receive window (DefaultWnd if 0)
 }
 
 // Host describes one endpoint's attachment to the simulation.
@@ -77,9 +76,6 @@ type Conn struct {
 // the handshake; data queued before the handshake completes is sent once
 // the connection is established.
 func NewConn(opts Options) *Conn {
-	if opts.RcvWnd <= 0 {
-		opts.RcvWnd = DefaultWnd
-	}
 	if opts.Client == nil || opts.Server == nil {
 		panic("tcp: Options.Client and Options.Server are required")
 	}
@@ -183,20 +179,11 @@ func (e *Endpoint) init(c *Conn, h *Host, peer pkt.NodeID, client bool) {
 	e.cwnd = InitCwnd
 	e.ssthresh = 1 << 30
 	e.rto = InitRTO
-	e.peerWnd = c.opts.RcvWnd
+	e.peerWnd = DefaultWnd
 }
-
-// Established reports whether the handshake has completed at this end.
-func (e *Endpoint) Established() bool { return e.established }
 
 // TotalReceived reports the cumulative in-order bytes delivered.
 func (e *Endpoint) TotalReceived() int64 { return e.rcvTotal }
-
-// Cwnd reports the current congestion window in bytes (for tests).
-func (e *Endpoint) Cwnd() float64 { return e.cwnd }
-
-// RTO reports the current retransmission timeout (for tests).
-func (e *Endpoint) RTO() sim.Time { return e.rto }
 
 // SendData queues n application bytes for transmission.
 func (e *Endpoint) SendData(n int64) {
@@ -227,7 +214,7 @@ func (e *Endpoint) newPacket(size int, flags pkt.TCPFlag, seq, ack int64, sack *
 	pool := e.host.pktPool()
 	h := pool.GetHeader()
 	h.Flags, h.Seq, h.Ack = flags, seq, ack
-	h.Window = e.conn.opts.RcvWnd
+	h.Window = DefaultWnd
 	h.SrcPort, h.DstPort = srcPort, dstPort
 	if sack != nil {
 		for i := len(sack.s) - 1; i >= 0 && len(h.Sack) < maxSackBlk; i-- {
@@ -705,6 +692,3 @@ func clampT(v, lo, hi sim.Time) sim.Time {
 	}
 	return v
 }
-
-// DebugUna exposes the oldest unacknowledged byte (for debugging tests).
-func (e *Endpoint) DebugUna() int64 { return e.una }

@@ -68,7 +68,7 @@ func TestHandshake(t *testing.T) {
 	c.Open()
 	c.Client().SendData(5000)
 	p.s.RunUntil(2 * sim.Second)
-	if !c.Client().Established() || !c.Server().Established() {
+	if !c.Client().established || !c.Server().established {
 		t.Fatal("handshake did not complete")
 	}
 	if got := c.Server().TotalReceived(); got != 5000 {
@@ -167,13 +167,13 @@ func TestTailLossRTO(t *testing.T) {
 }
 
 // TestRTOFiresAtDeadline cuts the ACK path mid-transfer. The RTO must not
-// fire while ACKs advance, and once they stop it must fire exactly RTO()
-// after the last advancing ACK.
+// fire while ACKs advance, and once they stop it must fire exactly one
+// RTO after the last advancing ACK.
 func TestRTOFiresAtDeadline(t *testing.T) {
 	p := newPipe(1, 5*sim.Millisecond)
-	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1, RcvWnd: 64 << 10})
+	c := NewConn(Options{Client: p.a, Server: p.b, Flow: 1})
 	cli, srv := c.Client(), c.Server()
-	const cut = 2 * sim.Second
+	const cut = 250 * sim.Millisecond
 	var lastAdv, deadline, firedAt sim.Time
 	p.a.Out = func(q *pkt.Packet) {
 		if firedAt == 0 && cli.Timeouts > 0 {
@@ -186,10 +186,10 @@ func TestRTOFiresAtDeadline(t *testing.T) {
 			return // every ACK sent from the cut on is lost
 		}
 		p.s.After(p.delay, func() {
-			una := cli.DebugUna()
+			una := cli.una
 			cli.Input(q)
-			if cli.DebugUna() > una {
-				lastAdv, deadline = p.s.Now(), p.s.Now()+cli.RTO()
+			if cli.una > una {
+				lastAdv, deadline = p.s.Now(), p.s.Now()+cli.rto
 			}
 		})
 	}
@@ -249,7 +249,7 @@ func TestAckSackBlocksHighestFirst(t *testing.T) {
 func BenchmarkTCPBulk(b *testing.B) {
 	s := sim.New(1)
 	pool := pkt.PoolOf(s)
-	link := ether.NewLink(s, ether.GigabitRate, 5*sim.Millisecond)
+	link := ether.NewLink(s, 5*sim.Millisecond)
 	a := &Host{Sim: s, ID: 1, Out: link.SendAToB}
 	z := &Host{Sim: s, ID: 2, Out: link.SendBToA}
 	c := NewConn(Options{Client: a, Server: z, Flow: 1})

@@ -101,8 +101,6 @@ type Pinger struct {
 	host     *Host
 	dst      pkt.NodeID
 	interval sim.Time
-	size     int
-	ac       pkt.AC
 	id       int
 	seq      int
 	stop     func()
@@ -113,27 +111,23 @@ type Pinger struct {
 	Sent, Received int64
 }
 
-// PingerConfig configures a Pinger.
+// PingerConfig configures a Pinger. Echo requests are 64 bytes, sent
+// best effort.
 type PingerConfig struct {
 	Dst      pkt.NodeID
 	Interval sim.Time // default 100 ms
-	Size     int      // default 64 bytes
-	AC       pkt.AC   // default best effort
 	ID       int      // echo identifier; must be unique per host
 }
+
+// pingSize is the size in bytes of an echo request, ping's default.
+const pingSize = 64
 
 // NewPinger creates (but does not start) a pinger on h.
 func NewPinger(h *Host, cfg PingerConfig) *Pinger {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * sim.Millisecond
 	}
-	if cfg.Size <= 0 {
-		cfg.Size = 64
-	}
-	p := &Pinger{
-		host: h, dst: cfg.Dst, interval: cfg.Interval,
-		size: cfg.Size, ac: cfg.AC, id: cfg.ID,
-	}
+	p := &Pinger{host: h, dst: cfg.Dst, interval: cfg.Interval, id: cfg.ID}
 	if _, dup := h.pingers[cfg.ID]; dup {
 		panic("traffic: duplicate pinger id")
 	}
@@ -161,12 +155,12 @@ func (p *Pinger) sendOne() {
 	p.seq++
 	p.Sent++
 	q := p.host.pool.Get()
-	q.Size = p.size
+	q.Size = pingSize
 	q.Proto = pkt.ProtoICMP
 	q.Src = p.host.ID
 	q.Dst = p.dst
 	q.Flow = pingFlowBase + uint64(p.id) // distinct flow per pinger
-	q.AC = p.ac
+	q.AC = pkt.ACBE
 	q.Created = p.host.Sim.Now()
 	q.EchoID = p.id
 	q.EchoSeq = p.seq

@@ -20,7 +20,7 @@ func wire(s *sim.Sim, delay sim.Time) (*Host, *Host) {
 func TestPingRTT(t *testing.T) {
 	s := sim.New(1)
 	a, _ := wire(s, 5*sim.Millisecond)
-	p := NewPinger(a, PingerConfig{Dst: 2, Interval: 100 * sim.Millisecond, ID: 1, AC: pkt.ACBE})
+	p := NewPinger(a, PingerConfig{Dst: 2, Interval: 100 * sim.Millisecond, ID: 1})
 	p.Start()
 	s.RunUntil(1050 * sim.Millisecond)
 	p.Stop()
@@ -47,7 +47,7 @@ func TestDuplicatePingerIDPanics(t *testing.T) {
 func TestUDPRateAndSink(t *testing.T) {
 	s := sim.New(1)
 	a, b := wire(s, sim.Millisecond)
-	src := NewUDPSource(a, UDPConfig{Dst: 2, Flow: 5, RateBps: 12e6, Size: 1500, AC: pkt.ACBE})
+	src := NewUDPSource(a, UDPConfig{Dst: 2, Flow: 5, RateBps: 12e6, AC: pkt.ACBE})
 	sink := NewUDPSink(b, 5)
 	src.Start()
 	s.RunUntil(2 * sim.Second)
@@ -168,7 +168,7 @@ func TestWebSmallPageFetch(t *testing.T) {
 	r := newWebRig(5 * sim.Millisecond)
 	wc := NewWebClient(WebConfig{
 		Client: r.cli, Server: r.srv, TCPClient: r.tc, TCPServer: r.ts,
-		Page: SmallPage, AC: pkt.ACBE, FlowBase: 1 << 30,
+		Page: SmallPage, FlowBase: 1 << 30,
 	})
 	wc.Start()
 	r.s.RunUntil(2 * sim.Second)
@@ -189,7 +189,7 @@ func TestWebLargePageFetch(t *testing.T) {
 	r := newWebRig(5 * sim.Millisecond)
 	wc := NewWebClient(WebConfig{
 		Client: r.cli, Server: r.srv, TCPClient: r.tc, TCPServer: r.ts,
-		Page: LargePage, AC: pkt.ACBE, FlowBase: 1 << 30,
+		Page: LargePage, FlowBase: 1 << 30,
 	})
 	wc.Start()
 	r.s.RunUntil(30 * sim.Second)
@@ -201,7 +201,7 @@ func TestWebLargePageFetch(t *testing.T) {
 	r2 := newWebRig(5 * sim.Millisecond)
 	wc2 := NewWebClient(WebConfig{
 		Client: r2.cli, Server: r2.srv, TCPClient: r2.tc, TCPServer: r2.ts,
-		Page: SmallPage, AC: pkt.ACBE, FlowBase: 1 << 30,
+		Page: SmallPage, FlowBase: 1 << 30,
 	})
 	wc2.Start()
 	r2.s.RunUntil(30 * sim.Second)
@@ -216,7 +216,7 @@ func TestWebBackToBackFetches(t *testing.T) {
 	r := newWebRig(2 * sim.Millisecond)
 	wc := NewWebClient(WebConfig{
 		Client: r.cli, Server: r.srv, TCPClient: r.tc, TCPServer: r.ts,
-		Page: SmallPage, AC: pkt.ACBE, FlowBase: 1 << 30,
+		Page: SmallPage, FlowBase: 1 << 30,
 	})
 	wc.Start()
 	r.s.RunUntil(5 * sim.Second)

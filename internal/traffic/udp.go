@@ -8,13 +8,15 @@ import (
 // pingFlowBase namespaces the flow ids used by pingers.
 const pingFlowBase = 0x1C30_0000
 
-// UDPSource sends a constant-bitrate unidirectional UDP stream, standing
-// in for the paper's iperf UDP floods.
+// UDPSize is the size in bytes of every datagram a UDPSource sends.
+const UDPSize = 1500
+
+// UDPSource sends a constant-bitrate unidirectional UDP stream of
+// UDPSize-byte datagrams, standing in for the paper's iperf UDP floods.
 type UDPSource struct {
 	host *Host
 	dst  pkt.NodeID
 	flow uint64
-	size int
 	ac   pkt.AC
 	gap  sim.Time
 	seq  int64
@@ -29,23 +31,16 @@ type UDPConfig struct {
 	Dst     pkt.NodeID
 	Flow    uint64
 	RateBps float64 // offered load in bits/s
-	Size    int     // datagram size, default 1500
 	AC      pkt.AC
 }
 
 // NewUDPSource creates (but does not start) a CBR source.
 func NewUDPSource(h *Host, cfg UDPConfig) *UDPSource {
-	if cfg.Size <= 0 {
-		cfg.Size = 1500
-	}
 	if cfg.RateBps <= 0 {
 		panic("traffic: UDP source needs a positive rate")
 	}
-	gap := sim.Time(float64(cfg.Size*8) / cfg.RateBps * 1e9)
-	return &UDPSource{
-		host: h, dst: cfg.Dst, flow: cfg.Flow,
-		size: cfg.Size, ac: cfg.AC, gap: gap,
-	}
+	gap := sim.Time(float64(UDPSize*8) / cfg.RateBps * 1e9)
+	return &UDPSource{host: h, dst: cfg.Dst, flow: cfg.Flow, ac: cfg.AC, gap: gap}
 }
 
 // Start begins transmission.
@@ -67,9 +62,9 @@ func (u *UDPSource) Stop() {
 func (u *UDPSource) sendOne() {
 	u.seq++
 	u.Sent++
-	u.SentBytes += int64(u.size)
+	u.SentBytes += UDPSize
 	p := u.host.pool.Get()
-	p.Size = u.size
+	p.Size = UDPSize
 	p.Proto = pkt.ProtoUDP
 	p.Src = u.host.ID
 	p.Dst = u.dst

@@ -30,16 +30,14 @@ func (w WebPage) objectSize() int64 {
 }
 
 // WebClient emulates a browser fetching pages from a server: a DNS lookup
-// followed by up to four parallel persistent TCP connections over which
-// the page's requests are issued (sequentially per connection), as the
-// paper's cURL-based client does. It repeats fetches back to back and
-// records each page-load time.
+// followed by up to webConns parallel persistent TCP connections over
+// which the page's requests are issued (sequentially per connection), as
+// the paper's cURL-based client does. All of it is best-effort traffic.
+// It repeats fetches back to back and records each page-load time.
 type WebClient struct {
 	client, server *Host
 	tcpCli, tcpSrv *tcp.Host
 	page           WebPage
-	ac             pkt.AC
-	conns          int
 	flowBase       uint64
 	fetchNo        uint64
 	running        bool
@@ -57,10 +55,11 @@ type WebConfig struct {
 	TCPClient      *tcp.Host // TCP attachment of the client node
 	TCPServer      *tcp.Host // TCP attachment of the server node
 	Page           WebPage
-	AC             pkt.AC
-	Connections    int    // parallel connections, default 4
 	FlowBase       uint64 // flow id space for this client's traffic
 }
+
+// webConns is the number of parallel connections a page load opens.
+const webConns = 4
 
 // RequestSize is the size of one emulated HTTP GET.
 const RequestSize = 100
@@ -70,14 +69,10 @@ const dnsSize = 64
 
 // NewWebClient creates a web client; call Start to begin fetching.
 func NewWebClient(cfg WebConfig) *WebClient {
-	if cfg.Connections <= 0 {
-		cfg.Connections = 4
-	}
 	return &WebClient{
 		client: cfg.Client, server: cfg.Server,
 		tcpCli: cfg.TCPClient, tcpSrv: cfg.TCPServer,
-		page: cfg.Page, ac: cfg.AC, conns: cfg.Connections,
-		flowBase: cfg.FlowBase,
+		page: cfg.Page, flowBase: cfg.FlowBase,
 	}
 }
 
@@ -121,7 +116,7 @@ func (w *WebClient) fetchPage() {
 	req.Src = w.client.ID
 	req.Dst = w.server.ID
 	req.Flow = dnsFlow
-	req.AC = w.ac
+	req.AC = pkt.ACBE
 	req.Created = start
 	req.SeqNo = 1
 	w.client.Out(req)
@@ -129,7 +124,7 @@ func (w *WebClient) fetchPage() {
 
 // openConnections runs the parallel-connection request fan-out.
 func (w *WebClient) openConnections(start sim.Time, dnsFlow uint64) {
-	nconn := w.conns
+	nconn := webConns
 	if w.page.Requests < nconn {
 		nconn = w.page.Requests
 	}
@@ -156,7 +151,7 @@ func (w *WebClient) openConnections(start sim.Time, dnsFlow uint64) {
 		flow := dnsFlow + 1 + uint64(i)
 		conn := tcp.NewConn(tcp.Options{
 			Client: w.tcpCli, Server: w.tcpSrv,
-			AC: w.ac, Flow: flow,
+			AC: pkt.ACBE, Flow: flow,
 		})
 		w.client.Register(flow, conn.Client().Input)
 		w.server.Register(flow, conn.Server().Input)
