@@ -42,6 +42,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,14 +53,20 @@ import (
 	"repro/internal/sim"
 )
 
+// stringList collects the repeatable -s flag, each name at most once.
 type stringList []string
 
 func (l *stringList) String() string { return strings.Join(*l, ",") }
 func (l *stringList) Set(s string) error {
+	if slices.Contains(*l, s) {
+		return fmt.Errorf("scenario %q given twice", s)
+	}
 	*l = append(*l, s)
 	return nil
 }
 
+// axisOverrides collects the repeatable -axis flag, each axis at most
+// once: a second value set would silently replace the first.
 type axisOverrides map[string][]string
 
 func (a axisOverrides) String() string { return fmt.Sprint(map[string][]string(a)) }
@@ -67,6 +74,9 @@ func (a axisOverrides) Set(s string) error {
 	name, values, ok := strings.Cut(s, "=")
 	if !ok || name == "" || values == "" {
 		return fmt.Errorf("want -axis name=v1,v2,..., got %q", s)
+	}
+	if _, dup := a[name]; dup {
+		return fmt.Errorf("axis %q given twice", name)
 	}
 	a[name] = strings.Split(values, ",")
 	return nil
@@ -224,7 +234,7 @@ type options struct {
 }
 
 func executeFlags(o *options) *flag.FlagSet {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	o.axes = make(axisOverrides)
 	fs.Var(&o.scenarios, "s", "scenario to run (repeatable; default all)")
 	fs.Var(o.axes, "axis", "axis override name=v1,v2,... (repeatable, sweep)")
@@ -245,7 +255,14 @@ func executeFlags(o *options) *flag.FlagSet {
 func execute(reg *campaign.Registry, cmd string, args []string) {
 	var o options
 	fs := executeFlags(&o)
-	fs.Parse(args)
+	fs.SetOutput(io.Discard)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		usage()
+		os.Exit(0)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "campaign %s: %v\n", cmd, err)
+		os.Exit(2)
+	}
 	if cmd == "sweep" && len(o.axes) == 0 {
 		fmt.Fprintln(os.Stderr, "campaign sweep: need at least one -axis name=v1,v2,...")
 		os.Exit(2)

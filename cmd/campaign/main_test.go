@@ -23,8 +23,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestRejectsOutOfRangeFlags: run and sweep exit 2, naming the flag,
-// for every value campaign.Plan would replace with its default and for
-// durations that overflow simulated time, before anything runs.
+// for every value campaign.Plan would replace with its default, for
+// durations that overflow simulated time, and for a repeated scenario
+// or axis, before anything runs.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	rows := []struct{ flag, value string }{
 		{"reps", "0"},
@@ -38,8 +39,14 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"warmup", "-1"},
 		{"seed", "0"},
 		{"workers", "-1"},
+		// Every row selects -s udp; a second one would run its cells
+		// twice under the same seeds.
+		{"s", "udp"},
+		// Every row selects -axis scheme=FIFO; a second value set would
+		// silently replace the first.
+		{"axis", "scheme=Airtime"},
 	}
-	for _, cmd := range [][]string{{"run"}, {"sweep", "-axis", "scheme=FIFO"}} {
+	for _, cmd := range [][]string{{"run", "-axis", "scheme=FIFO"}, {"sweep", "-axis", "scheme=FIFO"}} {
 		for _, r := range rows {
 			t.Run(cmd[0]+"/"+r.flag+"="+r.value, func(t *testing.T) {
 				args := append(append([]string{}, cmd...),

@@ -3,9 +3,9 @@
 // an existing queue substrate with a scheduler, then compared against
 // the paper's configurations on the standard three-station testbed.
 //
-// The custom scheme here is the Airtime-RR ablation built by hand (the
-// integrated §3.1 structure plus a strict round-robin station
-// scheduler), alongside the Weighted-Airtime policy knob giving the slow
+// The custom scheme here is the Airtime-RR ablation composed again (the
+// integrated §3.1 structure plus sched.NewRoundRobin, a strict
+// round-robin station scheduler), alongside the Weighted-Airtime policy knob giving the slow
 // station half the default airtime share.
 package main
 
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	custom := mac.RegisterScheme("Example-RR", mac.Composition{
-		Desc:     "integrated queueing + hand-rolled round-robin scheduler",
+		Desc:     "integrated queueing + the round-robin station scheduler",
 		Queueing: mac.IntegratedQueueing,
 		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
 			return sched.NewRoundRobin()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -144,6 +145,11 @@ func TestSweepOverrides(t *testing.T) {
 	}
 	if _, err := synthetic().Execute(Plan{Scenarios: []string{"nope"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+	// A repeated scenario would run its cells twice under the same seeds.
+	_, err = synthetic().Execute(Plan{Scenarios: []string{"alpha", "beta", "alpha"}})
+	if err == nil || !strings.Contains(err.Error(), `"alpha"`) {
+		t.Fatalf("repeated scenario: err = %v, want it named", err)
 	}
 }
 

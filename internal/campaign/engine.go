@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,8 +24,9 @@ const (
 
 // Plan selects and sizes a campaign.
 type Plan struct {
-	// Scenarios names the scenarios to run, in the given order; empty
-	// means every registered scenario in registration order.
+	// Scenarios names the scenarios to run, in the given order, each at
+	// most once; empty means every registered scenario in registration
+	// order.
 	Scenarios []string
 
 	// Overrides replaces the listed axes' value sets (a sweep). Each
@@ -126,10 +128,13 @@ func (r *Registry) Execute(p Plan) (*Result, error) {
 	selected := r.scenarios
 	if len(p.Scenarios) > 0 {
 		selected = make([]*Scenario, 0, len(p.Scenarios))
-		for _, name := range p.Scenarios {
+		for i, name := range p.Scenarios {
 			sc := r.Get(name)
 			if sc == nil {
 				return nil, fmt.Errorf("campaign: unknown scenario %q (have %v)", name, r.Names())
+			}
+			if slices.Contains(p.Scenarios[:i], name) {
+				return nil, fmt.Errorf("campaign: scenario %q selected twice", name)
 			}
 			selected = append(selected, sc)
 		}

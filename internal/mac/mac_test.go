@@ -8,6 +8,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/pkt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // rig builds a minimal AP + n stations environment with packet capture at
@@ -45,6 +46,28 @@ func newRig(t *testing.T, apCfg Config, rates ...phy.Rate) *rig {
 		r.stas = append(r.stas, sta)
 	}
 	return r
+}
+
+// queuedPackets reports every packet queued at n for transmission: in
+// the queue substrate, the driver and retry queues and the hardware
+// queues.
+func queuedPackets(n *Node) int {
+	total := 0
+	if n.fq != nil {
+		total += n.fq.Len()
+	}
+	for ac := range pkt.NumACs {
+		if q := n.Qdisc(pkt.AC(ac)); q != nil {
+			total += q.Len()
+		}
+		for _, s := range n.stationOrder {
+			total += s.tids[ac].retryq.Len() + s.tids[ac].bufq.Len()
+		}
+		for _, agg := range n.txqs[ac].hwq {
+			total += len(agg.Pkts)
+		}
+	}
+	return total
 }
 
 func dataPkt(dst pkt.NodeID, size int, flow uint64) *pkt.Packet {
@@ -206,8 +229,8 @@ func TestRetryLimitDrops(t *testing.T) {
 	if r.ap.RetryDrops != 10 {
 		t.Errorf("RetryDrops = %d, want 10", r.ap.RetryDrops)
 	}
-	if r.ap.QueuedPackets() != 0 {
-		t.Errorf("%d packets stuck in queues", r.ap.QueuedPackets())
+	if queuedPackets(r.ap) != 0 {
+		t.Errorf("%d packets stuck in queues", queuedPackets(r.ap))
 	}
 }
 
@@ -365,6 +388,31 @@ func TestGlobalLimitFQMAC(t *testing.T) {
 	}
 }
 
+// TestFQCoDelInputDrops: every packet an FQ-CoDel qdisc's global limit
+// drops is an input drop with a trace event, as under the integrated
+// structure, although the victim is the head of the longest flow and not
+// the packet arriving.
+func TestFQCoDelInputDrops(t *testing.T) {
+	r := newRig(t, Config{Scheme: SchemeFQCoDel}, phy.MCS(0, true))
+	r.ap.Trace = trace.NewLog(16)
+	for i := 0; i < 12000; i++ {
+		r.ap.Input(dataPkt(10, 1500, uint64(1+i%2)))
+	}
+	over := 0
+	for ac := range pkt.NumACs {
+		over += r.ap.Qdisc(pkt.AC(ac)).(interface{ OverlimitDrops() int }).OverlimitDrops()
+	}
+	if over == 0 {
+		t.Fatal("the qdisc's limit never dropped; the test does not exercise it")
+	}
+	if r.ap.InputDrops != over {
+		t.Errorf("InputDrops = %d, want the qdisc's %d overlimit drops", r.ap.InputDrops, over)
+	}
+	if r.ap.Trace.Count(trace.Drop) == 0 {
+		t.Error("no drop trace event for the qdisc's overlimit drops")
+	}
+}
+
 // TestEDCAPriority: VO traffic must see lower latency than BK when both
 // are saturated, thanks to shorter AIFS/CW.
 func TestEDCAPriority(t *testing.T) {
@@ -479,23 +527,57 @@ func TestStationIndex(t *testing.T) {
 	ap.AddStation(mustNode(t, env, 403, "again", Config{Scheme: SchemeFIFO}), phy.MCS(7, true))
 }
 
+// peerNodes builds n FIFO client nodes with identifiers from 10 up.
+func peerNodes(t testing.TB, env *Env, n int) []*Node {
+	peers := make([]*Node, n)
+	for i := range peers {
+		peers[i] = mustNode(t, env, pkt.NodeID(10+i), "sta", Config{Scheme: SchemeFIFO})
+	}
+	return peers
+}
+
+// TestAssociateAllocs: association allocates the Station, which holds
+// its TIDs' transmit state and scheduler entries, plus one block of
+// mactid TIDs at a node with the integrated structure. The node's own
+// allocations and the amortised growth of its station slices are the
+// rest of the per-station budget.
+func TestAssociateAllocs(t *testing.T) {
+	const stations = 1024
+	rate := phy.MCS(7, true)
+	env := NewEnv(sim.New(1))
+	peers := peerNodes(t, env, stations)
+	for _, scheme := range []Scheme{SchemeFIFO, SchemeFQCoDel, SchemeFQMAC, SchemeAirtimeFQ, SchemeDTT} {
+		allocs := testing.AllocsPerRun(2, func() {
+			ap := mustNode(t, env, 1, "ap", Config{Scheme: scheme})
+			for _, peer := range peers {
+				ap.AddStation(peer, rate)
+			}
+		})
+		limit := 1.25
+		if scheme >= SchemeFQMAC {
+			limit = 2.25
+		}
+		if per := allocs / stations; per > limit {
+			t.Errorf("%v: %.2f allocations per association, want at most %.2f", scheme, per, limit)
+		}
+	}
+}
+
 // BenchmarkAssociate measures association: one op is an Airtime AP
 // associating 16,384 stations in identifier order, as exp.BuildWorld
 // does. A per-association cost that grows with the station count makes
 // the op time grow faster than the station count.
 func BenchmarkAssociate(b *testing.B) {
 	const stations = 1 << 14
+	rate := phy.MCS(7, true)
 	env := NewEnv(sim.New(1))
-	peers := make([]*Node, stations)
-	for i := range peers {
-		peers[i] = mustNode(b, env, pkt.NodeID(10+i), "sta", Config{Scheme: SchemeFIFO})
-	}
+	peers := peerNodes(b, env, stations)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ap := mustNode(b, env, 1, "ap", Config{Scheme: SchemeAirtimeFQ})
 		for _, peer := range peers {
-			ap.AddStation(peer, phy.MCS(7, true))
+			ap.AddStation(peer, rate)
 		}
 	}
 }
@@ -512,7 +594,7 @@ func TestConservationAcrossSchemes(t *testing.T) {
 		}
 		r.s.RunUntil(20 * sim.Second)
 		delivered := len(r.received[10]) + len(r.received[11])
-		queued := r.ap.QueuedPackets()
+		queued := queuedPackets(r.ap)
 		dropped := r.ap.InputDrops + r.ap.RetryDrops
 		if fq := r.ap.FqStats(); fq != nil {
 			// InputDrops counted overlimit drops already; add codel drops.
@@ -560,7 +642,7 @@ func TestLateJoiner(t *testing.T) {
 		if len(r.received[10]) == 0 || len(r.received[11]) == 0 {
 			t.Errorf("%v: an early station starved", scheme)
 		}
-		if q := r.ap.QueuedPackets(); q != 0 {
+		if q := queuedPackets(r.ap); q != 0 {
 			t.Errorf("%v: %d packets stuck after drain", scheme, q)
 		}
 	}
@@ -628,7 +710,7 @@ func TestRTSRetimedOnInPlaceRetry(t *testing.T) {
 	} {
 		r := newRig(t, Config{Scheme: SchemeFQMAC, RTSThreshold: thr}, rate)
 		ap := r.ap
-		tid := ap.Station(10).tids[pkt.ACBE]
+		tid := &ap.Station(10).tids[pkt.ACBE]
 		for i := 0; i < tc.retried+tc.kept; i++ {
 			p := dataPkt(10, 1500, 1)
 			if i < tc.retried {
@@ -641,7 +723,7 @@ func TestRTSRetimedOnInPlaceRetry(t *testing.T) {
 			t.Fatalf("%s: built %d MPDUs, UseRTS %v; want %d protected",
 				tc.name, len(agg.Pkts), agg.UseRTS, tc.retried+tc.kept)
 		}
-		q := ap.txqs[pkt.ACBE]
+		q := &ap.txqs[pkt.ACBE]
 		q.hwq = append(q.hwq, agg)
 		ap.txComplete(q, agg, true, agg.CollisionCost())
 

@@ -152,10 +152,11 @@ type Node struct {
 	staLow   pkt.NodeID
 	staSlice []*Station
 
-	rr    [pkt.NumACs][]*tidState
+	// rrIdx is, per AC, the stationOrder index the unscheduled schemes'
+	// round-robin tries first.
 	rrIdx [pkt.NumACs]int
 
-	txqs [pkt.NumACs]*txq
+	txqs [pkt.NumACs]txq
 
 	// pool is the world's packet pool; the node releases packets it
 	// terminates (drops at enqueue, retry-limit drops) into it.
@@ -187,8 +188,8 @@ func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
 			cfg.Scheme, strings.Join(sortedSchemeNames(), ", "))
 	}
 	n := &Node{ID: id, Name: name, env: env, cfg: cfg, pool: pkt.PoolOf(env.Sim)}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		n.txqs[ac] = &txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
+	for ac := range n.txqs {
+		n.txqs[ac] = txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
 		n.txqs[ac].resetCW()
 	}
 	n.initQueueing(info.comp.Queueing)
@@ -236,16 +237,22 @@ func (n *Node) Scheme() Scheme { return n.cfg.Scheme }
 func (n *Node) BSS() int { return n.cfg.BSS }
 
 // FqStats exposes the integrated queue structure (nil unless the node's
-// substrate is the integrated per-TID FQ-CoDel structure).
+// substrate is the integrated per-TID FQ-CoDel structure; an FQ-CoDel
+// node's qdiscs are reached through Qdisc).
 func (n *Node) FqStats() *mactid.Fq { return n.fq }
 
-// Qdisc exposes the qdisc of an access category (nil for the integrated
-// substrate).
+// Qdisc exposes the qdisc of an access category for its counters: a
+// *qdisc.PFIFO at a PFIFO node, and at an FQ-CoDel node that AC's
+// one-TID *mactid.Fq, whose CodelDrops and OverlimitDrops split its
+// drops. It is nil under the integrated substrate.
 func (n *Node) Qdisc(ac pkt.AC) qdisc.Qdisc {
-	if n.qd == nil {
+	switch {
+	case n.qd == nil:
 		return nil
+	case n.qd.fqc != nil:
+		return n.qd.fqc[ac].fq
 	}
-	return n.qd.qdiscs[ac]
+	return &n.qd.pfifo[ac]
 }
 
 // StationScheduler exposes the per-AC station scheduler (nil for the
@@ -265,17 +272,16 @@ func (n *Node) AddStation(peer *Node, rate phy.Rate) *Station {
 		ack:      phy.AckDur(rate),
 		maxBytes: min(maxAggrBytes, phy.FitBytes(rate, n.cfg.MaxAggrDur)),
 		codelPa:  codelParamsFor(rate, &n.cfg)}
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		t := &tidState{sta: s, ac: pkt.AC(ac)}
-		if n.fq != nil {
-			t.fq = n.fq.NewTID()
-		}
-		s.tids[ac] = t
-		n.rr[ac] = append(n.rr[ac], t)
-		if sc := n.sched[ac]; sc != nil {
-			tt := t
-			t.schedEntry = sc.Register(func() bool { return tt.backlogged() })
-			t.schedEntry.User = s
+	var fq *[pkt.NumACs]mactid.TID
+	if n.fq != nil {
+		fq = new([pkt.NumACs]mactid.TID)
+	}
+	for ac := range s.tids {
+		t := &s.tids[ac]
+		t.sta, t.ac, t.Owner = s, pkt.AC(ac), t
+		if fq != nil {
+			t.fq = &fq[ac]
+			n.fq.InitTID(t.fq)
 		}
 	}
 	n.stationOrder = append(n.stationOrder, s)
@@ -298,10 +304,8 @@ func (n *Node) Station(id pkt.NodeID) *Station { return n.lookupStation(id) }
 // weighted airtime scheduler reads (Weighted-Airtime); the paper's
 // schemes ignore it.
 func (n *Node) SetStationWeight(s *Station, weight float64) {
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		if e := s.tids[ac].schedEntry; e != nil {
-			e.Weight = weight
-		}
+	for ac := range s.tids {
+		s.tids[ac].Weight = weight
 	}
 }
 
@@ -357,12 +361,12 @@ func (n *Node) Input(p *pkt.Packet) {
 	}
 	n.trace(trace.Enqueue, p.Dst, p.AC, p.Size, "")
 	ac := p.AC
-	tid := sta.tids[ac]
+	tid := &sta.tids[ac]
 	now := n.env.Sim.Now()
 
 	n.enqueue(tid, p, now)
 	if sc := n.sched[ac]; sc != nil {
-		sc.Activate(tid.schedEntry)
+		sc.Activate(&tid.Entry)
 	}
 	n.schedule(ac)
 }
@@ -374,7 +378,7 @@ func (n *Node) Input(p *pkt.Packet) {
 //
 //hj17:hotpath
 func (n *Node) schedule(ac pkt.AC) {
-	q := n.txqs[ac]
+	q := &n.txqs[ac]
 	for len(q.hwq) < hwQueueDepth {
 		agg := n.nextAggregate(ac)
 		if agg == nil {
@@ -398,25 +402,20 @@ func (n *Node) nextAggregate(ac pkt.AC) *Aggregate {
 			if e == nil {
 				return nil
 			}
-			sta, ok := e.User.(*Station)
-			if !ok {
-				panic(fmt.Sprintf("mac: scheme %v scheduler returned an entry with no station owner; "+
-					"StationScheduler.Next must return entries obtained from Register", n.cfg.Scheme))
-			}
-			if agg := n.buildAggregate(sta.tids[ac]); agg != nil {
+			if agg := n.buildAggregate(e.Owner.(*tidState)); agg != nil {
 				return agg
 			}
 		}
 	}
 	n.refill(ac)
-	lst := n.rr[ac]
-	for i := 0; i < len(lst); i++ {
-		idx := (n.rrIdx[ac] + i) % len(lst)
-		t := lst[idx]
-		if !t.backlogged() {
+	stas := n.stationOrder
+	for i := range stas {
+		idx := (n.rrIdx[ac] + i) % len(stas)
+		t := &stas[idx].tids[ac]
+		if !t.Backlogged() {
 			continue
 		}
-		n.rrIdx[ac] = (idx + 1) % len(lst)
+		n.rrIdx[ac] = (idx + 1) % len(stas)
 		if agg := n.buildAggregate(t); agg != nil {
 			return agg
 		}
@@ -451,7 +450,7 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 		n.trace(trace.TxDone, sta.Peer.ID, q.ac, len(agg.Pkts), note)
 	}
 	if sc := n.sched[q.ac]; sc != nil {
-		sc.ChargeTx(agg.TID.schedEntry, occupied, n.env.Sim.Now()-agg.Built)
+		sc.ChargeTx(&agg.TID.Entry, occupied, n.env.Sim.Now()-agg.Built)
 	}
 
 	if collided {
@@ -517,8 +516,8 @@ func (n *Node) txComplete(q *txq, agg *Aggregate, collided bool, occupied sim.Ti
 	} else {
 		q.resetCW()
 	}
-	if sc := n.sched[q.ac]; sc != nil && agg.TID.backlogged() {
-		sc.Activate(agg.TID.schedEntry)
+	if sc := n.sched[q.ac]; sc != nil && agg.TID.Backlogged() {
+		sc.Activate(&agg.TID.Entry)
 	}
 	if len(delivered) > 0 {
 		sta.Peer.receiveAggregate(n, q.ac, delivered, agg.TotalDur)
@@ -565,7 +564,7 @@ func (n *Node) receiveAggregate(from *Node, ac pkt.AC, pkts []*pkt.Packet, dur s
 	}
 	sta.RxAirtime += dur
 	if sc := n.sched[ac]; sc != nil {
-		sc.ChargeRx(sta.tids[ac].schedEntry, dur)
+		sc.ChargeRx(&sta.tids[ac].Entry, dur)
 	}
 	if n.Deliver == nil {
 		panic(fmt.Sprintf("mac: node %s has no Deliver hook", n.Name))
@@ -587,27 +586,4 @@ func (n *Node) trace(kind trace.Kind, peer pkt.NodeID, ac pkt.AC, size int, note
 		At: n.env.Sim.Now(), Kind: kind, Node: n.ID, Peer: peer,
 		AC: ac, Size: size, Note: note,
 	})
-}
-
-// QueuedPackets reports every packet queued at the node for transmission
-// (queue substrate + retry queues + hardware queues), for tests.
-func (n *Node) QueuedPackets() int {
-	total := 0
-	for ac := 0; ac < pkt.NumACs; ac++ {
-		if q := n.Qdisc(pkt.AC(ac)); q != nil {
-			total += q.Len()
-		}
-		for _, t := range n.rr[ac] {
-			total += t.retryq.Len() + t.bufq.Len()
-			if t.fq != nil {
-				total += t.fq.Len()
-			}
-		}
-		if q := n.txqs[ac]; q != nil {
-			for _, agg := range q.hwq {
-				total += len(agg.Pkts)
-			}
-		}
-	}
-	return total
 }

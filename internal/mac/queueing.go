@@ -1,7 +1,7 @@
 package mac
 
 import (
-	"repro/internal/fqcodel"
+	"repro/internal/codel"
 	"repro/internal/mactid"
 	"repro/internal/pkt"
 	"repro/internal/qdisc"
@@ -22,12 +22,10 @@ const (
 	// driver FIFOs.
 	PFIFOQueueing Queueing = iota + 1
 	// FQCoDelQueueing is the second baseline: an FQ-CoDel qdisc above
-	// the (still unmanaged) driver FIFOs. Packets the discipline drops
-	// (CoDel or overlimit) are released through its drop hook.
+	// the (still unmanaged) driver FIFOs.
 	FQCoDelQueueing
 	// IntegratedQueueing is the §3.1 structure: the qdisc layer is
-	// bypassed and every TID queues in one shared mactid.Fq. Dropped
-	// packets are released through the structure's drop hook.
+	// bypassed and every TID queues in one shared mactid.Fq.
 	IntegratedQueueing
 )
 
@@ -37,10 +35,10 @@ const (
 // The unmanaged lower-layer queueing is what defeats qdisc-level AQM in
 // the paper's baseline measurements.
 type qdiscLayer struct {
-	qdiscs    [pkt.NumACs]qdisc.Qdisc
-	driverLen int  // packets held in driver buf_q across all TIDs
-	hooked    bool // the qdiscs release dropped packets themselves
-	refilling bool // guards the cross-AC refill against recursion
+	pfifo     [pkt.NumACs]qdisc.PFIFO // the qdiscs at a PFIFO node
+	fqc       *[pkt.NumACs]fqCoDel    // the qdiscs at an FQ-CoDel node, else nil
+	driverLen int                     // packets held in driver buf_q across all TIDs
+	refilling bool                    // guards the cross-AC refill against recursion
 
 	// busy holds one bit per AC: set by every enqueue to that AC's
 	// qdisc, cleared when its Dequeue returns nil. A clear bit means
@@ -51,22 +49,34 @@ type qdiscLayer struct {
 	busy uint8
 }
 
-// initQueueing builds the node's substrate for q.
+// fqCoDel is one access category's FQ-CoDel qdisc (RFC 8290): a
+// mactid.Fq at Linux fq_codel's packet limit, seen through its single
+// TID and run under codel.Default(), as Linux fq_codel is out of the box.
+type fqCoDel struct {
+	fq  *mactid.Fq
+	tid mactid.TID
+}
+
+// fqCoDelLimit is Linux fq_codel's default packet limit (the integrated
+// structure's is mactid's 8192).
+const fqCoDelLimit = 10240
+
+// initQueueing builds the node's substrate for q. Packets a mactid.Fq
+// drops (CoDel or overlimit) are released through its drop hook.
 func (n *Node) initQueueing(q Queueing) {
-	if q == IntegratedQueueing {
+	switch q {
+	case IntegratedQueueing:
 		n.fq = mactid.New(mactid.Config{DropHook: n.freePkt})
-		return
-	}
-	n.qd = &qdiscLayer{hooked: q == FQCoDelQueueing}
-	for ac := range n.qd.qdiscs {
-		if q == FQCoDelQueueing {
-			n.qd.qdiscs[ac] = fqcodel.New(fqcodel.Config{
-				Clock:    n.env.Sim.Now,
-				DropHook: n.freePkt,
-			})
-		} else {
-			n.qd.qdiscs[ac] = new(qdisc.PFIFO)
+	case FQCoDelQueueing:
+		n.qd = &qdiscLayer{fqc: new([pkt.NumACs]fqCoDel)}
+		hook := n.freePkt
+		for ac := range n.qd.fqc {
+			f := &n.qd.fqc[ac]
+			f.fq = mactid.New(mactid.Config{Limit: fqCoDelLimit, DropHook: hook})
+			f.fq.InitTID(&f.tid)
 		}
+	default:
+		n.qd = new(qdiscLayer)
 	}
 }
 
@@ -84,26 +94,35 @@ func (n *Node) dropInput(dst pkt.NodeID, ac pkt.AC, size int, note string, count
 //
 //hj17:hotpath
 func (n *Node) enqueue(t *tidState, p *pkt.Packet, now sim.Time) {
-	ac, dst, size := p.AC, p.Dst, p.Size // p may be dropped (and released) below
-	if n.fq != nil {
-		before := n.fq.Drops()
-		t.fq.Enqueue(p, now)
-		if d := n.fq.Drops() - before; d > 0 {
-			n.dropInput(dst, ac, d, "fq-overlimit", d)
-		}
+	q := n.qd
+	if q == nil {
+		n.enqueueFq(n.fq, t.fq, p, now)
 		return
 	}
-	q := n.qd
+	ac := p.AC
 	q.busy |= 1 << ac
-	if !q.qdiscs[ac].Enqueue(p) {
-		n.dropInput(dst, ac, size, "qdisc-full", 1)
-		if !q.hooked {
-			// PFIFO rejects without storing; the hooked disciplines
-			// release rejected packets through their drop hook.
-			n.freePkt(p)
-		}
+	if f := q.fqc; f != nil {
+		n.enqueueFq(f[ac].fq, &f[ac].tid, p, now)
+	} else if !q.pfifo[ac].Enqueue(p) {
+		// PFIFO rejects without storing.
+		n.dropInput(p.Dst, ac, p.Size, "qdisc-full", 1)
+		n.freePkt(p)
 	}
 	n.refill(ac)
+}
+
+// enqueueFq enqueues p into tid, a TID of fq, and records the packets
+// fq's global limit dropped meanwhile, p itself possibly among them, as
+// input drops.
+//
+//hj17:hotpath
+func (n *Node) enqueueFq(fq *mactid.Fq, tid *mactid.TID, p *pkt.Packet, now sim.Time) {
+	ac, dst := p.AC, p.Dst // p may be dropped (and released) below
+	before := fq.Drops()
+	tid.Enqueue(p, now)
+	if d := fq.Drops() - before; d > 0 {
+		n.dropInput(dst, ac, d, "fq-overlimit", d)
+	}
 }
 
 // refillAC drains one AC's qdisc into the driver FIFOs while the shared
@@ -116,9 +135,15 @@ func (n *Node) refillAC(ac pkt.AC) int {
 	if q.busy&(1<<ac) == 0 {
 		return 0
 	}
+	f, now := q.fqc, n.env.Sim.Now()
 	pulled := 0
 	for q.driverLen < driverBuf {
-		p := q.qdiscs[ac].Dequeue()
+		var p *pkt.Packet
+		if f != nil {
+			p = f[ac].tid.Dequeue(now, codel.Default())
+		} else {
+			p = q.pfifo[ac].Dequeue()
+		}
 		if p == nil {
 			q.busy &^= 1 << ac
 			break

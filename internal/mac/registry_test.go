@@ -138,7 +138,7 @@ func TestRegisterSchemeComposition(t *testing.T) {
 	if got := len(r.received[11]); got != n {
 		t.Errorf("station 11 received %d of %d", got, n)
 	}
-	if q := r.ap.QueuedPackets(); q != 0 {
+	if q := queuedPackets(r.ap); q != 0 {
 		t.Errorf("%d packets stuck in queues", q)
 	}
 }

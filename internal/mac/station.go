@@ -18,7 +18,7 @@ type Station struct {
 	Peer *Node    // the remote node
 	Rate phy.Rate // PHY rate used for frames to/from this peer, fixed at AddStation
 
-	tids [pkt.NumACs]*tidState
+	tids [pkt.NumACs]tidState
 
 	// reorder holds the owner's block-ack reorder sessions for frames
 	// received from this peer, one per access category, each built on
@@ -86,23 +86,24 @@ func expectedAggr(r phy.Rate, cfg *Config) int {
 	return n
 }
 
-// tidState is the per-(station, TID) transmit state at a node. One TID per
-// access category is modelled (packets map to TIDs by their DiffServ-derived
-// AC, as in the paper).
+// tidState is the per-(station, TID) transmit state at a node, held in
+// its Station. One TID per access category is modelled (packets map to
+// TIDs by their DiffServ-derived AC, as in the paper).
 type tidState struct {
+	// Entry is the TID's handle in the scheme's station scheduler, with
+	// the tidState as its Owner; the unscheduled schemes leave it idle.
+	sched.Entry
+
 	sta *Station
 	ac  pkt.AC
 
 	// The TID's queue within the node's substrate: the driver FIFO
 	// (buf_q of Figure 2) under the qdisc substrates, where fq is nil;
 	// under the integrated substrate bufq stays empty and fq is the
-	// TID's view of the shared structure.
+	// TID's view of the shared structure, in its station's block of
+	// TIDs (AddStation).
 	bufq pkt.Queue
 	fq   *mactid.TID
-
-	// schedEntry is the TID's handle in the scheme's station scheduler
-	// (nil for the unscheduled schemes).
-	schedEntry *sched.Entry
 
 	// All modes: MPDUs awaiting retransmission (retry_q of Figure 2).
 	retryq pkt.Queue
@@ -113,9 +114,9 @@ type tidState struct {
 	txSeq int
 }
 
-// backlogged reports whether the TID can contribute packets to an
-// aggregate right now.
-func (t *tidState) backlogged() bool {
+// Backlogged reports whether the TID can contribute packets to an
+// aggregate right now. It implements sched.Owner.
+func (t *tidState) Backlogged() bool {
 	return !t.retryq.Empty() || !t.bufq.Empty() || (t.fq != nil && t.fq.Backlogged())
 }
 

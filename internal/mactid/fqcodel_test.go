@@ -1,21 +1,43 @@
-package fqcodel
+package mactid
 
 import (
 	"testing"
 
+	"repro/internal/codel"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
 
-func newFQ(t *testing.T, cfg Config) (*FQCoDel, *sim.Sim) {
-	t.Helper()
-	s := sim.New(1)
-	cfg.Clock = s.Now
-	return New(cfg), s
+// The tests in this file drive the structure as the MAC's FQ-CoDel qdisc
+// baseline (RFC 8290): one TID at Linux fq_codel's 10,240-packet limit,
+// dequeued under codel.Default().
+
+// fqCoDel is a one-TID Fq read on a clock, as the MAC builds it per
+// access category.
+type fqCoDel struct {
+	*Fq
+	tid   TID
+	clock func() sim.Time
 }
 
-func mkp(flow uint64, size int) *pkt.Packet {
-	return &pkt.Packet{Flow: flow, Size: size, Proto: pkt.ProtoUDP}
+// newFQCoDel builds an fqCoDel; a zero cfg.Limit is fq_codel's 10,240.
+func newFQCoDel(cfg Config, clock func() sim.Time) *fqCoDel {
+	if cfg.Limit <= 0 {
+		cfg.Limit = 10240
+	}
+	f := &fqCoDel{Fq: New(cfg), clock: clock}
+	f.InitTID(&f.tid)
+	return f
+}
+
+func (f *fqCoDel) Enqueue(p *pkt.Packet) bool { return f.tid.Enqueue(p, f.clock()) }
+
+func (f *fqCoDel) Dequeue() *pkt.Packet { return f.tid.Dequeue(f.clock(), codel.Default()) }
+
+func newFQ(t *testing.T, cfg Config) (*fqCoDel, *sim.Sim) {
+	t.Helper()
+	s := sim.New(1)
+	return newFQCoDel(cfg, s.Now), s
 }
 
 func TestFIFOWithinFlow(t *testing.T) {
@@ -183,7 +205,7 @@ func TestCodelDropsUnderStandingQueue(t *testing.T) {
 func TestDropHook(t *testing.T) {
 	hooked := 0
 	s := sim.New(1)
-	fq := New(Config{Limit: 5, Clock: s.Now, DropHook: func(*pkt.Packet) { hooked++ }})
+	fq := newFQCoDel(Config{Limit: 5, DropHook: func(*pkt.Packet) { hooked++ }}, s.Now)
 	for i := 0; i < 10; i++ {
 		fq.Enqueue(mkp(1, 100))
 	}
@@ -195,24 +217,16 @@ func TestDropHook(t *testing.T) {
 func TestEmptyDequeue(t *testing.T) {
 	fq, _ := newFQ(t, Config{})
 	if fq.Dequeue() != nil {
-		t.Fatal("dequeue from empty qdisc returned a packet")
+		t.Fatal("dequeue from an empty structure returned a packet")
 	}
 }
 
-func TestMissingClockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic without Clock")
-		}
-	}()
-	New(Config{})
-}
-
-// TestConservation: every enqueued packet is either dequeued or dropped.
-func TestConservation(t *testing.T) {
+// TestFQCoDelConservation: every enqueued packet is either dequeued or
+// dropped.
+func TestFQCoDelConservation(t *testing.T) {
 	s := sim.New(3)
 	dropped := 0
-	fq := New(Config{Limit: 64, Clock: s.Now, DropHook: func(*pkt.Packet) { dropped++ }})
+	fq := newFQCoDel(Config{Limit: 64, DropHook: func(*pkt.Packet) { dropped++ }}, s.Now)
 	enq := 0
 	deq := 0
 	r := sim.NewRand(5)

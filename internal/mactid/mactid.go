@@ -11,6 +11,11 @@
 // which prevents a single flow (or a slow station) from locking out the
 // rest of the interface — the behaviour responsible for the aggregation
 // collapse the paper describes in §4.1.2.
+//
+// With a single TID no packet ever takes an overflow queue, and the
+// structure is the FQ-CoDel queueing discipline of RFC 8290 step for
+// step: the MAC builds its FQ-CoDel qdisc baseline as one such Fq per
+// access category.
 package mactid
 
 import (
@@ -62,7 +67,7 @@ type queue struct {
 	next    *queue
 	inList  listID
 	// idx is the queue's global scan position (hash queues first, then
-	// overflow queues in registration order); occPos its slot in the
+	// overflow queues in InitTID order); occPos its slot in the
 	// occupied heap, -1 while empty. The over-limit policy reads the heap
 	// root, with idx preserving the full scan's first-longest
 	// tie-breaking.
@@ -108,8 +113,10 @@ type Fq struct {
 	// flows is the hash-queue table, built by the first Enqueue: many
 	// structures (FQ-CoDel's per-AC qdiscs outside BE) never see a
 	// packet, and a world is built per campaign run.
-	flows    []queue
-	overflow []*queue // TID overflow queues, registered as TIDs are created
+	flows []queue
+	// tids counts the TIDs set up on the structure (InitTID); their
+	// overflow queues are numbered after the hash queues in that order.
+	tids int
 	// occupied is a binary max-heap of the queues currently holding
 	// bytes, ordered by (bytes desc, idx asc) — a total order, so the
 	// root is exactly the queue a full first-longest-wins scan would
@@ -178,19 +185,13 @@ func (fq *Fq) OverlimitDrops() int { return fq.overDrops }
 // SparseDequeues reports packets served from new-queue (sparse) lists.
 func (fq *Fq) SparseDequeues() int { return fq.sparseHits }
 
-// NewTID creates a TID view onto the shared structure. The MAC creates
-// one per (station, traffic identifier).
-func (fq *Fq) NewTID() *TID {
-	t := &TID{fq: fq}
-	t.overflowQ = &queue{idx: fq.cfg.Flows + len(fq.overflow), occPos: -1}
-	fq.overflow = append(fq.overflow, t.overflowQ)
-	t.codelDrop = func(dp *pkt.Packet) {
-		fq.len--
-		t.len--
-		fq.codelDrops++
-		fq.drop(dp)
-	}
-	return t
+// InitTID sets up t, which the caller holds, as a TID view onto the
+// shared structure. The MAC sets up one per (station, traffic
+// identifier). t must not be copied afterwards: the structure's queues
+// point into it.
+func (fq *Fq) InitTID(t *TID) {
+	*t = TID{fq: fq, overflowQ: queue{idx: fq.cfg.Flows + fq.tids, occPos: -1}}
+	fq.tids++
 }
 
 // drop takes ownership of a packet leaving the structure by drop and
@@ -348,11 +349,8 @@ func (fq *Fq) dropFromLongest() *pkt.Packet {
 type TID struct {
 	fq         *Fq
 	newQ, oldQ queueList
-	overflowQ  *queue
+	overflowQ  queue
 	len        int
-	// codelDrop is the CoDel drop callback, built once in NewTID so
-	// Dequeue does not allocate a closure per call.
-	codelDrop func(*pkt.Packet)
 }
 
 // Len reports packets queued for this TID.
@@ -375,7 +373,7 @@ func (t *TID) Enqueue(p *pkt.Packet, now sim.Time) bool {
 	}
 	q := &fq.flows[p.FlowKey()&fq.flowMask]
 	if q.tid != nil && q.tid != t {
-		q = t.overflowQ
+		q = &t.overflowQ
 		fq.collisions++
 	}
 	q.tid = t
@@ -428,7 +426,16 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 			continue
 		}
 		fq.occDefer(q)
-		p := q.cv.Dequeue(&q.q, pa, now, t.codelDrop)
+		// CoDel hands the packets it drops straight to the drop hook;
+		// the counters follow from its drop count.
+		codelDrops := q.cv.LastDropCount
+		p := q.cv.Dequeue(&q.q, pa, now, fq.cfg.DropHook)
+		if d := q.cv.LastDropCount - codelDrops; d > 0 {
+			fq.len -= d
+			t.len -= d
+			fq.codelDrops += d
+			fq.drops += d
+		}
 		if p == nil {
 			if fromNew {
 				t.newQ.popHead()
@@ -437,7 +444,7 @@ func (t *TID) Dequeue(now sim.Time, pa codel.Params) *pkt.Packet {
 				t.oldQ.popHead()
 				// Queue empty and leaving the scheduler: release the TID
 				// binding (Algorithm 2 line 18).
-				if q != t.overflowQ {
+				if q != &t.overflowQ {
 					q.tid = nil
 				}
 			}

@@ -14,10 +14,17 @@ func mkp(flow uint64, size int) *pkt.Packet {
 
 func pa() codel.Params { return codel.Default() }
 
+// newTID sets up a TID of fq.
+func newTID(fq *Fq) *TID {
+	t := new(TID)
+	fq.InitTID(t)
+	return t
+}
+
 func TestPerTIDIsolation(t *testing.T) {
 	fq := New(Config{})
-	t1 := fq.NewTID()
-	t2 := fq.NewTID()
+	t1 := newTID(fq)
+	t2 := newTID(fq)
 	a := mkp(1, 100)
 	b := mkp(2, 100)
 	t1.Enqueue(a, 0)
@@ -35,7 +42,7 @@ func TestPerTIDIsolation(t *testing.T) {
 
 func TestFlowOrderWithinTID(t *testing.T) {
 	fq := New(Config{})
-	tid := fq.NewTID()
+	tid := newTID(fq)
 	for i := 0; i < 20; i++ {
 		p := mkp(7, 1500)
 		p.SeqNo = int64(i)
@@ -54,8 +61,8 @@ func TestFlowOrderWithinTID(t *testing.T) {
 // lines 6-8).
 func TestHashCollisionGoesToOverflow(t *testing.T) {
 	fq := New(Config{Flows: 1}) // force every packet onto one queue
-	t1 := fq.NewTID()
-	t2 := fq.NewTID()
+	t1 := newTID(fq)
+	t2 := newTID(fq)
 	a := mkp(1, 100)
 	b := mkp(2, 100)
 	t1.Enqueue(a, 0)
@@ -75,8 +82,8 @@ func TestHashCollisionGoesToOverflow(t *testing.T) {
 // TID binding clears so another TID can claim it (Algorithm 2, line 18).
 func TestTIDBindingReleased(t *testing.T) {
 	fq := New(Config{Flows: 1})
-	t1 := fq.NewTID()
-	t2 := fq.NewTID()
+	t1 := newTID(fq)
+	t2 := newTID(fq)
 	t1.Enqueue(mkp(1, 100), 0)
 	// Drain: first dequeue serves from the new list; the queue then
 	// rotates to the old list and is released once found empty.
@@ -102,8 +109,8 @@ func TestTIDBindingReleased(t *testing.T) {
 // lock-out the paper fixes in §4.1.2.
 func TestGlobalLimitProtectsThinTIDs(t *testing.T) {
 	fq := New(Config{Limit: 100})
-	bulk := fq.NewTID()
-	thin := fq.NewTID()
+	bulk := newTID(fq)
+	thin := newTID(fq)
 	for i := 0; i < 200; i++ {
 		bulk.Enqueue(mkp(1, 1500), 0)
 	}
@@ -124,7 +131,7 @@ func TestGlobalLimitProtectsThinTIDs(t *testing.T) {
 
 func TestSparseQueuePriorityWithinTID(t *testing.T) {
 	fq := New(Config{})
-	tid := fq.NewTID()
+	tid := newTID(fq)
 	for i := 0; i < 50; i++ {
 		tid.Enqueue(mkp(1, 1500), 0)
 	}
@@ -143,8 +150,8 @@ func TestSparseQueuePriorityWithinTID(t *testing.T) {
 
 func TestLenTracking(t *testing.T) {
 	fq := New(Config{})
-	t1 := fq.NewTID()
-	t2 := fq.NewTID()
+	t1 := newTID(fq)
+	t2 := newTID(fq)
 	for i := 0; i < 5; i++ {
 		t1.Enqueue(mkp(uint64(i), 100), 0)
 	}
@@ -165,7 +172,7 @@ func TestLenTracking(t *testing.T) {
 
 func TestCodelDropsCountedPerTID(t *testing.T) {
 	fq := New(Config{})
-	tid := fq.NewTID()
+	tid := newTID(fq)
 	now := sim.Time(0)
 	for i := 0; i < 500; i++ {
 		tid.Enqueue(mkp(1, 1500), now)
@@ -194,7 +201,7 @@ func TestCodelDropsCountedPerTID(t *testing.T) {
 func TestConservation(t *testing.T) {
 	dropped := 0
 	fq := New(Config{Limit: 64, DropHook: func(*pkt.Packet) { dropped++ }})
-	tids := []*TID{fq.NewTID(), fq.NewTID(), fq.NewTID()}
+	tids := []*TID{newTID(fq), newTID(fq), newTID(fq)}
 	r := sim.NewRand(11)
 	enq, deq := 0, 0
 	now := sim.Time(0)
@@ -226,7 +233,7 @@ func TestConservation(t *testing.T) {
 // the table either way.
 func TestFlowTableBuiltOnFirstEnqueue(t *testing.T) {
 	fq := New(Config{Flows: 64})
-	t1, t2 := fq.NewTID(), fq.NewTID()
+	t1, t2 := newTID(fq), newTID(fq)
 	for i := 0; i < 3; i++ {
 		if t1.Dequeue(sim.Time(i), pa()) != nil {
 			t.Fatal("dequeued from an empty structure")

@@ -9,10 +9,11 @@ import (
 )
 
 // refLongestQueue is the original O(flows+overflow) reference: first
-// strictly longest hash queue in index order, then overflow queues, a
-// later queue winning only on strictly more bytes. It is nil while
-// every queue is empty, including before the flow table exists.
-func refLongestQueue(fq *Fq) *queue {
+// strictly longest hash queue in index order, then the overflow queues
+// of tids (every TID set up on fq, in InitTID order), a later queue
+// winning only on strictly more bytes. It is nil while every queue is
+// empty, including before the flow table exists.
+func refLongestQueue(fq *Fq, tids []*TID) *queue {
 	var longest *queue
 	consider := func(q *queue) {
 		if q.q.Bytes() > 0 && (longest == nil || q.q.Bytes() > longest.q.Bytes()) {
@@ -22,8 +23,8 @@ func refLongestQueue(fq *Fq) *queue {
 	for i := range fq.flows {
 		consider(&fq.flows[i])
 	}
-	for _, q := range fq.overflow {
-		consider(q)
+	for _, t := range tids {
+		consider(&t.overflowQ)
 	}
 	return longest
 }
@@ -39,8 +40,8 @@ func describe(q *queue) string {
 // checkHeap verifies the occupied heap against every queue whose byte
 // count has settled, i.e. every queue but fq.pending: each heap edge is
 // ordered by occAbove, each occPos names its own slot, and the heap
-// holds exactly the queues with bytes.
-func checkHeap(fq *Fq) error {
+// holds exactly the queues with bytes. tids are every TID set up on fq.
+func checkHeap(fq *Fq, tids []*TID) error {
 	h := fq.occupied
 	for i, q := range h {
 		if q.occPos != i {
@@ -69,8 +70,8 @@ func checkHeap(fq *Fq) error {
 			return err
 		}
 	}
-	for _, q := range fq.overflow {
-		if err := check(q); err != nil {
+	for _, t := range tids {
+		if err := check(&t.overflowQ); err != nil {
 			return err
 		}
 	}
@@ -123,7 +124,7 @@ func TestLongestQueueMatchesReferenceScan(t *testing.T) {
 				fq := New(Config{Flows: 16, Limit: tc.minLimit + r.Intn(tc.maxLimit-tc.minLimit+1)})
 				tids := make([]*TID, tc.tids)
 				for i := range tids {
-					tids[i] = fq.NewTID()
+					tids[i] = newTID(fq)
 				}
 				now := sim.Time(0)
 				for step := -1; step < 5000; step++ {
@@ -141,10 +142,10 @@ func TestLongestQueueMatchesReferenceScan(t *testing.T) {
 							now += sim.Time(r.Intn(tc.tick)) * sim.Microsecond
 						}
 					}
-					if err := checkHeap(fq); err != nil {
+					if err := checkHeap(fq, tids); err != nil {
 						t.Fatalf("seed %d limit %d step %d: %v", seed, fq.cfg.Limit, step, err)
 					}
-					got, want := peekLongestQueue(fq), refLongestQueue(fq)
+					got, want := peekLongestQueue(fq), refLongestQueue(fq, tids)
 					if got != want {
 						t.Fatalf("seed %d limit %d step %d: longestQueue picked %s, reference %s",
 							seed, fq.cfg.Limit, step, describe(got), describe(want))

@@ -1,4 +1,4 @@
-package fqcodel
+package mactid
 
 import (
 	"slices"
@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// counters reads the five counters the adapter and the reference share.
+// counters reads the five counters the structure and the reference share.
 func counters(q interface {
 	Len() int
 	Drops() int
@@ -20,8 +20,8 @@ func counters(q interface {
 	return [5]int{q.Len(), q.Drops(), q.CodelDrops(), q.OverlimitDrops(), q.SparseDequeues()}
 }
 
-// TestMatchesReference feeds the adapter and refFQCoDel identical packets
-// under random enqueues and dequeues, with small limits and a clock that
+// TestMatchesReference feeds a one-TID Fq (fqCoDel) and refFQCoDel
+// identical packets under random enqueues and dequeues, with small limits and a clock that
 // advances 0-3 ms per op so over-limit and CoDel drops both fire. At every
 // step the two must agree on acceptance, the packet dequeued, the packets
 // dropped (in order) and all five counters.
@@ -32,9 +32,9 @@ func TestMatchesReference(t *testing.T) {
 		clock := func() sim.Time { return now }
 		var got, want []int64 // SeqNo of each packet dropped this step
 		limit := 5 + r.Intn(60)
-		fq := New(Config{Flows: 16, Limit: limit, Clock: clock,
-			DropHook: func(p *pkt.Packet) { got = append(got, p.SeqNo) }})
-		ref := newRef(Config{Flows: 16, Limit: limit, Clock: clock,
+		fq := newFQCoDel(Config{Flows: 16, Limit: limit,
+			DropHook: func(p *pkt.Packet) { got = append(got, p.SeqNo) }}, clock)
+		ref := newRef(refConfig{Flows: 16, Limit: limit, Clock: clock,
 			DropHook: func(p *pkt.Packet) { want = append(want, p.SeqNo) }})
 		for step := 0; step < 4000; step++ {
 			if r.Intn(3) != 0 {
@@ -62,16 +62,24 @@ func TestMatchesReference(t *testing.T) {
 	}
 }
 
-// refFQCoDel is the standalone FQ-CoDel this package implemented before it
-// became a single-TID view of mactid: its own flow lists, DRR loop and a
-// flat scan of the occupied flows for the over-limit victim. It is kept
-// unchanged, under test-only names, as the oracle TestMatchesReference
-// runs the adapter against.
+// refFQCoDel is the standalone FQ-CoDel qdisc the repository implemented
+// before that qdisc became a single-TID view of this structure: its own
+// flow lists, DRR loop and a flat scan of the occupied flows for the
+// over-limit victim. It is kept unchanged, under test-only names, as the
+// oracle TestMatchesReference runs the one-TID Fq against.
+
+// refConfig holds the reference's parameters.
+type refConfig struct {
+	Flows    int // number of hash queues (default 1024)
+	Limit    int // global packet limit (default 10240)
+	Clock    func() sim.Time
+	DropHook func(*pkt.Packet) // invoked for every dropped packet (may be nil)
+}
 
 // refQuantum is the DRR quantum in bytes, Linux fq_codel's default.
 const refQuantum = 1514
 
-func refFill(c *Config) {
+func refFill(c *refConfig) {
 	if c.Flows <= 0 {
 		c.Flows = 1024
 	}
@@ -79,7 +87,7 @@ func refFill(c *Config) {
 		c.Limit = 10240
 	}
 	if c.Clock == nil {
-		panic("fqcodel: Config.Clock is required")
+		panic("refFQCoDel: refConfig.Clock is required")
 	}
 	if c.DropHook == nil {
 		// A no-op hook keeps the drop path unconditional, so packet
@@ -148,7 +156,7 @@ func (l *refFlowList) popHead() *refFlow {
 }
 
 type refFQCoDel struct {
-	cfg      Config
+	cfg      refConfig
 	flows    []refFlow
 	occupied []*refFlow // flows currently holding bytes, in no particular order
 	// occBytes mirrors each occupied flow's byte count in a flat array,
@@ -172,7 +180,7 @@ type refFQCoDel struct {
 	sparseHits int // packets dequeued from the new list
 }
 
-func newRef(cfg Config) *refFQCoDel {
+func newRef(cfg refConfig) *refFQCoDel {
 	refFill(&cfg)
 	fq := &refFQCoDel{
 		cfg:   cfg,

@@ -1,7 +1,8 @@
 // Package qdisc models the Linux queueing-discipline layer that sits above
-// the WiFi driver (the top box of the paper's Figure 2): the Qdisc
-// interface and PFIFO, the kernel default. The FQ-CoDel qdisc used as the
-// paper's second baseline lives in package fqcodel.
+// the WiFi driver (the top box of the paper's Figure 2): PFIFO, the
+// kernel default, and the Qdisc view every discipline offers its
+// observers. The FQ-CoDel qdisc used as the paper's second baseline is a
+// one-TID mactid.Fq, which the MAC builds itself.
 //
 // In the paper's FQ-MAC and Airtime-FQ configurations this layer is
 // bypassed entirely; the MAC model then feeds packets straight into the
@@ -10,14 +11,8 @@ package qdisc
 
 import "repro/internal/pkt"
 
-// Qdisc is a queueing discipline instance for one network interface.
+// Qdisc is what a queueing discipline instance reports to its observers.
 type Qdisc interface {
-	// Enqueue accepts a packet, returning false when the packet was
-	// dropped (queue overlimit).
-	Enqueue(p *pkt.Packet) bool
-	// Dequeue returns the next packet to hand to the driver, or nil when
-	// the discipline is empty.
-	Dequeue() *pkt.Packet
 	// Len reports the number of packets held.
 	Len() int
 	// Drops reports the cumulative packets dropped.
@@ -35,7 +30,8 @@ type PFIFO struct {
 // pfifoLimit is PFIFO's packet limit, the Linux default txqueuelen.
 const pfifoLimit = 1000
 
-// Enqueue implements Qdisc.
+// Enqueue accepts p, or reports false without storing it when the queue
+// is full (tail drop); the caller then still owns p.
 //
 //hj17:hotpath
 func (f *PFIFO) Enqueue(p *pkt.Packet) bool {
@@ -47,7 +43,8 @@ func (f *PFIFO) Enqueue(p *pkt.Packet) bool {
 	return true
 }
 
-// Dequeue implements Qdisc.
+// Dequeue returns the next packet to hand to the driver, or nil when the
+// queue is empty.
 //
 //hj17:hotpath
 func (f *PFIFO) Dequeue() *pkt.Packet { return f.q.Pop() }

@@ -55,11 +55,6 @@ func (a *Airtime) replenish(e *Entry) sim.Time {
 	return sim.Time(float64(a.quantum) * e.Weight)
 }
 
-// Register implements StationScheduler.
-func (a *Airtime) Register(backlogged func() bool) *Entry {
-	return &Entry{backlogged: backlogged}
-}
-
 // Activate implements StationScheduler. A newly backlogged station starts
 // with one round's deficit on the new-stations list when the sparse
 // optimisation is on, the old list otherwise.
@@ -99,7 +94,7 @@ func (a *Airtime) Next() *Entry {
 			a.oldL.pushTail(e)
 			continue
 		}
-		if !e.backlogged() {
+		if !e.Owner.Backlogged() {
 			l.popHead()
 			if l == &a.newL {
 				// Anti-gaming rule: an emptying sparse station moves to

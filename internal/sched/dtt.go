@@ -25,11 +25,6 @@ type DTT struct {
 // quantum.
 func NewDTT(quantum sim.Time) *DTT { return &DTT{quantum: quantum} }
 
-// Register implements StationScheduler.
-func (d *DTT) Register(backlogged func() bool) *Entry {
-	return &Entry{backlogged: backlogged}
-}
-
 // Activate implements StationScheduler. Entries joining the rotation
 // start with one quantum of credit.
 //
@@ -54,7 +49,7 @@ func (d *DTT) Next() *Entry {
 		// One full rotation.
 		for n, count := 0, d.rot.len(); n < count; n++ {
 			e := d.rot.popHead()
-			if !e.backlogged() {
+			if !e.Owner.Backlogged() {
 				continue
 			}
 			if e.balance > 0 {

@@ -14,11 +14,6 @@ type RoundRobin struct{ rot list }
 // NewRoundRobin returns the round-robin baseline scheduler.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
-// Register implements StationScheduler.
-func (r *RoundRobin) Register(backlogged func() bool) *Entry {
-	return &Entry{backlogged: backlogged}
-}
-
 // Activate implements StationScheduler.
 //
 //hj17:hotpath
@@ -35,7 +30,7 @@ func (r *RoundRobin) Activate(e *Entry) {
 //hj17:hotpath
 func (r *RoundRobin) Next() *Entry {
 	for e := r.rot.popHead(); e != nil; e = r.rot.popHead() {
-		if e.backlogged() {
+		if e.Owner.Backlogged() {
 			r.rot.pushTail(e)
 			return e
 		}

@@ -8,9 +8,10 @@
 // scheduling.
 //
 // Every policy is a rotation of Entry values on an intrusive list. The
-// MAC registers one Entry per (station, access category) pair and talks
-// to the scheduler exclusively through entries. New policies plug into
-// the MAC by composing a scheme via mac.RegisterScheme — no MAC changes
+// MAC holds one Entry per (station, access category) pair inside its
+// per-TID state, names that state as the entry's Owner, and talks to the
+// scheduler exclusively through entries. New policies plug into the MAC
+// by composing a scheme via mac.RegisterScheme — no MAC changes
 // required.
 package sched
 
@@ -44,13 +45,21 @@ func CheckWeight(w float64) error {
 	return nil
 }
 
-// Entry is one station's handle within a StationScheduler. The registrar
-// (the MAC) supplies the backlog probe at Register time and may attach
-// its own station object to User to map scheduling decisions back.
+// Owner is what an Entry schedules: the MAC's transmit state for one
+// (station, access category) pair.
+type Owner interface {
+	// Backlogged reports whether the owner can contribute packets to an
+	// aggregate right now.
+	Backlogged() bool
+}
+
+// Entry is one station's handle within a StationScheduler. Its holder
+// (the MAC) sets Owner before first activating it, and maps the entries
+// Next returns back to its own state through it.
 type Entry struct {
-	// User is opaque registrar data; the MAC stores its *mac.Station
-	// here so Next results translate back to stations.
-	User any
+	// Owner is the state the entry schedules; the policies probe its
+	// backlog.
+	Owner Owner
 
 	// Weight scales the station's deficit replenishment under the
 	// weighted Airtime policy: a station with weight 2 earns twice the
@@ -58,9 +67,8 @@ type Entry struct {
 	// of 1; other policies ignore it. Callers bound it with CheckWeight.
 	Weight float64
 
-	backlogged func() bool
-	next       *Entry
-	listed     bool
+	next   *Entry
+	listed bool
 	// balance is Airtime's deficit and DTT's token credit: the entry
 	// may transmit while it is positive.
 	balance sim.Time
@@ -70,10 +78,6 @@ type Entry struct {
 // MAC asks Next which station may build the next aggregate and reports
 // completed transmissions back through the Charge methods.
 type StationScheduler interface {
-	// Register adds a station with its backlog probe and returns its
-	// scheduling handle. Called once per station when it associates.
-	Register(backlogged func() bool) *Entry
-
 	// Activate notifies that the entry has become backlogged. Idempotent
 	// for entries already scheduled.
 	Activate(*Entry)

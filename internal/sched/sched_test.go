@@ -7,19 +7,29 @@ import (
 	"repro/internal/sim"
 )
 
-// sta is a registered entry with a switchable backlog flag.
+// sta is an entry's owner with a switchable backlog flag.
 type sta struct {
 	*Entry
-	on bool
+	on   bool
+	name string
 }
 
-// add registers a backlogged station on s and activates it.
+// Backlogged implements Owner.
+func (st *sta) Backlogged() bool { return st.on }
+
+// add activates a backlogged station on s.
 func add(s StationScheduler) *sta {
 	st := &sta{on: true}
-	st.Entry = s.Register(func() bool { return st.on })
+	st.Entry = &Entry{Owner: st}
 	s.Activate(st.Entry)
 	return st
 }
+
+// always is an Owner that is always backlogged.
+type always struct{}
+
+// Backlogged implements Owner.
+func (always) Backlogged() bool { return true }
 
 // queued counts the entries on s's lists.
 func queued(s StationScheduler) int {
@@ -246,14 +256,14 @@ func TestRxChargingAffectsSchedule(t *testing.T) {
 	}
 }
 
-// TestAirtimeChargesAirNotWall: Next returns the registered entry itself,
+// TestAirtimeChargesAirNotWall: Next returns the activated entry itself,
 // and ChargeTx bills the true airtime, never the wall-clock duration.
 func TestAirtimeChargesAirNotWall(t *testing.T) {
 	s := NewAirtime(DefaultQuantum, true)
 	a := add(s)
 	add(s)
 	if s.Next() != a.Entry {
-		t.Fatal("Next did not return the first registered entry")
+		t.Fatal("Next did not return the first activated entry")
 	}
 	before := a.balance
 	s.ChargeTx(a.Entry, 100*sim.Microsecond, 5*sim.Millisecond)
@@ -266,8 +276,8 @@ func TestAirtimeChargesAirNotWall(t *testing.T) {
 // scheduler grants the heavy station about twice the airtime.
 func TestWeightedAirtimeShares(t *testing.T) {
 	s := NewWeightedAirtime(DefaultQuantum, false)
-	heavy := s.Register(func() bool { return true })
-	light := s.Register(func() bool { return true })
+	heavy := &Entry{Owner: always{}}
+	light := &Entry{Owner: always{}}
 	heavy.Weight = 2
 	s.Activate(heavy)
 	s.Activate(light)
@@ -295,8 +305,8 @@ func TestWeightedAirtimeShares(t *testing.T) {
 // Entry.Weight, so the paper's scheme cannot be skewed accidentally.
 func TestPlainAirtimeIgnoresWeights(t *testing.T) {
 	s := NewAirtime(DefaultQuantum, false)
-	e1 := s.Register(func() bool { return true })
-	e2 := s.Register(func() bool { return true })
+	e1 := &Entry{Owner: always{}}
+	e2 := &Entry{Owner: always{}}
 	e1.Weight = 8
 	s.Activate(e1)
 	s.Activate(e2)
@@ -326,7 +336,7 @@ func TestWeightBounds(t *testing.T) {
 			t.Errorf("CheckWeight(%v) = %v, want nil", w, err)
 		}
 		s := NewWeightedAirtime(DefaultQuantum, true)
-		a := s.Register(func() bool { return true })
+		a := &Entry{Owner: always{}}
 		a.Weight = w
 		s.Activate(a)
 		s.ChargeTx(a, 4*sim.Millisecond, 0)
@@ -347,7 +357,7 @@ func TestDTTBillsWallClock(t *testing.T) {
 	s := NewDTT(DefaultQuantum)
 	a := add(s)
 	if s.Next() != a.Entry {
-		t.Fatal("Next did not return the registered entry")
+		t.Fatal("Next did not return the activated entry")
 	}
 	before := a.balance
 	s.ChargeTx(a.Entry, 100*sim.Microsecond, 900*sim.Microsecond)
@@ -427,12 +437,12 @@ func TestRotationSkipsIdle(t *testing.T) {
 func TestRoundRobinRotation(t *testing.T) {
 	rr := NewRoundRobin()
 	a, b, c := add(rr), add(rr), add(rr)
-	a.User, b.User, c.User = "a", "b", "c"
+	a.name, b.name, c.name = "a", "b", "c"
 
 	turns := func(n int) []string {
 		var order []string
 		for i := 0; i < n; i++ {
-			order = append(order, rr.Next().User.(string))
+			order = append(order, rr.Next().Owner.(*sta).name)
 		}
 		return order
 	}
@@ -458,7 +468,7 @@ func TestRoundRobinRotation(t *testing.T) {
 	// Everyone idle: Next returns nil and the rotation empties.
 	a.on, b.on, c.on = false, false, false
 	if e := rr.Next(); e != nil {
-		t.Fatalf("Next with no backlog = %v, want nil", e.User)
+		t.Fatalf("Next with no backlog = %v, want nil", e.Owner.(*sta).name)
 	}
 	if queued(rr) != 0 {
 		t.Fatal("rotation not empty after universal drain")

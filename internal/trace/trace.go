@@ -1,7 +1,7 @@
 // Package trace provides a lightweight structured event log for the
-// simulated stack: packet lifecycle events (enqueue, drop, air
-// transmission, delivery) recorded into a bounded ring buffer with
-// per-kind counters. Nodes emit into a Log when one is attached; tracing
+// simulated stack: packet lifecycle events (enqueue, drop at enqueue,
+// end of an air transmission, delivery) recorded into a bounded ring
+// buffer with per-kind counters. Nodes emit into a Log when one is attached; tracing
 // is zero-cost when disabled.
 package trace
 
@@ -19,14 +19,16 @@ type Kind uint8
 // Event kinds, in lifecycle order.
 const (
 	Enqueue Kind = iota // packet entered a node's queueing structure
-	Drop                // packet dropped (queue limit, AQM, retry limit)
-	TxStart             // aggregate started transmitting on the air
-	TxDone              // aggregate finished (success or collision)
-	Deliver             // packet handed to a node's upper layer
+	// Drop is a drop at enqueue: no route, a full PFIFO qdisc or a
+	// mactid.Fq's global limit. CoDel and retry-limit drops are not
+	// traced.
+	Drop
+	TxDone  // aggregate finished (success or collision)
+	Deliver // packet handed to a node's upper layer
 	numKinds
 )
 
-var kindNames = [numKinds]string{"enq", "drop", "txstart", "txdone", "deliver"}
+var kindNames = [numKinds]string{"enq", "drop", "txdone", "deliver"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -42,8 +44,13 @@ type Event struct {
 	Node pkt.NodeID // where it happened
 	Peer pkt.NodeID // counterparty (destination station, sender, ...)
 	AC   pkt.AC
-	Size int    // bytes (packet) or frames (aggregate)
-	Note string // small free-form qualifier ("codel", "overlimit", ...)
+	// Size is in bytes for a packet, in frames for an aggregate, and in
+	// packets for an "fq-overlimit" drop, one event per enqueue.
+	Size int
+	// Note qualifies a drop with its cause ("no-route", "qdisc-full",
+	// "fq-overlimit") and a transmission with its outcome ("ok",
+	// "collision").
+	Note string
 }
 
 func (e Event) String() string {
@@ -113,9 +120,8 @@ func (l *Log) Dump(max int) string {
 		evs = evs[len(evs)-max:]
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: enq=%d drop=%d txstart=%d txdone=%d deliver=%d (showing %d)\n",
-		l.Count(Enqueue), l.Count(Drop), l.Count(TxStart), l.Count(TxDone),
-		l.Count(Deliver), len(evs))
+	fmt.Fprintf(&b, "trace: enq=%d drop=%d txdone=%d deliver=%d (showing %d)\n",
+		l.Count(Enqueue), l.Count(Drop), l.Count(TxDone), l.Count(Deliver), len(evs))
 	for _, e := range evs {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
