@@ -25,8 +25,8 @@ import (
 	"repro/internal/trace"
 )
 
-// parseScheme resolves any registered scheme name through the registry,
-// keeping the historical lowercase aliases for the paper schemes.
+// parseScheme resolves a scheme name through exp.ParseScheme, keeping
+// the historical lowercase aliases for the paper schemes.
 func parseScheme(s string) (mac.Scheme, error) {
 	switch strings.ToLower(s) {
 	case "fqcodel":
@@ -74,7 +74,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.scheme, "scheme", "airtime",
-		"queueing scheme: fifo|fqcodel|fqmac|airtime|dtt|airtime-rr|weighted-airtime (any registered scheme)")
+		"queueing scheme: fifo|fqcodel|fqmac|airtime|dtt|airtime-rr|weighted-airtime")
 	flag.IntVar(&o.fast, "fast", 2, "number of fast stations")
 	flag.IntVar(&o.fastMCS, "fast-mcs", 15, "MCS index of fast stations, in [0, 15]")
 	flag.IntVar(&o.slow, "slow", 1, "number of slow stations")

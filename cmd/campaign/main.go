@@ -66,19 +66,26 @@ func (l *stringList) Set(s string) error {
 }
 
 // axisOverrides collects the repeatable -axis flag, each axis at most
-// once: a second value set would silently replace the first.
+// once (a second value set would silently replace the first) and each
+// value at most once per axis (its cell would run twice).
 type axisOverrides map[string][]string
 
 func (a axisOverrides) String() string { return fmt.Sprint(map[string][]string(a)) }
 func (a axisOverrides) Set(s string) error {
-	name, values, ok := strings.Cut(s, "=")
-	if !ok || name == "" || values == "" {
+	name, list, ok := strings.Cut(s, "=")
+	if !ok || name == "" || list == "" {
 		return fmt.Errorf("want -axis name=v1,v2,..., got %q", s)
 	}
 	if _, dup := a[name]; dup {
 		return fmt.Errorf("axis %q given twice", name)
 	}
-	a[name] = strings.Split(values, ",")
+	values := strings.Split(list, ",")
+	for i, v := range values {
+		if slices.Contains(values[:i], v) {
+			return fmt.Errorf("axis %q value %q given twice", name, v)
+		}
+	}
+	a[name] = values
 	return nil
 }
 
@@ -109,10 +116,10 @@ func usage() {
 
 commands:
   list                 show registered scenarios, their parameter axes and
-                       the registered transmit-path schemes
+                       the transmit-path schemes
   describe <scenario>  show a scenario's stations, workloads and emitted
                        metric names, read from a run of its default point
-  schemes [-csv]       print registered scheme names (for scripting sweeps)
+  schemes [-csv]       print the scheme names (for scripting sweeps)
   run   [flags]        run scenarios over their default parameter grids
   sweep [flags]        run with -axis overrides sweeping chosen parameters
 
@@ -201,7 +208,7 @@ func describe(specs []*exp.Spec, args []string) {
 	fmt.Printf("\nmetrics (artifact order): %s\n", strings.Join(d.Metrics, ", "))
 }
 
-// schemes prints the registered scheme names, one per line (or
+// schemes prints the scheme names, one per line (or
 // comma-separated with -csv), for scripting sweeps over every scheme.
 func schemes(args []string) {
 	fs := flag.NewFlagSet("schemes", flag.ExitOnError)

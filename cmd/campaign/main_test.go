@@ -24,8 +24,8 @@ func TestMain(m *testing.M) {
 
 // TestRejectsOutOfRangeFlags: run and sweep exit 2, naming the flag,
 // for every value campaign.Plan would replace with its default, for
-// durations that overflow simulated time, and for a repeated scenario
-// or axis, before anything runs.
+// durations that overflow simulated time, and for a repeated scenario,
+// axis or axis value, before anything runs.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	rows := []struct{ flag, value string }{
 		{"reps", "0"},
@@ -45,6 +45,8 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		// Every row selects -axis scheme=FIFO; a second value set would
 		// silently replace the first.
 		{"axis", "scheme=Airtime"},
+		// A repeated value would run its cell twice.
+		{"axis", "rate-mbps=50,20,50"},
 	}
 	for _, cmd := range [][]string{{"run", "-axis", "scheme=FIFO"}, {"sweep", "-axis", "scheme=FIFO"}} {
 		for _, r := range rows {

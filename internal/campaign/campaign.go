@@ -13,6 +13,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -181,7 +182,9 @@ func (m *Metrics) Sample(name string) *stats.Sample {
 // expand returns the cartesian product of the scenario's axes (after
 // applying overrides), as ordered value tuples. A scenario with no axes
 // has exactly one (empty) point. Overrides naming axes the scenario does
-// not declare are ignored here; Execute validates them campaign-wide.
+// not declare are ignored here; Execute validates them campaign-wide. An
+// axis that lists a value twice is an error: its cells would repeat
+// under different seeds.
 func expand(axes []Axis, overrides map[string][]string) ([][]string, error) {
 	points := [][]string{nil}
 	for _, a := range axes {
@@ -191,6 +194,11 @@ func expand(axes []Axis, overrides map[string][]string) ([][]string, error) {
 		}
 		if len(values) == 0 {
 			return nil, fmt.Errorf("axis %q has no values", a.Name)
+		}
+		for i, v := range values {
+			if slices.Contains(values[:i], v) {
+				return nil, fmt.Errorf("axis %q lists %q twice", a.Name, v)
+			}
 		}
 		next := make([][]string, 0, len(points)*len(values))
 		for _, p := range points {

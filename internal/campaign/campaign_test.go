@@ -151,6 +151,11 @@ func TestSweepOverrides(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"alpha"`) {
 		t.Fatalf("repeated scenario: err = %v, want it named", err)
 	}
+	// A repeated axis value would run one cell twice under other seeds.
+	_, err = synthetic().Execute(Plan{Overrides: map[string][]string{"scheme": {"a", "b", "a"}}})
+	if err == nil || !strings.Contains(err.Error(), `axis "scheme" lists "a" twice`) {
+		t.Fatalf("repeated axis value: err = %v, want the axis and value named", err)
+	}
 }
 
 func TestDeriveSeedProperties(t *testing.T) {

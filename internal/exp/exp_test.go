@@ -330,7 +330,7 @@ func TestStationMACOverride(t *testing.T) {
 	if n.Stations[0].Node.Config().RTSThreshold != sim.Millisecond {
 		t.Fatal("station MAC override not applied")
 	}
-	if n.Stations[0].Node.Scheme() != mac.SchemeFIFO {
+	if n.Stations[0].Node.Config().Scheme != mac.SchemeFIFO {
 		t.Fatal("station scheme must remain FIFO")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/mac"
 	"repro/internal/pkt"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -19,8 +18,8 @@ import (
 
 // The golden hashes below were captured from the pre-registry transmit
 // path (the hard-coded Scheme switch) on the identical plans. They pin
-// the refactor's acceptance criterion: composing the paper's five
-// schemes through the scheme registry must be byte-identical to the
+// the transmit path's behaviour: however the MAC composes the paper's
+// five schemes, their artifacts must stay byte-identical to the
 // original implementation — same seeds, same artifacts, down to the
 // JSON bytes. If a deliberate behaviour change ever invalidates them,
 // regenerate with the plans below and document why.
@@ -97,31 +96,12 @@ func TestGoldenDeterminismAcrossRefactor(t *testing.T) {
 	}
 }
 
-// testRR is the name of a round-robin scheme that tests register from
-// outside the simulator, as examples/customscheme does.
-const testRR = "test-exp-rr"
-
-// registerTestRR registers testRR once per test binary and returns it.
-func registerTestRR() mac.Scheme {
-	if s, ok := mac.SchemeByName(testRR); ok {
-		return s
-	}
-	return mac.RegisterScheme(testRR, mac.Composition{
-		Desc:     "integrated queueing + round-robin scheduler, registered by a test",
-		Queueing: mac.IntegratedQueueing,
-		Scheduler: func(_ *mac.Node, _ pkt.AC) sched.StationScheduler {
-			return sched.NewRoundRobin()
-		},
-	})
-}
-
 // TestAllRegisteredSchemesRun: a one-repetition campaign over every
-// registered scheme completes without error — a broken or unregistered
-// composition fails here (and in the CI step that mirrors this). One of
-// them is testRR: it resolves by name through the udp Spec and moves
-// traffic over a partition of the airtime.
+// scheme completes without error — a broken composition fails here (and
+// in the CI step that mirrors this). The Airtime-RR cell moves traffic
+// over a partition of the airtime.
 func TestAllRegisteredSchemesRun(t *testing.T) {
-	registerTestRR()
+	const rr = "Airtime-RR"
 	res, err := NewRegistry().Execute(campaign.Plan{
 		Scenarios: []string{"udp"},
 		Overrides: map[string][]string{
@@ -137,11 +117,11 @@ func TestAllRegisteredSchemesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(mac.SchemeNames()); len(res.Cells) != want {
-		t.Fatalf("cells = %d, want one per registered scheme (%d)", len(res.Cells), want)
+	if want := len(mac.AllSchemes()); len(res.Cells) != want {
+		t.Fatalf("cells = %d, want one per scheme (%d)", len(res.Cells), want)
 	}
 	for _, c := range res.Cells {
-		if !slices.Contains(c.Params, campaign.Param{Name: "scheme", Value: testRR}) {
+		if !slices.Contains(c.Params, campaign.Param{Name: "scheme", Value: rr}) {
 			continue
 		}
 		var total, shares float64
@@ -154,29 +134,29 @@ func TestAllRegisteredSchemesRun(t *testing.T) {
 			}
 		}
 		if total < 10 {
-			t.Errorf("%s moved only %.1f Mbps, want a working transmit path", testRR, total)
+			t.Errorf("%s moved only %.1f Mbps, want a working transmit path", rr, total)
 		}
 		if shares < 0.99 || shares > 1.01 {
-			t.Errorf("%s airtime shares sum to %.3f, want a partition of 1", testRR, shares)
+			t.Errorf("%s airtime shares sum to %.3f, want a partition of 1", rr, shares)
 		}
 		return
 	}
-	t.Fatalf("no cell for the registered scheme %s", testRR)
+	t.Fatalf("no cell for %s", rr)
 }
 
-// TestCustomSchemeEndToEnd: testRR resolves by name in any case and
+// TestCustomSchemeEndToEnd: Airtime-RR resolves by name in any case and
 // through ParseScheme, is listed by AllSchemes, and runs a full
 // three-station Net that moves traffic over a partition of the airtime.
 func TestCustomSchemeEndToEnd(t *testing.T) {
-	scheme := registerTestRR()
-	if got, ok := mac.SchemeByName("TEST-EXP-RR"); !ok || got != scheme {
+	scheme := mac.SchemeAirtimeRR
+	if got, ok := mac.SchemeByName("AIRTIME-RR"); !ok || got != scheme {
 		t.Fatalf("SchemeByName = %v, %v; want %v, true", got, ok, scheme)
 	}
-	if got, err := ParseScheme(testRR); err != nil || got != scheme {
+	if got, err := ParseScheme("airtime-rr"); err != nil || got != scheme {
 		t.Fatalf("ParseScheme = %v, %v; want %v, nil", got, err, scheme)
 	}
 	if !slices.Contains(mac.AllSchemes(), scheme) {
-		t.Fatal("registered scheme missing from AllSchemes")
+		t.Fatal("Airtime-RR missing from AllSchemes")
 	}
 
 	n := NewNet(NetConfig{Seed: 3, Scheme: scheme, Stations: DefaultStations()})
@@ -191,7 +171,7 @@ func TestCustomSchemeEndToEnd(t *testing.T) {
 		goodput += s.GoodputBps()
 	}
 	if goodput < 10e6 {
-		t.Fatalf("%s moved only %.1f Mbps, want a working transmit path", testRR, goodput/1e6)
+		t.Fatalf("%v moved only %.1f Mbps, want a working transmit path", scheme, goodput/1e6)
 	}
 	airtime := make([]float64, len(n.Stations))
 	for i, st := range n.Stations {

@@ -174,9 +174,9 @@ func (w *World) prewarmFor(rateBps float64) {
 // BuildWorld assembles a testbed world. The single-BSS Stations form and
 // the multi-BSS BSSs form build through the same path, so a one-BSS
 // world is structurally identical to the historical single-AP testbed.
-// The scheme must be registered; resolve names through ParseScheme first
-// (an unregistered scheme panics here, as a testbed cannot exist without
-// its transmit path).
+// Resolve scheme names through ParseScheme first: a Scheme value outside
+// mac's set panics here, as a testbed cannot exist without its transmit
+// path.
 func BuildWorld(cfg NetConfig) *World {
 	if cfg.WiredDelay == 0 {
 		cfg.WiredDelay = 1 * sim.Millisecond
@@ -273,7 +273,7 @@ func newCellNet(w *World, b int, sp BSSSpec, cfg NetConfig) *Net {
 	return n
 }
 
-// newNode builds one MAC node; an unregistered scheme panics.
+// newNode builds one MAC node; a Scheme value outside mac's set panics.
 func newNode(env *mac.Env, id pkt.NodeID, name string, cfg mac.Config) *mac.Node {
 	node, err := mac.NewNode(env, id, name, cfg)
 	if err != nil {

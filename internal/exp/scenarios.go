@@ -13,15 +13,14 @@ import (
 // (Instance.Execute) on the campaign engine. NewRegistry registers them
 // all as named campaign scenarios.
 
-// ParseScheme resolves a scheme's registered name ("FIFO", "FQ-CoDel",
-// "FQ-MAC", "Airtime", "DTT", plus anything added via
-// mac.RegisterScheme, e.g. "Airtime-RR" and "Weighted-Airtime").
-// Matching is case-insensitive.
+// ParseScheme resolves a scheme's name: one of the paper's "FIFO",
+// "FQ-CoDel", "FQ-MAC", "Airtime" and "DTT", or the ablations
+// "Airtime-RR" and "Weighted-Airtime". Matching is case-insensitive.
 func ParseScheme(name string) (mac.Scheme, error) {
 	if s, ok := mac.SchemeByName(name); ok {
 		return s, nil
 	}
-	return 0, fmt.Errorf("unknown scheme %q (registered: %s)",
+	return 0, fmt.Errorf("unknown scheme %q (have %s)",
 		name, strings.Join(mac.SchemeNames(), ", "))
 }
 

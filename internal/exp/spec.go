@@ -152,8 +152,8 @@ func paramsFromCtx(ctx campaign.Ctx, axes []campaign.Axis) Params {
 // Str returns the named parameter's value ("" if absent).
 func (p Params) Str(name string) string { return p[name] }
 
-// Scheme resolves the conventional "scheme" parameter through the
-// transmit-path registry.
+// Scheme resolves the conventional "scheme" parameter through
+// ParseScheme.
 func (p Params) Scheme() (mac.Scheme, error) { return ParseScheme(p["scheme"]) }
 
 // OneOf returns the named parameter's value if it is one of values,

@@ -75,13 +75,13 @@ func SpecUDP() *Spec {
 }
 
 // SpecWeightedUDP is the UDP experiment under per-station airtime
-// weights (the Weighted-Airtime extension scheme's policy knob).
+// weights (the Weighted-Airtime ablation's policy knob).
 func SpecWeightedUDP() *Spec {
 	return &Spec{
 		Name: "weighted-udp",
 		Desc: "airtime shares under per-station weights (Weighted-Airtime scheme)",
 		Axes: []campaign.Axis{
-			{Name: "scheme", Values: []string{"Weighted-Airtime"}}, // sweep: any registered scheme
+			{Name: "scheme", Values: []string{"Weighted-Airtime"}}, // sweep: any scheme
 			{Name: "slow-weight", Values: []string{"2"}},           // sweep: 0.5,1,2,4
 		},
 		Build: func(p Params) (*Instance, error) {

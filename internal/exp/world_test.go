@@ -198,7 +198,7 @@ func TestBSSBusyDeltas(t *testing.T) {
 func TestBuildWorldRejectsBadWeights(t *testing.T) {
 	build := func(w float64) {
 		BuildWorld(NetConfig{
-			Seed: 1, Scheme: SchemeWeightedAirtime, Stations: DefaultStations(),
+			Seed: 1, Scheme: mac.SchemeWeightedAirtime, Stations: DefaultStations(),
 			Weights: map[string]float64{"slow": w},
 		})
 	}
@@ -285,11 +285,11 @@ func TestOBSSContention(t *testing.T) {
 func TestBuildTagsBSS(t *testing.T) {
 	w := BuildWorld(NetConfig{Seed: 1, Scheme: mac.SchemeAirtimeFQ, BSSs: DenseTopology(3, 3)})
 	for b, c := range w.Cells {
-		if c.AP.BSS() != b {
-			t.Errorf("BSS %d AP tagged BSS %d", b, c.AP.BSS())
+		if got := c.AP.Config().BSS; got != b {
+			t.Errorf("BSS %d AP tagged BSS %d", b, got)
 		}
-		if c.Stations[0].Node.BSS() != b {
-			t.Errorf("BSS %d station tagged BSS %d", b, c.Stations[0].Node.BSS())
+		if got := c.Stations[0].Node.Config().BSS; got != b {
+			t.Errorf("BSS %d station tagged BSS %d", b, got)
 		}
 		if c.AP.ID != nodeID(b, APID) {
 			t.Errorf("BSS %d AP id = %d, want %d", b, c.AP.ID, nodeID(b, APID))

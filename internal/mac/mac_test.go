@@ -2,11 +2,15 @@ package mac
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/codel"
+	"repro/internal/mactid"
 	"repro/internal/phy"
 	"repro/internal/pkt"
+	"repro/internal/qdisc"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -21,7 +25,7 @@ type rig struct {
 	received map[pkt.NodeID][]*pkt.Packet
 }
 
-// mustNode is NewNode for tests with a known-registered scheme.
+// mustNode is NewNode for tests with a scheme in the set.
 func mustNode(t testing.TB, env *Env, id pkt.NodeID, name string, cfg Config) *Node {
 	t.Helper()
 	n, err := NewNode(env, id, name, cfg)
@@ -346,30 +350,47 @@ func TestCodelParamsPerStation(t *testing.T) {
 	}
 }
 
-// TestSchemeWiring: FQ-MAC nodes must have no qdisc and an active
-// integrated structure.
+// TestSchemeWiring: every scheme builds its queue substrate — a PFIFO or
+// an FQ-CoDel qdisc per AC over the driver FIFOs, or the integrated
+// structure alone — and, per AC, its own station scheduler or none.
 func TestSchemeWiring(t *testing.T) {
-	r := newRig(t, Config{Scheme: SchemeFQMAC}, phy.MCS(7, true))
-	if r.ap.Qdisc(pkt.ACBE) != nil {
-		t.Error("FQ-MAC node has a qdisc")
-	}
-	if r.ap.FqStats() == nil {
-		t.Error("FQ-MAC node lacks the integrated structure")
-	}
-	if r.ap.StationScheduler(pkt.ACBE) != nil {
-		t.Error("FQ-MAC node should not have a station scheduler")
-	}
-	r2 := newRig(t, Config{Scheme: SchemeAirtimeFQ}, phy.MCS(7, true))
-	if r2.ap.StationScheduler(pkt.ACBE) == nil {
-		t.Error("Airtime node lacks schedulers")
-	}
-	r4 := newRig(t, Config{Scheme: SchemeDTT}, phy.MCS(7, true))
-	if r4.ap.StationScheduler(pkt.ACBE) == nil || r4.ap.FqStats() == nil {
-		t.Error("DTT node lacks scheduler or integrated structure")
-	}
-	r3 := newRig(t, Config{Scheme: SchemeFIFO}, phy.MCS(7, true))
-	if r3.ap.Qdisc(pkt.ACBE) == nil {
-		t.Error("FIFO node lacks a qdisc")
+	q := sched.DefaultQuantum
+	for _, tc := range []struct {
+		scheme    Scheme
+		substrate string
+		sched     sched.StationScheduler // as a fresh one is built; nil for none
+	}{
+		{SchemeFIFO, "pfifo", nil},
+		{SchemeFQCoDel, "fq-codel", nil},
+		{SchemeFQMAC, "integrated", nil},
+		{SchemeAirtimeFQ, "integrated", sched.NewAirtime(q, true)},
+		{SchemeDTT, "integrated", sched.NewDTT(q)},
+		{SchemeAirtimeRR, "integrated", sched.NewRoundRobin()},
+		{SchemeWeightedAirtime, "integrated", sched.NewWeightedAirtime(q, true)},
+	} {
+		r := newRig(t, Config{Scheme: tc.scheme}, phy.MCS(7, true))
+		substrate := "integrated"
+		switch r.ap.Qdisc(pkt.ACBE).(type) {
+		case *qdisc.PFIFO:
+			substrate = "pfifo"
+		case *mactid.Fq:
+			substrate = "fq-codel"
+		}
+		if substrate != tc.substrate {
+			t.Errorf("%v: substrate %s, want %s", tc.scheme, substrate, tc.substrate)
+		}
+		if (r.ap.FqStats() != nil) != (tc.substrate == "integrated") {
+			t.Errorf("%v: integrated structure present = %v", tc.scheme, r.ap.FqStats() != nil)
+		}
+		for ac := range pkt.NumACs {
+			got := r.ap.sched[ac]
+			if !reflect.DeepEqual(got, tc.sched) {
+				t.Errorf("%v: AC %d scheduler %#v, want %#v", tc.scheme, ac, got, tc.sched)
+			}
+			if got != nil && ac > 0 && got == r.ap.sched[ac-1] {
+				t.Errorf("%v: ACs %d and %d share one scheduler", tc.scheme, ac-1, ac)
+			}
+		}
 	}
 }
 
@@ -389,9 +410,9 @@ func TestGlobalLimitFQMAC(t *testing.T) {
 }
 
 // TestFQCoDelInputDrops: every packet an FQ-CoDel qdisc's global limit
-// drops is an input drop with a trace event, as under the integrated
-// structure, although the victim is the head of the longest flow and not
-// the packet arriving.
+// drops is an input drop with a trace event of its own bytes, as under
+// the integrated structure, although the victim is the head of the
+// longest flow and not the packet arriving.
 func TestFQCoDelInputDrops(t *testing.T) {
 	r := newRig(t, Config{Scheme: SchemeFQCoDel}, phy.MCS(0, true))
 	r.ap.Trace = trace.NewLog(16)
@@ -408,8 +429,45 @@ func TestFQCoDelInputDrops(t *testing.T) {
 	if r.ap.InputDrops != over {
 		t.Errorf("InputDrops = %d, want the qdisc's %d overlimit drops", r.ap.InputDrops, over)
 	}
-	if r.ap.Trace.Count(trace.Drop) == 0 {
-		t.Error("no drop trace event for the qdisc's overlimit drops")
+	if got := r.ap.Trace.Count(trace.Drop); got != int64(over) {
+		t.Errorf("%d drop trace events, want one per overlimit drop (%d)", got, over)
+	}
+	for _, e := range r.ap.Trace.Events() {
+		if e.Kind == trace.Drop && (e.Note != "fq-overlimit" || e.Size != 1500 || e.Peer != 10) {
+			t.Errorf("drop event %v, want an fq-overlimit drop of 1500 bytes to peer 10", e)
+		}
+	}
+}
+
+// TestDropTraceConservation: an AP under a saturating UDP download to
+// three stations, with MPDU loss, traces one drop event per packet it
+// drops, whatever the cause: a full PFIFO or an Fq's global limit at
+// enqueue (InputDrops), CoDel at dequeue, or the retry limit.
+func TestDropTraceConservation(t *testing.T) {
+	for _, scheme := range Schemes {
+		r := newRig(t, Config{Scheme: scheme, PerMPDULoss: 0.5},
+			phy.MCS(15, true), phy.MCS(15, true), phy.MCS(0, true))
+		r.ap.Trace = trace.NewLog(16)
+		for i := range 3 {
+			dst := pkt.NodeID(10 + i)
+			// 1500-byte packets every 240 µs: 50 Mbps per station.
+			r.s.Ticker(240*sim.Microsecond, func() { r.ap.Input(dataPkt(dst, 1500, uint64(1+i))) })
+		}
+		r.s.RunUntil(3 * sim.Second)
+		codelDrops := 0
+		if fq := r.ap.FqStats(); fq != nil {
+			codelDrops = fq.CodelDrops()
+		}
+		for ac := range pkt.NumACs {
+			if q, ok := r.ap.Qdisc(pkt.AC(ac)).(interface{ CodelDrops() int }); ok {
+				codelDrops += q.CodelDrops()
+			}
+		}
+		want := r.ap.InputDrops + codelDrops + r.ap.RetryDrops
+		if got := r.ap.Trace.Count(trace.Drop); got != int64(want) {
+			t.Errorf("%v: %d drop trace events, want %d (input %d + CoDel %d + retry %d)",
+				scheme, got, want, r.ap.InputDrops, codelDrops, r.ap.RetryDrops)
+		}
 	}
 }
 

@@ -3,13 +3,11 @@
 // aggregation with block acknowledgement and retries, and a two-deep
 // hardware queue per access category.
 //
-// A scheme composes one of the paper's three queue substrates (Queueing:
-// a PFIFO or FQ-CoDel qdisc over driver FIFOs, or the integrated §3.1
-// structure) with an optional station scheduler (sched.StationScheduler),
-// the transmit path's extension point, and nodes resolve their scheme
-// through a registry (RegisterScheme). The five configurations the paper
-// evaluates are registered at init; further schemes register themselves
-// without touching this package.
+// A scheme (Scheme, one of a closed set of seven) pairs one of the
+// paper's three queue substrates — a PFIFO or FQ-CoDel qdisc over driver
+// FIFOs, or the integrated §3.1 structure — with an optional station
+// scheduler (sched.StationScheduler). The set holds the five
+// configurations the paper evaluates and two ablations.
 package mac
 
 import (
@@ -24,43 +22,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// Scheme identifies one registered queue-management configuration of a
-// node. The zero value is SchemeFIFO; values beyond the five paper
-// schemes come from RegisterScheme.
-type Scheme int
-
-const (
-	// SchemeFIFO is the unmodified stack: a PFIFO qdisc above per-TID
-	// driver FIFOs sharing one buffer budget.
-	SchemeFIFO Scheme = iota
-	// SchemeFQCoDel replaces the qdisc with FQ-CoDel, leaving the driver
-	// queues untouched.
-	SchemeFQCoDel
-	// SchemeFQMAC bypasses the qdisc entirely and queues in the
-	// integrated per-TID FQ-CoDel structure of §3.1.
-	SchemeFQMAC
-	// SchemeAirtimeFQ is SchemeFQMAC plus the §3.2 airtime fairness
-	// scheduler.
-	SchemeAirtimeFQ
-	// SchemeDTT is SchemeFQMAC plus the deficit transmission time
-	// scheduler of Garroppo et al. — the closest prior work, included as
-	// a comparison baseline for §3.2's accuracy claims.
-	SchemeDTT
-)
-
-// String returns the scheme's registered name.
-func (s Scheme) String() string {
-	if info, ok := lookupScheme(s); ok {
-		return info.name
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
-
-// Schemes lists the four configurations of the paper's §4 evaluation in
-// its presentation order. The DTT baseline and anything added later are
-// not part of this list; AllSchemes covers every registered scheme.
-var Schemes = []Scheme{SchemeFIFO, SchemeFQCoDel, SchemeFQMAC, SchemeAirtimeFQ}
 
 // Config parameterises a node's MAC and queueing behaviour. The zero value
 // is completed with the defaults used throughout the paper's testbed.
@@ -138,6 +99,9 @@ type Node struct {
 	// above the driver FIFOs, or the integrated per-TID structure.
 	qd *qdiscLayer
 	fq *mactid.Fq
+	// enqueueing is set while a mactid.Fq enqueues, so dropFq can tell
+	// the global limit's drops from CoDel's.
+	enqueueing bool
 
 	sched [pkt.NumACs]sched.StationScheduler // nil for the unscheduled schemes
 
@@ -178,25 +142,21 @@ type Node struct {
 }
 
 // NewNode creates a node with the given queueing scheme and attaches it to
-// the environment's medium. The scheme must be registered (the five paper
-// schemes always are; see RegisterScheme).
+// the environment's medium. A Scheme value outside the set is an error.
 func NewNode(env *Env, id pkt.NodeID, name string, cfg Config) (*Node, error) {
-	cfg.fill()
-	info, ok := lookupScheme(cfg.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("mac: unknown scheme %v (registered: %s)",
-			cfg.Scheme, strings.Join(sortedSchemeNames(), ", "))
+	if !cfg.Scheme.valid() {
+		return nil, fmt.Errorf("mac: unknown scheme %v (have %s)",
+			cfg.Scheme, strings.Join(SchemeNames(), ", "))
 	}
+	cfg.fill()
 	n := &Node{ID: id, Name: name, env: env, cfg: cfg, pool: pkt.PoolOf(env.Sim)}
 	for ac := range n.txqs {
 		n.txqs[ac] = txq{node: n, ac: pkt.AC(ac), par: EDCA(pkt.AC(ac)), bss: cfg.BSS}
 		n.txqs[ac].resetCW()
 	}
-	n.initQueueing(info.comp.Queueing)
-	if f := info.comp.Scheduler; f != nil {
-		for ac := 0; ac < pkt.NumACs; ac++ {
-			n.sched[ac] = f(n, pkt.AC(ac))
-		}
+	n.initQueueing()
+	for ac := range n.sched {
+		n.sched[ac] = newScheduler(&n.cfg)
 	}
 	return n, nil
 }
@@ -229,13 +189,6 @@ func (n *Node) putAggregate(a *Aggregate) {
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Scheme returns the node's queueing scheme.
-func (n *Node) Scheme() Scheme { return n.cfg.Scheme }
-
-// BSS returns the node's basic-service-set index (0 outside multi-BSS
-// worlds).
-func (n *Node) BSS() int { return n.cfg.BSS }
-
 // FqStats exposes the integrated queue structure (nil unless the node's
 // substrate is the integrated per-TID FQ-CoDel structure; an FQ-CoDel
 // node's qdiscs are reached through Qdisc).
@@ -254,10 +207,6 @@ func (n *Node) Qdisc(ac pkt.AC) qdisc.Qdisc {
 	}
 	return &n.qd.pfifo[ac]
 }
-
-// StationScheduler exposes the per-AC station scheduler (nil for the
-// unscheduled schemes).
-func (n *Node) StationScheduler(ac pkt.AC) sched.StationScheduler { return n.sched[ac] }
 
 // AddStation registers a wireless peer reachable at the given PHY rate and
 // returns its per-peer state. The rate, and with it the peer's §3.1.1
@@ -547,6 +496,9 @@ func (n *Node) retryMPDU(t *tidState, p *pkt.Packet) {
 func (n *Node) dropMPDU(sta *Station, p *pkt.Packet) {
 	n.RetryDrops++
 	sta.DropPackets++
+	if n.Trace != nil {
+		n.trace(trace.Drop, sta.Peer.ID, p.AC, p.Size, "retry-limit")
+	}
 	n.freePkt(p)
 }
 

@@ -9,26 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Queueing selects a scheme's queue substrate: the layer between Input
-// and aggregation where packets wait. The three values are the paper's
-// configurations, a closed choice: a qdisc (PFIFO or FQ-CoDel) above
-// unmanaged per-TID driver FIFOs sharing one buffer budget (Figure 2),
-// and the integrated per-TID FQ-CoDel structure of §3.1 that replaces
-// both layers. The zero value names no substrate.
-type Queueing int
-
-const (
-	// PFIFOQueueing is the unmodified stack: a PFIFO qdisc above the
-	// driver FIFOs.
-	PFIFOQueueing Queueing = iota + 1
-	// FQCoDelQueueing is the second baseline: an FQ-CoDel qdisc above
-	// the (still unmanaged) driver FIFOs.
-	FQCoDelQueueing
-	// IntegratedQueueing is the §3.1 structure: the qdisc layer is
-	// bypassed and every TID queues in one shared mactid.Fq.
-	IntegratedQueueing
-)
-
 // qdiscLayer is the upper layer of the qdisc substrates, the stock
 // transmit path of Figure 2: a qdisc per access category feeding the
 // per-TID driver FIFOs (tidState.bufq), which share one buffer budget.
@@ -61,31 +41,42 @@ type fqCoDel struct {
 // structure's is mactid's 8192).
 const fqCoDelLimit = 10240
 
-// initQueueing builds the node's substrate for q. Packets a mactid.Fq
-// drops (CoDel or overlimit) are released through its drop hook.
-func (n *Node) initQueueing(q Queueing) {
-	switch q {
-	case IntegratedQueueing:
-		n.fq = mactid.New(mactid.Config{DropHook: n.freePkt})
-	case FQCoDelQueueing:
+// initQueueing builds the substrate of the node's scheme: a PFIFO qdisc
+// layer under FIFO, an FQ-CoDel one under FQ-CoDel, and the integrated
+// structure under the other five. Packets a mactid.Fq drops (CoDel or
+// overlimit) reach dropFq through its drop hook.
+func (n *Node) initQueueing() {
+	switch n.cfg.Scheme {
+	case SchemeFIFO:
+		n.qd = new(qdiscLayer)
+	case SchemeFQCoDel:
 		n.qd = &qdiscLayer{fqc: new([pkt.NumACs]fqCoDel)}
-		hook := n.freePkt
+		hook := n.dropFq
 		for ac := range n.qd.fqc {
 			f := &n.qd.fqc[ac]
 			f.fq = mactid.New(mactid.Config{Limit: fqCoDelLimit, DropHook: hook})
 			f.fq.InitTID(&f.tid)
 		}
 	default:
-		n.qd = new(qdiscLayer)
+		n.fq = mactid.New(mactid.Config{DropHook: n.dropFq})
 	}
 }
 
-// dropInput records packets the substrate dropped at input: count is
-// added to InputDrops and one drop trace event of the given size is
-// emitted.
-func (n *Node) dropInput(dst pkt.NodeID, ac pkt.AC, size int, note string, count int) {
-	n.InputDrops += count
-	n.trace(trace.Drop, dst, ac, size, note)
+// dropFq releases a packet a mactid.Fq dropped and traces it: a drop by
+// the global limit while enqueueing is an input drop, any other is
+// CoDel's at dequeue.
+//
+//hj17:owns
+func (n *Node) dropFq(p *pkt.Packet) {
+	note := "codel"
+	if n.enqueueing {
+		n.InputDrops++
+		note = "fq-overlimit"
+	}
+	if n.Trace != nil {
+		n.trace(trace.Drop, p.Dst, p.AC, p.Size, note)
+	}
+	n.freePkt(p)
 }
 
 // enqueue accepts a packet routed to TID t: into the shared structure
@@ -96,33 +87,31 @@ func (n *Node) dropInput(dst pkt.NodeID, ac pkt.AC, size int, note string, count
 func (n *Node) enqueue(t *tidState, p *pkt.Packet, now sim.Time) {
 	q := n.qd
 	if q == nil {
-		n.enqueueFq(n.fq, t.fq, p, now)
+		n.enqueueFq(t.fq, p, now)
 		return
 	}
 	ac := p.AC
 	q.busy |= 1 << ac
 	if f := q.fqc; f != nil {
-		n.enqueueFq(f[ac].fq, &f[ac].tid, p, now)
+		n.enqueueFq(&f[ac].tid, p, now)
 	} else if !q.pfifo[ac].Enqueue(p) {
 		// PFIFO rejects without storing.
-		n.dropInput(p.Dst, ac, p.Size, "qdisc-full", 1)
+		n.InputDrops++
+		n.trace(trace.Drop, p.Dst, ac, p.Size, "qdisc-full")
 		n.freePkt(p)
 	}
 	n.refill(ac)
 }
 
-// enqueueFq enqueues p into tid, a TID of fq, and records the packets
-// fq's global limit dropped meanwhile, p itself possibly among them, as
-// input drops.
+// enqueueFq enqueues p into tid, a TID of a mactid.Fq. The packets the
+// Fq's global limit drops meanwhile, p itself possibly among them, reach
+// dropFq as input drops.
 //
 //hj17:hotpath
-func (n *Node) enqueueFq(fq *mactid.Fq, tid *mactid.TID, p *pkt.Packet, now sim.Time) {
-	ac, dst := p.AC, p.Dst // p may be dropped (and released) below
-	before := fq.Drops()
+func (n *Node) enqueueFq(tid *mactid.TID, p *pkt.Packet, now sim.Time) {
+	n.enqueueing = true
 	tid.Enqueue(p, now)
-	if d := fq.Drops() - before; d > 0 {
-		n.dropInput(dst, ac, d, "fq-overlimit", d)
-	}
+	n.enqueueing = false
 }
 
 // refillAC drains one AC's qdisc into the driver FIFOs while the shared

@@ -1,4 +1,4 @@
-// Package sched implements the station-scheduler side of the pluggable
+// Package sched implements the station-scheduler side of the MAC's
 // transmit path: the StationScheduler interface the MAC drives when it
 // decides which station builds the next aggregate, and the three
 // policies the repository ships — the paper's deficit airtime scheduler
@@ -10,9 +10,9 @@
 // Every policy is a rotation of Entry values on an intrusive list. The
 // MAC holds one Entry per (station, access category) pair inside its
 // per-TID state, names that state as the entry's Owner, and talks to the
-// scheduler exclusively through entries. New policies plug into the MAC
-// by composing a scheme via mac.RegisterScheme — no MAC changes
-// required.
+// scheduler exclusively through entries. Which policy a node runs
+// follows from its mac.Scheme; a new policy also needs a new scheme in
+// package mac.
 package sched
 
 import (

@@ -1,8 +1,8 @@
 // Package trace provides a lightweight structured event log for the
-// simulated stack: packet lifecycle events (enqueue, drop at enqueue,
-// end of an air transmission, delivery) recorded into a bounded ring
-// buffer with per-kind counters. Nodes emit into a Log when one is attached; tracing
-// is zero-cost when disabled.
+// simulated stack: packet lifecycle events (enqueue, drop, end of an
+// air transmission, delivery) recorded into a bounded ring buffer with
+// per-kind counters. Nodes emit into a Log when one is attached;
+// tracing is zero-cost when disabled.
 package trace
 
 import (
@@ -19,9 +19,9 @@ type Kind uint8
 // Event kinds, in lifecycle order.
 const (
 	Enqueue Kind = iota // packet entered a node's queueing structure
-	// Drop is a drop at enqueue: no route, a full PFIFO qdisc or a
-	// mactid.Fq's global limit. CoDel and retry-limit drops are not
-	// traced.
+	// Drop is one packet a node dropped: at enqueue (no route, a full
+	// PFIFO qdisc or a mactid.Fq's global limit), by CoDel at dequeue,
+	// or after its retry limit.
 	Drop
 	TxDone  // aggregate finished (success or collision)
 	Deliver // packet handed to a node's upper layer
@@ -44,12 +44,12 @@ type Event struct {
 	Node pkt.NodeID // where it happened
 	Peer pkt.NodeID // counterparty (destination station, sender, ...)
 	AC   pkt.AC
-	// Size is in bytes for a packet, in frames for an aggregate, and in
-	// packets for an "fq-overlimit" drop, one event per enqueue.
+	// Size is in bytes for a packet, dropped ones included, and in
+	// frames for an aggregate.
 	Size int
 	// Note qualifies a drop with its cause ("no-route", "qdisc-full",
-	// "fq-overlimit") and a transmission with its outcome ("ok",
-	// "collision").
+	// "fq-overlimit", "codel", "retry-limit") and a transmission with
+	// its outcome ("ok", "collision").
 	Note string
 }
 
